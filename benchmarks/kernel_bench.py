@@ -1,8 +1,9 @@
 """Timing comparison of the numba and pure-numpy kernel backends.
 
 Measures the four hot paths — CSR matvec, counter-based normal blocks,
-a Krylov phi0 action, and one full SETDM1 step — under both backends by
-rebinding the shared kernel aliases, so one process reports both columns.
+a truncated-Taylor phi0 action, and one full SETDM1 step (one fused
+action) — under both backends by rebinding the shared kernel aliases, so
+one process reports both columns.
 ``SparseOperator.matvec`` multiplies through scipy's CSR product under
 either backend, so the phi0 and SETDM1 rows differ between the columns
 only through the kernels they still call; the ``A.matvec`` row times that
@@ -93,7 +94,7 @@ def build_cases(nx):
          lambda: A.matvec(x)),
         ("normal_block 65x65",
          lambda: kernels.normal_block(key0, key1, spec.n1 + 1, spec.n2 + 1, 3, 0)),
-        (f"phi0 action on A_h ({fem.ndof} dof, dt=0.1)",
+        (f"Taylor phi0 action on A_h ({fem.ndof} dof, dt=0.1)",
          lambda: phi0_action(A, x, 0.1)),
         (f"SETDM1 step ({fv.ndof} cells, multiplicative)",
          lambda: setdm1_step(problem, cfg, state, dW)),

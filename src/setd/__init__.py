@@ -2,8 +2,8 @@
 
 The package assembles finite-element / finite-volume generators on
 rectangle grids, samples Q-Wiener increments from refinement-consistent
-Brownian paths, evaluates phi-function actions by Krylov projection, and
-integrates SPDE trajectories with exponential (SETDM0/SETDM1) or
+Brownian paths, applies phi-function actions by a truncated Taylor series,
+and integrates SPDE trajectories with exponential (SETDM0/SETDM1) or
 semi-implicit schemes. `harness` runs Monte-Carlo convergence studies;
 `cli` exposes everything as the `setd` command.
 """
@@ -39,7 +39,7 @@ from .integrators import (
     setdm0_step,
     setdm1_step,
 )
-from .krylov import KrylovConfig, dense_phi, phi0_action, phi1_action
+from .krylov import KrylovConfig, dense_phi, fused_action, phi0_action, phi1_action
 from .noise import NoisePath, NoiseSpec, make_path, sample_increment
 from .operators import DiscreteProblem, assemble_fem, assemble_fv, quadrature_weights
 from .reference import (
@@ -83,6 +83,7 @@ __all__ = [
     "exact_linear_step",
     "finest_reference",
     "fit_order",
+    "fused_action",
     "linear_additive_study",
     "linear_state",
     "make_path",

@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import darcy
-from .errors import DegenerateFitError, DivergenceError, InvalidArgumentError
+from .errors import DegenerateFitError, InvalidArgumentError, SETDError
 from .grid import BoundaryTag, build_grid
 from .integrators import (ProblemDef, Scheme, SchemeConfig, SETDM1Variant, run)
 from .krylov import KrylovConfig
@@ -291,8 +291,9 @@ class ConvergenceReport:
 def _realization_worker(cfg, problem, r):
     """All runs for one realization: shared path, reference, every cell.
 
-    Returns (reference_ok, {cell: final_field_or_None}). A reference
-    failure flags every cell of this realization.
+    Returns (reference_or_None, {cell: final_field_or_None}). Any SETDError
+    (divergence, a phi action over its step cap, a failed solve) flags its
+    cell; a reference failure flags every cell of this realization.
     """
     path = make_path(cfg.noise, cfg.seed, r, float(cfg.finest_dt), cfg.fine_steps)
     try:
@@ -304,7 +305,7 @@ def _realization_worker(cfg, problem, r):
             template = SchemeConfig(Scheme.SETDM1, float(cfg.finest_dt), cfg.fine_steps,
                                     krylov=cfg.krylov, setdm1_variant=cfg.variant)
             ref = finest_reference(problem, path, template)
-    except DivergenceError:
+    except SETDError:
         return None, {}
     fields = {}
     for scheme in cfg.schemes:
@@ -315,7 +316,7 @@ def _realization_worker(cfg, problem, r):
                                    setdm1_variant=cfg.variant)
             try:
                 fields[(scheme, dt)] = run(problem, run_cfg, path, coarsening).final
-            except DivergenceError:
+            except SETDError:
                 fields[(scheme, dt)] = None
     return ref, fields
 

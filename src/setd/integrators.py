@@ -6,9 +6,10 @@ All schemes advance the spatially discrete system
 
 with A_h the assembled (Dirichlet-frozen) operator, F and B pointwise
 Nemytskii maps, and dW_h the nodal/cell increments of the truncated
-Q-Wiener path. Exponential steps evaluate phi-function actions by Krylov
-iteration and never form a matrix exponential; the semi-implicit step
-factorizes (I - dt A_h) once per run.
+Q-Wiener path. Exponential steps apply phi-function actions by a truncated
+Taylor series (:mod:`setd.krylov`) and never form a matrix exponential: a
+SETDM0 step is one phi0 action, a SETDM1 step one fused phi0/phi1 action.
+The semi-implicit step factorizes (I - dt A_h) once per run.
 
 Frozen Dirichlet DOFs have zero rows in A_h, so every propagator acts as
 the identity there; drift and noise are masked at those DOFs and the
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, InvalidArgumentError, SolverError
-from .krylov import KrylovConfig, phi0_action, phi1_action
+from .krylov import KrylovConfig, fused_action, phi0_action, phi1_action
 from .noise import NoiseSpec, sample_increment
 from .operators import DiscreteProblem, apply_dirichlet
 
@@ -180,8 +181,7 @@ def setdm1_step(problem, config, state, dW):
     noise = _masked_noise(problem, state, dW)
     drift = _masked_drift(problem, state)
     if config.setdm1_variant is SETDM1Variant.AS_DEFINED:
-        prop = phi0_action(A, state + noise, dt, config.krylov).vector
-        return prop + dt * phi1_action(A, drift, dt, config.krylov).vector
+        return fused_action(A, state + noise, drift, dt, config.krylov).vector
     # AS_REWRITTEN: X + dt phi1(dt A)(A(X + B dW) + F(X))
     inner = A.matvec(state + noise) + drift
     return state + dt * phi1_action(A, inner, dt, config.krylov).vector

@@ -2,7 +2,8 @@
 
 Two families live here:
 
-* CSR matrix-vector products (the inner loop of every Arnoldi phi action),
+* CSR matrix-vector products (the benchmark and test reference for the
+  scipy product that every phi action's Taylor terms call),
 * counter-based normal draws (Philox4x32-10), which make every noise sample
   a pure function of ``(seed, realization, mode_i, mode_j, step, stream)``.
   That keying is what guarantees bit-exact path refinement and makes results

@@ -1,21 +1,32 @@
-"""Krylov evaluation of phi-function actions: phi0(dt*A) v and phi1(dt*A) v.
+"""Phi-function actions by a truncated Taylor series: phi0(dt*A) v, phi1(dt*A) v
+and the fused SETDM1 action phi0(dt*A) u + dt*phi1(dt*A) f.
 
-phi0(z) = exp(z), phi1(z) = (exp(z) - 1)/z with phi1(0) = 1. Actions are
-approximated in an m-dimensional Arnoldi subspace with adaptive time
-substepping: the step [0, dt] is split so that the per-substep error
-estimate (leading terms of the Krylov defect series, computed from the
-augmented Hessenberg exponential) stays within a per-unit-time share of the
-absolute tolerance, so the accumulated estimate is <= tol on success.
-A happy breakdown makes the substep exact and contributes zero estimate.
+phi0(z) = exp(z), phi1(z) = (exp(z) - 1)/z with phi1(0) = 1. All three
+actions are thin wrappers over one core, the truncated-Taylor exponential
+action of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2):488-511, 2011). The
+operator is shifted by mu = trace/n, [0, t] is cut into s equal scaling
+steps, and each step applies a Taylor polynomial of degree at most m and
+multiplies back by exp(t*mu/s). (m, s) minimise the matvec count m*s
+subject to t*||B||_1/s <= theta_m, the double-precision bounds of their
+Table 3.1, so every action is accurate to unit roundoff; a series stops
+early once two consecutive terms fall below 2^-53 of the partial sum.
 
-phi1 actions integrate u' = A u + v, u(0) = 0 through the once-augmented
-operator [[A, v], [0, 0]]: exp of it advances u without ever inverting A
-(A may be singular, e.g. a Neumann Laplacian), and phi1(dt*A) v = u(dt)/dt.
+phi1 terms come from the augmented operator [[A, f], [0, 0]] acting on
+[u; 1] (their Theorem 2.1; Niesen & Wright, ACM TOMS 38(3), 2012, use the
+same idea in Krylov form):
+
+    exp(t [[A, f], [0, 0]]) [u; 1] = [phi0(tA) u + t phi1(tA) f; 1],
+
+so A is never inverted (it may be singular, e.g. a Neumann Laplacian) and a
+SETDM1 step costs one action. The last coordinate is carried as a scalar
+and reset to its exact value 1 after every scaling step. Scaling the f
+column by eta and the last coordinate by 1/eta leaves the result unchanged
+(their Section 3), so ||B||_1 is taken as eta -> 0, which leaves
+max(||A - mu I||_1, |mu|).
 
 ``dense_phi`` is the independent dense oracle (n <= 256): Taylor
-scaling-and-squaring on the plain or augmented matrix. It deliberately
-shares no code with the Krylov path (the small Hessenberg exponentials use
-scipy's Pade expm), so the two routes cross-check each other.
+scaling-and-squaring on the plain or augmented matrix. It shares no code
+with the action core.
 """
 
 from __future__ import annotations
@@ -24,27 +35,35 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, KrylovConvergenceError
 
-_RNDOFF_FACTOR = 1e-16
+_UNIT_ROUNDOFF = 2.0 ** -53
 
-# Fraction of the per-unit-time error budget the substep controller is
-# allowed to spend. The local estimate keeps only the leading defect terms,
-# so the controller deliberately over-delivers; this value is calibrated so
-# the measured defect against the dense oracle stays two orders below tol
-# in the spectral-radius <= 10 regime (see test_acceptance).
-_BUDGET_SAFETY = 0.001
+# theta_m for double precision (Al-Mohy & Higham 2011, Table 3.1): a degree-m
+# Taylor step of length h with h*||B||_1 <= theta_m has backward error at
+# most unit roundoff.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.70, 40: 6.00,
+    45: 7.20, 50: 8.50, 55: 9.90,
+}
+_DEGREES = np.array(sorted(_THETA))
+_THETAS = np.array([_THETA[m] for m in _DEGREES])
 
 
 @dataclass(frozen=True)
 class KrylovConfig:
-    """Arnoldi parameters.
+    """Knobs of the phi actions.
 
-    m is the subspace dimension, tol the absolute accuracy budget for the
-    whole action, max_restarts the cap on substeps (each substep restarts
-    Arnoldi from the current iterate).
+    max_restarts caps the scaling steps: an action that needs s steps with
+    s - 1 > max_restarts raises KrylovConvergenceError. m and tol are
+    validated but no longer change the computation: the Taylor action
+    works to unit roundoff, which meets any tol > 0, and picks its own
+    degree.
     """
 
     m: int = 6
@@ -62,152 +81,92 @@ class KrylovConfig:
 
 @dataclass
 class PhiResult:
+    """An action's vector, its truncation bound (the sum over scaling steps
+    of the Taylor tail bound) and restarts_used = scaling steps - 1."""
+
     vector: np.ndarray
     est_error: float
     restarts_used: int
 
 
-def _small_expm(M):
-    return scipy.linalg.expm(M)
+def _taylor_parameters(x):
+    """(m, s) minimising m*s subject to x/s <= theta_m, for x = t*||B||_1."""
+    if x == 0.0:
+        return 0, 1
+    steps = np.ceil(x / _THETAS)
+    i = int(np.argmin(_DEGREES * steps))
+    return int(_DEGREES[i]), int(steps[i])
 
 
-def _round_step(t):
-    # expokit-style rounding of the substep to two leading digits
-    if not np.isfinite(t) or t <= 0:
-        return t
-    s = 10.0 ** (math.floor(math.log10(t)) - 1)
-    return math.ceil(t / s) * s
+def _taylor_tail(x, m):
+    """Lagrange bound x^(m+1) e^x / (m+1)! on sum_{k>m} x^k / k!."""
+    if x == 0.0:
+        return 0.0
+    try:
+        return math.exp((m + 1) * math.log(x) + x - math.lgamma(m + 2))
+    except OverflowError:
+        return math.inf
 
 
-def _expv_substepped(matvec, w, t_out, anorm, cfg, pin_index=None):
-    """w <- exp(t_out * A) w by Arnoldi substepping (A given as matvec).
-
-    If pin_index is given, that component is reset to exactly 1.0 after
-    every substep (used by the augmented phi1 system, whose last coordinate
-    is conserved by the exact flow).
-
-    Returns (w, est_error, substeps_taken).
-    """
-    n = w.shape[0]
-    m = min(cfg.m, n)
-    tol = cfg.tol
-    gamma = 0.9
-    delta = 1.2
-    mxrej = 10
-    btol = max(anorm, 1.0) * 1e-14
-
-    beta = np.linalg.norm(w)
-    if beta == 0.0 or t_out == 0.0:
-        return w.copy(), 0.0, 0
-
-    if anorm > 0:
-        xm = 1.0 / m
-        fact = ((m + 1) / math.e) ** (m + 1) * math.sqrt(2.0 * math.pi * (m + 1))
-        t_new = (1.0 / anorm) * (fact * tol / (4.0 * beta * anorm)) ** xm
-        t_new = _round_step(t_new)
-    else:
-        t_new = t_out
-
-    w = w.copy()
-    t_now = 0.0
-    s_error = 0.0
-    substeps = 0
-    V = np.empty((n, m + 1))
-    H = np.empty((m + 2, m + 2))
-
-    while t_now < t_out:
-        if substeps > cfg.max_restarts:
-            raise KrylovConvergenceError(
-                f"phi action did not converge within {cfg.max_restarts} substeps "
-                f"(reached t={t_now:g} of {t_out:g})",
-                est_error=s_error,
-            )
-        t_step = min(t_out - t_now, t_new)
-        beta = np.linalg.norm(w)
-        if beta == 0.0:
-            break  # zero is a fixed point of the linear flow
-        H[:] = 0.0
-        V[:, 0] = w / beta
-        breakdown = False
-        mb = m
-        for j in range(m):
-            p = matvec(V[:, j])
-            for i in range(j + 1):
-                h = V[:, i] @ p
-                H[i, j] = h
-                p = p - h * V[:, i]
-            s = np.linalg.norm(p)
-            if s < btol:
-                breakdown = True
-                mb = j + 1
-                t_step = t_out - t_now
+def _taylor_action(A, u, f, t, cfg):
+    """First block of exp(t [[A, f], [0, 0]]) [u; 1]; f None means exp(tA) u."""
+    if f is not None and not f.any():
+        f = None
+    mu, norm = A.shifted_norm()
+    if f is not None:
+        norm = max(norm, abs(mu))
+    m, s = _taylor_parameters(t * norm)
+    needed = s
+    if needed - 1 > cfg.max_restarts:
+        m, s = int(_DEGREES[-1]), cfg.max_restarts + 1
+    h = t / s
+    eta = np.exp(h * mu)
+    # tail bound of one step; the f terms lag the u terms by one degree
+    tail = eta * _taylor_tail(h * norm, m - (f is not None))
+    hf_norm = 0.0 if f is None else h * float(np.abs(f).sum())
+    if s < needed:
+        raise KrylovConvergenceError(
+            f"phi action needs {needed} scaling steps, more than max_restarts + 1 = {s}",
+            est_error=s * tail * (float(np.abs(u).sum()) + hf_norm),
+        )
+    est = 0.0
+    for _ in range(s):
+        est += tail * (float(np.abs(u).sum()) + hf_norm)
+        out = u.copy()
+        v, w = u, 1.0
+        c1 = np.abs(v).max()
+        for k in range(1, m + 1):
+            p = A.matvec(v)
+            p -= mu * v
+            if f is not None:
+                p += w * f
+                w *= -mu * h / k
+            v = p * (h / k)
+            out += v
+            c2 = np.abs(v).max()
+            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(out).max():
                 break
-            H[j + 1, j] = s
-            V[:, j + 1] = p / s
-        if not breakdown:
-            avnorm = np.linalg.norm(matvec(V[:, m]))
-            H[m + 1, m] = 1.0
-
-        ireject = 0
-        while True:
-            if breakdown:
-                F = _small_expm(t_step * H[:mb, :mb])
-                err_loc = 0.0
-                mx = mb
-                break
-            F = _small_expm(t_step * H[: m + 2, : m + 2])
-            err1 = abs(beta * F[m, 0])
-            err2 = abs(beta * F[m + 1, 0] * avnorm)
-            if err1 > 10.0 * err2:
-                err_loc = err2
-                xm_loc = 1.0 / m
-            elif err1 > err2:
-                err_loc = err1 * err2 / (err1 - err2)
-                xm_loc = 1.0 / m
-            else:
-                err_loc = err1
-                xm_loc = 1.0 / (m - 1) if m > 1 else 1.0
-            budget = delta * _BUDGET_SAFETY * t_step * tol / t_out
-            if err_loc <= budget:
-                mx = m + 1
-                break
-            t_step = gamma * t_step * (_BUDGET_SAFETY * t_step * tol / (t_out * err_loc)) ** xm_loc
-            t_step = _round_step(t_step)
-            ireject += 1
-            if ireject > mxrej:
-                raise KrylovConvergenceError(
-                    "phi action substep rejected repeatedly; tolerance too tight "
-                    f"(last estimate {err_loc:.3e})",
-                    est_error=err_loc,
-                )
-
-        w = V[:, :mx] @ (beta * F[:mx, 0])
-        if pin_index is not None:
-            w[pin_index] = 1.0
-        t_now = t_now + t_step
-        substeps += 1
-        if not breakdown:
-            t_new = gamma * t_step * (
-                _BUDGET_SAFETY * t_step * tol / (t_out * max(err_loc, 1e-300))
-            ) ** xm_loc
-            t_new = _round_step(t_new)
-            s_error += max(err_loc, _RNDOFF_FACTOR * beta)
-
-    return w, s_error, substeps
+            c1 = c2
+        u = eta * out
+    return PhiResult(u, est, s - 1)
 
 
-def _validate_action_args(A, v, dt):
-    if A.n_rows != A.n_cols:
-        raise InvalidArgumentError("phi actions require a square operator")
+def _check_vector(A, v, name="vector"):
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (A.n_cols,):
-        raise InvalidArgumentError(f"vector has shape {v.shape}, expected ({A.n_cols},)")
+        raise InvalidArgumentError(f"{name} has shape {v.shape}, expected ({A.n_cols},)")
     if not np.all(np.isfinite(v)):
-        raise InvalidArgumentError("vector contains NaN/Inf")
+        raise InvalidArgumentError(f"{name} contains NaN/Inf")
+    return v
+
+
+def _check_action_args(A, dt):
+    if A.n_rows != A.n_cols:
+        raise InvalidArgumentError("phi actions require a square operator")
     dt = float(dt)
     if not np.isfinite(dt) or dt < 0:
         raise InvalidArgumentError(f"dt must be finite and >= 0, got {dt}")
-    return v, dt
+    return dt
 
 
 def phi0_action(A, v, dt, config=None):
@@ -223,44 +182,38 @@ def phi0_action(A, v, dt, config=None):
     Returns
     -------
     PhiResult
-        vector, accumulated absolute error estimate, substeps beyond the
-        first (restarts_used).
+        vector, truncation bound, scaling steps beyond the first
+        (restarts_used).
     """
-    cfg = config or KrylovConfig()
-    v, dt = _validate_action_args(A, v, dt)
+    dt = _check_action_args(A, dt)
+    v = _check_vector(A, v)
     if dt == 0.0 or A.nnz == 0:
         return PhiResult(v.copy(), 0.0, 0)
-    anorm = A.infinity_norm()
-    w, est, substeps = _expv_substepped(A.matvec, v, dt, anorm, cfg)
-    return PhiResult(w, est, max(0, substeps - 1))
+    return _taylor_action(A, v, None, dt, config or KrylovConfig())
 
 
 def phi1_action(A, v, dt, config=None):
     """Approximate phi1(dt*A) v without inverting A.
 
-    Integrates the augmented system [[A, v], [0, 0]] acting on [0; 1]:
-    the first block of exp(dt * aug) [0; 1] equals dt * phi1(dt*A) v.
+    The first block of exp(dt [[A, v], [0, 0]]) [0; 1] equals
+    dt * phi1(dt*A) v.
     """
-    cfg = config or KrylovConfig()
-    v, dt = _validate_action_args(A, v, dt)
+    dt = _check_action_args(A, dt)
+    v = _check_vector(A, v)
     if dt == 0.0 or A.nnz == 0:
         return PhiResult(v.copy(), 0.0, 0)
-    n = A.n_rows
+    res = _taylor_action(A, np.zeros_like(v), v, dt, config or KrylovConfig())
+    return PhiResult(res.vector / dt, res.est_error / dt, res.restarts_used)
 
-    def aug_matvec(z):
-        out = np.empty(n + 1)
-        out[:n] = A.matvec(z[:n]) + z[n] * v
-        out[n] = 0.0
-        return out
 
-    row_abs = np.zeros(n)
-    np.add.at(row_abs, np.repeat(np.arange(n), np.diff(A.indptr)), np.abs(A.data))
-    anorm = float(np.max(row_abs + np.abs(v))) if n else 0.0
-
-    z0 = np.zeros(n + 1)
-    z0[n] = 1.0
-    z, est, substeps = _expv_substepped(aug_matvec, z0, dt, anorm, cfg, pin_index=n)
-    return PhiResult(z[:n] / dt, est / dt, max(0, substeps - 1))
+def fused_action(A, u, f, dt, config=None):
+    """phi0(dt*A) u + dt * phi1(dt*A) f as one action: a whole SETDM1 step."""
+    dt = _check_action_args(A, dt)
+    u = _check_vector(A, u, "u")
+    f = _check_vector(A, f, "f")
+    if dt == 0.0 or A.nnz == 0:
+        return PhiResult(u + dt * f, 0.0, 0)
+    return _taylor_action(A, u, f, dt, config or KrylovConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ class SparseOperator:
     indices: np.ndarray
     data: np.ndarray
     _csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    _shifted_norm: tuple | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         self._csr = self.to_scipy()
@@ -109,14 +111,17 @@ class SparseOperator:
             sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
         )
 
-    def infinity_norm(self):
-        if self.nnz == 0:
-            return 0.0
-        out = np.zeros(self.n_rows)
-        np.add.at(
-            out, np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), np.abs(self.data)
-        )
-        return float(out.max())
+    def shifted_norm(self):
+        """(mu, ||A - mu I||_1) with mu = trace / n, the shift of the phi actions.
+
+        Computed on the first call and cached; two threads filling the cache
+        at once store the same value.
+        """
+        if self._shifted_norm is None:
+            mu = float(self._csr.diagonal().sum()) / self.n_rows
+            shifted = abs(self._csr - mu * sp.identity(self.n_rows, format="csr"))
+            self._shifted_norm = (mu, float(shifted.sum(axis=0).max()))
+        return self._shifted_norm
 
 
 def save_matrix_market(op, path, comment=""):

@@ -1,5 +1,5 @@
 """Study orchestration tests: error metric, order fitting, report formats,
-thread-count invariance, and divergence flagging."""
+thread-count invariance, and flagging of failed cells."""
 
 import json
 from fractions import Fraction
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import setd.harness as harness
-from setd.errors import DegenerateFitError, DivergenceError, InvalidArgumentError
+from setd.errors import (DegenerateFitError, DivergenceError, InvalidArgumentError,
+                         KrylovConvergenceError)
 from setd.grid import build_grid
 from setd.harness import (
     StudyConfig,
@@ -152,6 +153,26 @@ def test_reports_bit_identical_across_thread_counts(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def _tiny_multiplicative(threads=1, realizations=2):
+    return advection_study(
+        nx=6, realizations=realizations, seed=3, threads=threads,
+        dt_list=(Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)),
+        finest_dt=Fraction(1, 32),
+        noise=NoiseSpec.powerlaw(n1=8, n2=8),
+    )
+
+
+def test_multiplicative_reports_bit_identical_across_thread_counts(tmp_path):
+    # fused SETDM1 actions and the operator's lazily filled norm cache are
+    # shared by the worker threads; the bytes must not notice
+    reports = {t: run_study(_tiny_multiplicative(threads=t, realizations=4)) for t in (1, 3)}
+    for t, rep in reports.items():
+        rep.to_csv(tmp_path / f"t{t}.csv")
+        rep.to_json(tmp_path / f"t{t}.json")
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t3.csv").read_bytes()
+    assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t3.json").read_bytes()
+
+
 def test_report_files_round_trip(tmp_path):
     report = run_study(_tiny_linear(realizations=2))
     csv_path = tmp_path / "report.csv"
@@ -191,13 +212,7 @@ def test_linear_study_order_rises_on_finer_steps():
 
 
 def test_multiplicative_study_runs_with_finest_reference():
-    cfg = advection_study(
-        nx=6, realizations=2, seed=3,
-        dt_list=(Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)),
-        finest_dt=Fraction(1, 32),
-        noise=NoiseSpec.powerlaw(n1=8, n2=8),
-    )
-    report = run_study(cfg)
+    report = run_study(_tiny_multiplicative())
     assert len(report.rows) == 2 * 3
     for row in report.rows:
         assert np.isfinite(row.rms_error) and row.rms_error > 0
@@ -240,3 +255,39 @@ def test_reference_failure_flags_whole_realization(monkeypatch):
         del harness.__dict__["_worker_orig"]
     assert all(r.flagged_count == 1 for r in report.rows)
     assert all(np.isfinite(r.rms_error) for r in report.rows)
+
+
+def test_failed_phi_action_flags_its_cell_not_the_study(monkeypatch):
+    # any SETDError in one cell is flagged like a divergence; here a phi
+    # action over its step cap in the setdm1 dt = 1/8 cell of realization 1
+    cfg = _tiny_multiplicative()
+    real_run = harness.run
+
+    def failing_run(problem, run_cfg, path, coarsening=1, **kwargs):
+        if (path.realization == 1 and run_cfg.scheme is Scheme.SETDM1
+                and run_cfg.dt == 1 / 8):
+            raise KrylovConvergenceError("phi action over its step cap", est_error=1.0)
+        return real_run(problem, run_cfg, path, coarsening, **kwargs)
+
+    monkeypatch.setattr(harness, "run", failing_run)
+    report = run_study(cfg)
+    flagged = {(r.scheme, str(r.dt)): r.flagged_count for r in report.rows}
+    assert flagged[("setdm1", "1/8")] == 1
+    assert sum(flagged.values()) == 1
+    assert all(np.isfinite(r.rms_error) for r in report.rows)
+
+
+def test_failed_reference_flags_whole_realization(monkeypatch):
+    cfg = _tiny_multiplicative()
+    real_reference = harness.finest_reference
+
+    def failing_reference(problem, path, config=None):
+        if path.realization == 0:
+            raise KrylovConvergenceError("reference over its step cap", est_error=1.0)
+        return real_reference(problem, path, config)
+
+    monkeypatch.setattr(harness, "finest_reference", failing_reference)
+    report = run_study(cfg)
+    assert all(r.flagged_count == 1 for r in report.rows)
+    assert all(np.isfinite(r.rms_error) for r in report.rows)
+

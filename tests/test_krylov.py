@@ -1,5 +1,8 @@
-"""Phi-action tests: Krylov evaluations against the dense Taylor oracle,
-the oracle against independent identities, and the documented edge cases."""
+"""Phi-action tests: Taylor actions against the dense Taylor oracle and
+against scipy's Pade expm, the oracle against independent identities, and
+the documented edge cases."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +10,10 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from setd.errors import InvalidArgumentError, KrylovConvergenceError
-from setd.krylov import KrylovConfig, PhiResult, dense_phi, phi0_action, phi1_action
+from setd.grid import BoundaryTag, build_grid
+from setd.krylov import (_THETA, KrylovConfig, PhiResult, _taylor_parameters, dense_phi,
+                         fused_action, phi0_action, phi1_action)
+from setd.operators import assemble_fem, assemble_fv, dirichlet
 from setd.sparse import SparseOperator
 
 
@@ -75,7 +81,7 @@ def test_dense_phi_validation():
 
 
 # ---------------------------------------------------------------------------
-# Krylov actions vs the oracle
+# Taylor actions vs the oracle
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(6))
@@ -94,9 +100,6 @@ def test_phi_actions_match_dense_oracle(seed, rho):
 
 
 def test_phi_actions_on_fem_generator():
-    from setd.grid import build_grid
-    from setd.operators import assemble_fem
-
     prob = assemble_fem(build_grid(8, 8, 1.0, 1.0), 1.0, c0=0.5)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(prob.ndof)
@@ -148,20 +151,110 @@ def test_phi_validation_errors():
         KrylovConfig(tol=0.0)
 
 
+def _scaling_steps(A, dt, fused=False):
+    """Scaling steps the documented rule picks, from a dense shifted 1-norm."""
+    D = A.dense()
+    mu = np.trace(D) / D.shape[0]
+    norm = np.abs(D - mu * np.eye(D.shape[0])).sum(axis=0).max()
+    if fused:
+        norm = max(norm, abs(mu))
+    m, s = _taylor_parameters(dt * norm)
+    # (m, s) is the cheapest admissible pair of the theta table
+    assert s == math.ceil(dt * norm / _THETA[m])
+    assert all(m * s <= k * math.ceil(dt * norm / th) for k, th in _THETA.items())
+    return s
+
+
 def test_restart_budget_exhaustion_raises_with_estimate():
+    # the cap on scaling steps (max_restarts + 1) raises a typed error that
+    # still carries a positive truncation bound; at the cap the action runs
     A = _random_operator(40, 50.0, 9)
     v = np.random.default_rng(9).standard_normal(40)
+    steps = _scaling_steps(A, 10.0)
+    assert steps > 3
     with pytest.raises(KrylovConvergenceError) as exc:
         phi0_action(A, v, 10.0, KrylovConfig(m=4, tol=1e-12, max_restarts=2))
     assert exc.value.est_error > 0
+    with pytest.raises(KrylovConvergenceError):
+        fused_action(A, v, v, 10.0, KrylovConfig(max_restarts=steps - 2))
+    res = phi0_action(A, v, 10.0, KrylovConfig(max_restarts=steps - 1))
+    assert res.restarts_used == steps - 1
 
 
 def test_result_reports_substeps():
     A = _random_operator(40, 20.0, 13)
     v = np.random.default_rng(13).standard_normal(40)
+    assert A._shifted_norm is None           # filled by the first action only
     res = phi0_action(A, v, 1.0, KrylovConfig(m=6, tol=1e-8))
     assert isinstance(res, PhiResult)
-    assert res.restarts_used >= 1           # stiff enough to need substepping
+    D = A.dense()
+    mu = np.trace(D) / 40
+    assert A._shifted_norm == pytest.approx((mu, np.abs(D - mu * np.eye(40)).sum(0).max()),
+                                            rel=1e-14)
+    steps = _scaling_steps(A, 1.0)
+    assert res.restarts_used == steps - 1 >= 1   # stiff enough to need scaling steps
     assert np.isfinite(res.est_error) and res.est_error >= 0
-    # the local estimates are deliberately conservative; the true defect is
-    # what the oracle comparisons above pin down
+    fused = fused_action(A, v, v, 1.0)
+    assert fused.restarts_used == _scaling_steps(A, 1.0, fused=True) - 1
+    # m and tol no longer change the computation
+    other = phi0_action(A, v, 1.0, KrylovConfig(m=30, tol=1e-3))
+    assert other.vector.tobytes() == res.vector.tobytes()
+
+
+def _study_generators():
+    grid = build_grid(8, 8, 1.0, 1.0)
+    fem = assemble_fem(grid, 1.0).A   # Neumann, c0 = 0: singular
+    fv = assemble_fv(grid, np.array([1e-2, 1e-3]), q_faces=(1.0, 0.25),
+                     bc={BoundaryTag.LEFT: dirichlet(1.0)}).A
+    assert np.any(np.diff(fv.indptr) == 0)  # frozen Dirichlet rows are empty
+    return fem, fv
+
+
+@pytest.mark.parametrize("dt", [1.0 / 1280, 1.0 / 40, 0.5])
+def test_fused_action_matches_pade_expm(dt):
+    # exp([[dt A, dt I], [0, 0]]) = [[exp(dt A), dt phi1(dt A)], [0, I]];
+    # scipy's Pade expm shares no code with either Taylor route
+    rng = np.random.default_rng(21)
+    for A in _study_generators():
+        n = A.n_rows
+        M = np.zeros((2 * n, 2 * n))
+        M[:n, :n] = dt * A.dense()
+        M[:n, n:] = dt * np.eye(n)
+        E = scipy.linalg.expm(M)
+        u, f = rng.standard_normal(n), rng.standard_normal(n)
+        want = E[:n, :n] @ u + E[:n, n:] @ f
+        got = fused_action(A, u, f, dt).vector
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # phi0 and phi1 agree with the same blocks
+        np.testing.assert_allclose(phi0_action(A, u, dt).vector, E[:n, :n] @ u,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(E[:n, :n] @ u))
+        np.testing.assert_allclose(dt * phi1_action(A, f, dt).vector, E[:n, n:] @ f,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(E[:n, n:] @ f))
+
+
+def test_fused_action_edge_cases():
+    A = _random_operator(16, 2.0, 5)
+    rng = np.random.default_rng(6)
+    u, f = rng.standard_normal(16), rng.standard_normal(16)
+    np.testing.assert_array_equal(fused_action(A, u, f, 0.0).vector, u)
+    Z = SparseOperator.from_scipy(sp.csr_matrix((16, 16)))
+    np.testing.assert_array_equal(fused_action(Z, u, f, 2.0).vector, u + 2.0 * f)
+    # zero forcing is the plain semigroup action, bit for bit
+    assert (fused_action(A, u, np.zeros(16), 0.7).vector.tobytes()
+            == phi0_action(A, u, 0.7).vector.tobytes())
+    with pytest.raises(InvalidArgumentError):
+        fused_action(A, u, np.zeros(15), 0.7)
+    with pytest.raises(InvalidArgumentError):
+        fused_action(A, u, np.full(16, np.inf), 0.7)
+
+
+def test_actions_leave_global_random_state_alone():
+    A = _random_operator(30, 25.0, 4)
+    v = np.random.default_rng(4).standard_normal(30)
+    before = np.random.get_state()
+    phi0_action(A, v, 1.0)
+    phi1_action(A, v, 1.0)
+    fused_action(A, v, v, 1.0)
+    after = np.random.get_state()
+    assert before[0] == after[0] and before[1].tobytes() == after[1].tobytes()
+    assert before[2:] == after[2:]
