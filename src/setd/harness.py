@@ -380,7 +380,8 @@ def run_study(cfg):
             "b2": noise.b2,
             "r": noise.r,
         },
-        "krylov": {"m": cfg.krylov.m, "tol": cfg.krylov.tol},
+        "krylov": {"m": cfg.krylov.m, "tol": cfg.krylov.tol,
+                   "max_restarts": cfg.krylov.max_restarts},
         "setdm1_variant": cfg.variant.value,
         "c0": cfg.c0,
         "schemes": [s.value for s in cfg.schemes],

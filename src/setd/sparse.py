@@ -6,7 +6,9 @@ duplicate summing, explicit-zero elimination, and index sorting to scipy so
 the stored format always satisfies: column indices strictly increasing
 within each row, no explicit zeros. Matvec multiplies through a scipy CSR
 matrix built once per operator; its rows accumulate left to right, so the
-products equal ``kernels.csr_matvec_numpy`` bit for bit.
+products equal ``kernels.csr_matvec_numpy`` bit for bit. The shifted
+operator A - mu I that the phi actions multiply by is built on their first
+call (:meth:`SparseOperator.shifted`) and cached on the operator.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ class SparseOperator:
     indices: np.ndarray
     data: np.ndarray
     _csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
-    _shifted_norm: tuple | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    _shifted: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._csr = self.to_scipy()
@@ -111,17 +112,26 @@ class SparseOperator:
             sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
         )
 
-    def shifted_norm(self):
-        """(mu, ||A - mu I||_1) with mu = trace / n, the shift of the phi actions.
+    def shifted(self):
+        """A - mu I with mu = trace / n: the operator every Taylor term of the
+        phi actions multiplies by, as a SparseOperator.
 
-        Computed on the first call and cached; two threads filling the cache
-        at once store the same value.
+        Built on the first call (the first phi action, never at assembly)
+        and cached with mu and its 1-norm; the CSR arrays of A are left
+        alone. Two threads filling the cache at once build equal values.
         """
-        if self._shifted_norm is None:
+        if self._shifted is None:
             mu = float(self._csr.diagonal().sum()) / self.n_rows
-            shifted = abs(self._csr - mu * sp.identity(self.n_rows, format="csr"))
-            self._shifted_norm = (mu, float(shifted.sum(axis=0).max()))
-        return self._shifted_norm
+            op = SparseOperator.from_scipy(
+                self._csr - mu * sp.identity(self.n_rows, format="csr"))
+            self._shifted = (op, mu, float(abs(op._csr).sum(axis=0).max()))
+        return self._shifted[0]
+
+    def shifted_norm(self):
+        """(mu, ||A - mu I||_1), the shift of the phi actions and the norm
+        their (m, s) is chosen from; cached with :meth:`shifted`."""
+        self.shifted()
+        return self._shifted[1:]
 
 
 def save_matrix_market(op, path, comment=""):

@@ -4,6 +4,7 @@ import csv
 import importlib.metadata
 import json
 import pkgutil
+import re
 import shutil
 import subprocess
 from fractions import Fraction
@@ -301,6 +302,18 @@ def test_cli_entry_point_declared(capsys):
         entry(["--help"])
     assert exc.value.code == 0
     assert "converge" in capsys.readouterr().out
+
+
+def test_hard_dependencies_are_numpy_and_scipy():
+    # numba is an optional backend (kernels.py imports it in a try), so an
+    # install must not require it
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    names = {re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0].lower()
+             for req in project["dependencies"]}
+    assert names == {"numpy", "scipy"}
+    assert project["optional-dependencies"]["numba"] == ["numba>=0.57"]
 
 
 def test_public_surface_resolves():

@@ -1,6 +1,7 @@
 """Study orchestration tests: error metric, order fitting, report formats,
 thread-count invariance, and flagging of failed cells."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from setd.harness import (
     run_study,
 )
 from setd.integrators import Scheme
+from setd.krylov import KrylovConfig
 from setd.noise import NoiseSpec
 
 
@@ -174,7 +176,9 @@ def test_multiplicative_reports_bit_identical_across_thread_counts(tmp_path):
 
 
 def test_report_files_round_trip(tmp_path):
-    report = run_study(_tiny_linear(realizations=2))
+    cfg = dataclasses.replace(_tiny_linear(realizations=2),
+                              krylov=KrylovConfig(max_restarts=500))
+    report = run_study(cfg)
     csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
     report.to_csv(csv_path)
@@ -188,6 +192,8 @@ def test_report_files_round_trip(tmp_path):
     assert set(payload) == {"rows", "fitted_orders", "expected_order", "metadata"}
     assert payload["rows"][0]["dt"] == "1/4"
     assert payload["metadata"]["grid"]["nx"] == 6
+    # max_restarts decides which cells are flagged, so the report records it
+    assert payload["metadata"]["krylov"] == {"m": 6, "tol": 1e-6, "max_restarts": 500}
 
 
 def test_linear_study_order_rises_on_finer_steps():

@@ -3,6 +3,9 @@ against scipy's Pade expm, the oracle against independent identities, and
 the documented edge cases."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -184,13 +187,17 @@ def test_restart_budget_exhaustion_raises_with_estimate():
 def test_result_reports_substeps():
     A = _random_operator(40, 20.0, 13)
     v = np.random.default_rng(13).standard_normal(40)
-    assert A._shifted_norm is None           # filled by the first action only
+    assert A._shifted is None                # filled by the first action only
     res = phi0_action(A, v, 1.0, KrylovConfig(m=6, tol=1e-8))
     assert isinstance(res, PhiResult)
+    assert A._shifted is not None
+    shifted = A.shifted()
+    assert A.shifted() is shifted            # built once, then reused
     D = A.dense()
     mu = np.trace(D) / 40
-    assert A._shifted_norm == pytest.approx((mu, np.abs(D - mu * np.eye(40)).sum(0).max()),
-                                            rel=1e-14)
+    S = D - mu * np.eye(40)
+    assert A.shifted_norm() == pytest.approx((mu, np.abs(S).sum(0).max()), rel=1e-14)
+    np.testing.assert_allclose(shifted.dense(), S, rtol=0, atol=1e-15 * abs(mu))
     steps = _scaling_steps(A, 1.0)
     assert res.restarts_used == steps - 1 >= 1   # stiff enough to need scaling steps
     assert np.isfinite(res.est_error) and res.est_error >= 0
@@ -199,6 +206,90 @@ def test_result_reports_substeps():
     # m and tol no longer change the computation
     other = phi0_action(A, v, 1.0, KrylovConfig(m=30, tol=1e-3))
     assert other.vector.tobytes() == res.vector.tobytes()
+
+
+def _ungated_action(B, mu, m, s, u, f, t):
+    """The library's Taylor loop with the exact stop test taken at every
+    term: same arithmetic, same shifted operator B = A - mu I."""
+    h = t / s
+    eta = np.exp(h * mu)
+    for _ in range(s):
+        out = u.copy()
+        v, w = u, 1.0
+        c1 = np.abs(v).max()
+        for k in range(1, m + 1):
+            v = B.matvec(v)
+            if f is not None:
+                v += w * f
+                w *= -mu * h / k
+            v *= h / k
+            out += v
+            c2 = np.abs(v).max()
+            if c1 + c2 <= 2.0 ** -53 * np.abs(out).max():
+                break
+            c1 = c2
+        u = eta * out
+    return u
+
+
+def test_gated_stop_test_changes_no_stop():
+    # the library reads ||out||_inf only when a scalar bound says the series
+    # could stop; every stop must still fall on the term the exact test
+    # picks, so vectors agree bit for bit and products one for one
+    rng = np.random.default_rng(31)
+    ran_to_cap = 0
+    for A in _study_generators():
+        n = A.n_rows
+        mu, norm = A.shifted_norm()
+        B = A.shifted()
+        calls = []
+        product = B.matvec
+        B.matvec = lambda x: calls.append(None) or product(x)
+        for dt in (1e-6, 1.0 / 1280, 1.0 / 40, 0.5):
+            u, f = rng.standard_normal(n), rng.standard_normal(n)
+            zero = np.zeros(n)
+            cases = ((lambda: phi0_action(A, u, dt).vector, u, None, 1.0),
+                     (lambda: phi1_action(A, f, dt).vector, zero, f, dt),
+                     (lambda: fused_action(A, u, f, dt).vector, u, f, 1.0))
+            for action, start, forcing, scale in cases:
+                m, s = _taylor_parameters(
+                    dt * (norm if forcing is None else max(norm, abs(mu))))
+                calls.clear()
+                got = action()
+                products = len(calls)
+                calls.clear()
+                want = _ungated_action(B, mu, m, s, start, forcing, dt) / scale
+                assert products == len(calls) <= m * s
+                assert got.tobytes() == want.tobytes()
+                ran_to_cap += products == m * s
+    assert ran_to_cap > 0                    # some series run to degree m
+
+
+def test_shifted_cache_under_threads():
+    # threads that race to fill a fresh operator's shifted-operator cache
+    # get the serial results bit for bit and leave A's arrays alone
+    rng = np.random.default_rng(41)
+    for A, serial in zip(_study_generators(), _study_generators()):
+        arrays = [a.copy() for a in (A.data, A.indices, A.indptr)]
+        u = rng.standard_normal(A.n_rows)
+        fs = [rng.standard_normal(A.n_rows) for _ in range(4)]
+        barrier = threading.Barrier(4)
+
+        def work(f):
+            barrier.wait(timeout=60)
+            return fused_action(A, u, f, 0.5).vector
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)          # switch threads inside the cache fill
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(work, fs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for f, got in zip(fs, threaded):
+            assert got.tobytes() == fused_action(serial, u, f, 0.5).vector.tobytes()
+        for before, after in zip(arrays, (A.data, A.indices, A.indptr)):
+            assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
 
 
 def _study_generators():
