@@ -94,6 +94,8 @@ def build_cases(nx):
          lambda: A.matvec(x)),
         ("normal_block 65x65",
          lambda: kernels.normal_block(key0, key1, spec.n1 + 1, spec.n2 + 1, 3, 0)),
+        ("normal_block 101x101 (advection lattice)",
+         lambda: kernels.normal_block(key0, key1, 101, 101, 3, 0)),
         (f"Taylor phi0 action on A_h ({fem.ndof} dof, dt=0.1)",
          lambda: phi0_action(A, x, 0.1)),
         (f"SETDM1 step ({fv.ndof} cells, multiplicative)",

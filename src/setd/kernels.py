@@ -8,6 +8,10 @@ Two families live here:
   a pure function of ``(seed, realization, mode_i, mode_j, step, stream)``.
   That keying is what guarantees bit-exact path refinement and makes results
   independent of how realizations are scheduled across workers.
+  ``philox4x32`` and ``normals_from_words`` are the plain reference;
+  ``normal_block_numpy`` gives the same bits for a whole mode lattice while
+  allocating only its working words, since a block's counters vary along
+  one axis each.
 
 The numba backend is used when numba imports cleanly and the environment
 variable ``SETD_DISABLE_NUMBA`` is unset/empty/"0"; otherwise the numpy
@@ -35,6 +39,9 @@ _DISABLE = os.environ.get("SETD_DISABLE_NUMBA", "") not in ("", "0")
 USING_NUMBA = HAVE_NUMBA and not _DISABLE
 
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT21 = np.uint64(21)
+_SHIFT11 = np.uint64(11)
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
 _W0 = np.uint64(0x9E3779B9)
@@ -84,8 +91,9 @@ def philox4x32(k0, k1, c0, c1, c2, c3):
 
     All inputs are 32-bit words (scalars or equal-shape arrays). Returns the
     four 32-bit output words as uint64 arrays holding 32-bit values. This is
-    the reference used by the known-answer tests; the hot paths below inline
-    the same rounds.
+    the reference used by the known-answer tests and by the block oracle
+    test; the block kernels below inline the same rounds (the numpy one on
+    counter vectors first, then in place), so their bits must match it.
     """
     c0 = np.asarray(c0, dtype=np.uint64)
     c1 = np.asarray(c1, dtype=np.uint64)
@@ -127,11 +135,82 @@ def normal_block_numpy(k0, k1, n1, n2, step, stream):
 
     The draw at [i, j] is a pure function of (key, i, j, step, stream);
     ``stream`` separates the main Wiener draws (0) from auxiliary draws (1).
+    Bit-identical to ``normals_from_words(*philox4x32(k0, k1, i, j, step,
+    stream))``, but built for the counter's structure: c0 = i varies along
+    rows, c1 = j along columns, c2 = step and c3 = stream are scalars. So
+    rounds 1-2 run on vectors and round 3 on one full word, and rounds 4-10
+    and Box-Muller run in place on four (n1, n2) words and two product
+    buffers, the second of which becomes the result.
     """
-    i = np.repeat(np.arange(n1, dtype=np.uint64), n2)
-    j = np.tile(np.arange(n2, dtype=np.uint64), n1)
-    x0, x1, x2, x3 = philox4x32(k0, k1, i, j, np.uint64(step), np.uint64(stream))
-    return normals_from_words(x0, x1, x2, x3).reshape(n1, n2)
+    k0 = np.uint64(k0)
+    k1 = np.uint64(k1)
+    # round 1: p0 = M0 * i (rows), p1 = M1 * step (scalar)
+    p0 = _M0 * np.arange(n1, dtype=np.uint64)
+    p1 = _M1 * np.uint64(step)
+    c0 = (p1 >> _SHIFT32) ^ np.arange(n2, dtype=np.uint64) ^ k0   # columns
+    c1 = p1 & _MASK32                                               # scalar
+    c2 = (p0 >> _SHIFT32) ^ np.uint64(stream) ^ k1                  # rows
+    c3 = p0 & _MASK32                                               # rows
+    k0 = (k0 + _W0) & _MASK32
+    k1 = (k1 + _W1) & _MASK32
+    # round 2: p0 = M0 * c0 (columns), p1 = M1 * c2 (rows)
+    p0 = _M0 * c0
+    p1 = _M1 * c2
+    c0 = (p1 >> _SHIFT32) ^ c1 ^ k0                                 # rows
+    c1 = p1 & _MASK32                                               # rows
+    w = np.empty((4, n1, n2), dtype=np.uint64)
+    w0, w1, w2, w3 = w
+    np.bitwise_xor(c3[:, None], ((p0 >> _SHIFT32) ^ k1)[None, :], out=w2)
+    c3 = p0 & _MASK32                                               # columns
+    k0 = (k0 + _W0) & _MASK32
+    k1 = (k1 + _W1) & _MASK32
+    # round 3: p0 = M0 * c0 (rows), p1 = M1 * w2 (full)
+    f0 = np.empty((n1, n2), dtype=np.float64)
+    f1 = np.empty((n1, n2), dtype=np.float64)
+    P0 = f0.view(np.uint64)
+    P1 = f1.view(np.uint64)
+    p0 = _M0 * c0
+    np.multiply(w2, _M1, out=P1)
+    np.right_shift(P1, _SHIFT32, out=w0)
+    w0 ^= (c1 ^ k0)[:, None]
+    np.bitwise_and(P1, _MASK32, out=w1)
+    np.bitwise_xor(((p0 >> _SHIFT32) ^ k1)[:, None], c3[None, :], out=w2)
+    w3[...] = (p0 & _MASK32)[:, None]
+    k0 = (k0 + _W0) & _MASK32
+    k1 = (k1 + _W1) & _MASK32
+    # rounds 4-10 in place; P0 and P1 hold the two 64-bit products
+    for _ in range(7):
+        np.multiply(w0, _M0, out=P0)
+        np.multiply(w2, _M1, out=P1)
+        np.right_shift(P1, _SHIFT32, out=w0)
+        w0 ^= w1
+        w0 ^= k0
+        np.bitwise_and(P1, _MASK32, out=w1)
+        np.right_shift(P0, _SHIFT32, out=w2)
+        w2 ^= w3
+        w2 ^= k1
+        np.bitwise_and(P0, _MASK32, out=w3)
+        k0 = (k0 + _W0) & _MASK32
+        k1 = (k1 + _W1) & _MASK32
+    # Box-Muller: (x0 << 32 | x1) >> 11 == (x0 << 21) | (x1 >> 11) < 2^53,
+    # so the int64 view converts to float64 exactly (and faster than uint64)
+    w0 <<= _SHIFT21
+    w1 >>= _SHIFT11
+    w0 |= w1
+    w2 <<= _SHIFT21
+    w3 >>= _SHIFT11
+    w2 |= w3
+    np.add(w0.view(np.int64), 0.5, out=f0)
+    f0 *= _INV_2_53
+    np.log(f0, out=f0)
+    f0 *= -2.0
+    np.sqrt(f0, out=f0)
+    np.add(w2.view(np.int64), 0.5, out=f1)
+    f1 *= _INV_2_53
+    f1 *= _TWO_PI
+    np.cos(f1, out=f1)
+    f1 *= f0
+    return f1
 
 
 def csr_matvec_numpy(indptr, indices, data, x):

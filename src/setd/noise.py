@@ -19,6 +19,13 @@ consistent: the increment over a coarse step is assembled as the
 sequential sum of its fine-step increments, so coarse == sum(fine) holds
 bit-for-bit at both mode and nodal level, and results cannot depend on
 worker scheduling.
+
+In a study a path draws each Philox block once per (fine step, stream).
+The exact spectral reference reads the stream-0 blocks through
+``brownian_increment_modes`` before the schemes assemble their fields, so
+the path keeps each block it draws there until ``_fine_field`` takes it for
+that step's field, within the same ``_MAX_CACHED_FLOATS`` budget as the
+field cache. Kept blocks never leave the path: callers get fresh arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from . import kernels
 from .errors import InvalidArgumentError
 from .grid import cell_xy, node_xy
 
-_MAX_CACHED_FLOATS = 8_000_000  # per (grid, site) fine-increment cache budget
+_MAX_CACHED_FLOATS = 8_000_000  # per-path budget of each (grid, site) field cache and of kept blocks
 
 
 class SpectrumKind(Enum):
@@ -171,7 +178,8 @@ class NoisePath:
     """One realization's Wiener path at finest resolution ``finest_dt``.
 
     All randomness is derived on demand from the Philox key; the object
-    holds no state beyond an optional cache of assembled fine-step fields.
+    holds no state beyond an optional cache of assembled fine-step fields
+    and the stream-0 blocks kept between the reference and the schemes.
     Stream 0 carries the Wiener mode draws, stream 1 the auxiliary draws
     used for exact conditional sampling in the spectral reference.
     """
@@ -183,6 +191,7 @@ class NoisePath:
     steps: int
     _key: tuple = field(repr=False, default=None)
     _cache: dict = field(repr=False, default_factory=dict)
+    _kept: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self._key is None:
@@ -223,10 +232,23 @@ class NoisePath:
         """
         lo, hi = self._check_window(step_index, coarsening)
         sdt = math.sqrt(self.finest_dt)
-        acc = sdt * self.normal_modes(lo)
+        acc = sdt * self._keep_block(lo)
         for s in range(lo + 1, hi):
-            acc += sdt * self.normal_modes(s)
+            acc += sdt * self._keep_block(s)
         return acc
+
+    def _keep_block(self, step):
+        """Stream-0 block of one fine step, kept until its field is assembled.
+
+        Blocks are kept only if the blocks of all the path's steps fit the
+        ``_MAX_CACHED_FLOATS`` budget. Callers never hand the kept array out.
+        """
+        blk = self._kept.get(step)
+        if blk is None:
+            blk = self.normal_modes(step)
+            if self.steps * blk.size <= _MAX_CACHED_FLOATS:
+                self._kept[step] = blk
+        return blk
 
     def brownian_increment(self, i, j, step_index, coarsening=1):
         """Scalar Delta-beta for one mode (probe API; same accumulation order).
@@ -264,7 +286,10 @@ class NoisePath:
         if entry is not None and step in entry:
             return entry[step]
         ex, ey = _basis_matrices(grid, self.spec.n1, self.spec.n2, where)
-        coeff = _sqrt_q(self.spec) * (math.sqrt(self.finest_dt) * self.normal_modes(step))
+        blk = self._kept.pop(step, None)
+        if blk is None:
+            blk = self.normal_modes(step)
+        coeff = _sqrt_q(self.spec) * (math.sqrt(self.finest_dt) * blk)
         fld = (ex.T @ coeff @ ey).T.ravel()
         if entry is not None:
             entry[step] = fld

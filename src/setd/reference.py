@@ -83,13 +83,7 @@ def conditional_convolution_params(mu, dt):
     return rho, np.maximum(v, 0.0)
 
 
-def exact_linear_step(state, path, step_index, dt, coarsening=1):
-    """Advance the spectral state exactly over one step of size dt.
-
-    dt must equal coarsening * path.finest_dt; the Wiener increments are
-    the same draws any scheme consumes over that window, and the
-    conditional remainder uses the auxiliary stream keyed by step_index.
-    """
+def _check_step(state, path, dt, coarsening):
     if state.spec is not path.spec and state.spec != path.spec:
         raise InvalidArgumentError("state and path disagree on the noise spec")
     dt = float(dt)
@@ -98,20 +92,53 @@ def exact_linear_step(state, path, step_index, dt, coarsening=1):
         raise InvalidArgumentError(
             f"dt={dt} is not coarsening {coarsening} x finest_dt {path.finest_dt}"
         )
+    return dt
+
+
+def _step_coefficients(state, dt):
+    """(rho, sqrt(v), exp(-mu dt)): what one exact step of size dt needs."""
+    rho, v = conditional_convolution_params(state.mu, dt)
+    return rho, np.sqrt(v), np.exp(-state.mu * dt)
+
+
+def _advance(state, path, step_index, dt, coarsening, coefficients):
+    rho, sqrt_v, decay = coefficients
     dbeta = path.brownian_increment_modes(step_index, coarsening)
     xi = path.aux_normals(step_index)
-    rho, v = conditional_convolution_params(state.mu, dt)
-    conv = rho * dbeta + np.sqrt(v) * xi
-    c_new = np.exp(-state.mu * dt) * state.c + state.sqrt_q * conv
+    conv = rho * dbeta + sqrt_v * xi
+    c_new = decay * state.c + state.sqrt_q * conv
     return replace(state, c=c_new, t=state.t + dt)
 
 
+def exact_linear_step(state, path, step_index, dt, coarsening=1):
+    """Advance the spectral state exactly over one step of size dt.
+
+    dt must equal coarsening * path.finest_dt; the Wiener increments are
+    the same draws any scheme consumes over that window, and the
+    conditional remainder uses the auxiliary stream keyed by step_index.
+    """
+    dt = _check_step(state, path, dt, coarsening)
+    return _advance(state, path, step_index, dt, coarsening, _step_coefficients(state, dt))
+
+
 def evolve_exact(state, path, steps=None, coarsening=1):
-    """Run exact_linear_step over the path (all fine steps by default)."""
-    if steps is None:
-        steps = path.steps // coarsening
+    """Run ``steps`` exact steps of size coarsening * path.finest_dt.
+
+    ``steps`` defaults to every whole coarse step the path holds. Equal bit
+    for bit to a loop of :func:`exact_linear_step`, but the per-mode
+    coefficients (rho, sqrt(v), exp(-mu dt)) are computed once per call,
+    since dt never changes along the loop.
+    """
+    coarsening = int(coarsening)
+    if coarsening < 1:
+        raise InvalidArgumentError(f"coarsening factor must be >= 1, got {coarsening}")
+    steps = path.steps // coarsening if steps is None else int(steps)
+    if steps < 0:
+        raise InvalidArgumentError(f"steps must be >= 0, got {steps}")
+    dt = _check_step(state, path, coarsening * path.finest_dt, coarsening)
+    coefficients = _step_coefficients(state, dt)
     for m in range(steps):
-        state = exact_linear_step(state, path, m, coarsening * path.finest_dt, coarsening)
+        state = _advance(state, path, m, dt, coarsening, coefficients)
     return state
 
 

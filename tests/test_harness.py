@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import setd.harness as harness
+import setd.kernels as kernels
 from setd.errors import (DegenerateFitError, DivergenceError, InvalidArgumentError,
                          KrylovConvergenceError)
 from setd.grid import build_grid
@@ -23,7 +24,7 @@ from setd.harness import (
 )
 from setd.integrators import Scheme
 from setd.krylov import KrylovConfig
-from setd.noise import NoiseSpec
+from setd.noise import NoiseSpec, sample_increment
 
 
 def _tiny_linear(threads=1, realizations=3, seed=11):
@@ -173,6 +174,72 @@ def test_multiplicative_reports_bit_identical_across_thread_counts(tmp_path):
         rep.to_json(tmp_path / f"t{t}.json")
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t3.csv").read_bytes()
     assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t3.json").read_bytes()
+
+
+def _spy_draws(monkeypatch):
+    """Record (key, step, stream) of every Philox block and every path made."""
+    draws, paths = [], []
+    block, make_path = kernels.normal_block, harness.make_path
+
+    def spy_block(k0, k1, n1, n2, step, stream):
+        draws.append(((k0, k1), step, stream))
+        return block(k0, k1, n1, n2, step, stream)
+
+    def spy_path(*args, **kwargs):
+        paths.append(make_path(*args, **kwargs))
+        return paths[-1]
+
+    monkeypatch.setattr(kernels, "normal_block", spy_block)
+    monkeypatch.setattr(harness, "make_path", spy_path)
+    return draws, paths
+
+
+def test_linear_study_draws_each_block_once(monkeypatch):
+    # the exact reference and the schemes share one stream-0 draw per fine
+    # step; the reference's stream-1 draw is the only other block
+    cfg = _tiny_linear(realizations=2)
+    draws, paths = _spy_draws(monkeypatch)
+    run_study(cfg)
+    keys = {path._key for path in paths}
+    assert len(paths) == len(keys) == 2
+    expected = sorted((key, step, stream) for key in keys
+                      for step in range(cfg.fine_steps) for stream in (0, 1))
+    assert sorted(draws) == expected
+    # no kept block outlives its realization
+    assert all(path._kept == {} for path in paths)
+
+
+def test_advection_study_draws_each_block_once(monkeypatch):
+    cfg = _tiny_multiplicative()
+    draws, paths = _spy_draws(monkeypatch)
+    run_study(cfg)
+    expected = sorted((path._key, step, 0) for path in paths
+                      for step in range(cfg.fine_steps))
+    assert len(paths) == 2 and sorted(draws) == expected
+    assert all(path._kept == {} for path in paths)
+
+
+def test_kept_blocks_never_leak_through_returned_arrays():
+    # mutating what brownian_increment_modes returns must not reach the
+    # kept blocks that later increments and field assemblies read
+    cfg = _tiny_linear(realizations=1)
+    grid = build_problem(cfg).discrete.grid
+    mk = lambda: harness.make_path(cfg.noise, 1, 0, float(cfg.finest_dt), 4)
+    clean = mk()
+    incs = [clean.brownian_increment_modes(s) for s in range(4)]
+    pair = clean.brownian_increment_modes(1, coarsening=2)
+    fields = [sample_increment(clean, grid, s) for s in range(4)]
+    path = mk()
+    for s in range(4):
+        path.brownian_increment_modes(s)[...] = np.nan
+    path.brownian_increment_modes(1, coarsening=2)[...] = np.nan
+    assert sorted(path._kept) == [0, 1, 2, 3]
+    for s in range(4):
+        np.testing.assert_array_equal(path.brownian_increment_modes(s), incs[s])
+    np.testing.assert_array_equal(path.brownian_increment_modes(1, coarsening=2), pair)
+    for s in range(4):
+        np.testing.assert_array_equal(sample_increment(path, grid, s), fields[s])
+    assert path._kept == {}
 
 
 def test_report_files_round_trip(tmp_path):

@@ -78,6 +78,29 @@ def test_normal_block_moments():
     assert abs(np.mean(draws**4) - 3.0) < 0.1
 
 
+def _oracle_block(k0, k1, n1, n2, step, stream):
+    i = np.repeat(np.arange(n1, dtype=np.uint64), n2)
+    j = np.tile(np.arange(n2, dtype=np.uint64), n1)
+    words = kernels.philox4x32(k0, k1, i, j, step, stream)
+    return kernels.normals_from_words(*words).reshape(n1, n2)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 7), (65, 65), (101, 101)])
+def test_normal_block_numpy_matches_reference_rounds(shape):
+    # the in-place, counter-structured kernel against the plain Philox
+    # rounds and Box-Muller map, byte for byte
+    keys = [(0, 0), (0xFFFFFFFF, 0xFFFFFFFF), (0xDEADBEEF, 0x12345678),
+            kernels.derive_key(20240901, 3)]
+    for k0, k1 in keys:
+        for step in (0, 1, 2**32 - 1):
+            for stream in (0, 1):
+                got = kernels.normal_block_numpy(k0, k1, *shape, step, stream)
+                want = _oracle_block(k0, k1, *shape, step, stream)
+                assert got.shape == shape and got.dtype == np.float64
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
 def test_normal_block_backends_bit_identical():
     for step, stream in [(0, 0), (3, 1), (1000, 0)]:

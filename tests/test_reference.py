@@ -171,3 +171,44 @@ def test_linear_state_validation():
     path2 = make_path(spec, 0, 0, 0.5, 2)
     with pytest.raises(InvalidArgumentError):
         exact_linear_step(st, path2, 0, 0.3)  # dt not coarsening x finest
+
+
+@pytest.mark.parametrize("coarsening", [1, 2])
+def test_evolve_exact_equals_loop_of_exact_steps(coarsening):
+    # the per-call coefficients change no bit against per-step ones
+    spec = NoiseSpec.exponential(n1=9, n2=7)
+    finest_dt = 1.0 / 64
+    mk = lambda: make_path(spec, 41, 2, finest_dt, 16)
+    rng = np.random.default_rng(8)
+    state0 = linear_state(spec, diffusion=0.7, reaction=0.3,
+                          coefficients=rng.standard_normal((10, 8)))
+    dt = coarsening * finest_dt
+    got = evolve_exact(state0, mk(), coarsening=coarsening)
+    path = mk()
+    want = state0
+    for m in range(16 // coarsening):
+        want = exact_linear_step(want, path, m, dt, coarsening)
+    assert got.c.tobytes() == want.c.tobytes()
+    assert got.t == want.t
+    # and both equal the transition written out per step
+    path = mk()
+    c = state0.c
+    for m in range(16 // coarsening):
+        rho, v = conditional_convolution_params(state0.mu, dt)
+        conv = rho * path.brownian_increment_modes(m, coarsening) + np.sqrt(v) * path.aux_normals(m)
+        c = np.exp(-state0.mu * dt) * c + state0.sqrt_q * conv
+    assert got.c.tobytes() == c.tobytes()
+
+
+def test_evolve_exact_rejects_bad_arguments():
+    spec = NoiseSpec.exponential(n1=2, n2=2)
+    st = linear_state(spec)
+    path = make_path(spec, 0, 0, 0.25, 4)
+    for kwargs in ({"coarsening": -1}, {"coarsening": 0}, {"steps": -2}):
+        with pytest.raises(InvalidArgumentError):
+            evolve_exact(st, path, **kwargs)
+    with pytest.raises(InvalidArgumentError):
+        evolve_exact(st, path, steps=3, coarsening=2)  # beyond the horizon
+    with pytest.raises(InvalidArgumentError):
+        evolve_exact(st, make_path(NoiseSpec.exponential(n1=3, n2=3), 0, 0, 0.25, 4))
+    assert evolve_exact(st, path, steps=0).c.tobytes() == st.c.tobytes()
