@@ -13,6 +13,12 @@ scipy product.
 
 The same comparison is what the SETD_DISABLE_NUMBA environment flag
 switches at import time; this script only quantifies the gap.
+
+A second table times one fused SETDM1 action on the study operators (the
+Darcy-streak upwind FV generator of the ``streaks`` workload and the P1-FEM
+generator of the linear study, both on the presets' 1/32 grid) along both
+routes of the phi-action core, the truncated-Taylor action and
+uniformization, with the sparse products each one takes.
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from setd import kernels
+from setd import kernels, krylov
 from setd.grid import build_grid
+from setd.harness import advection_study, build_problem, linear_additive_study
 from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm1_step
-from setd.krylov import phi0_action
+from setd.krylov import KrylovConfig, phi0_action
 from setd.noise import NoiseSpec, make_path, sample_increment
 from setd.operators import assemble_fem, assemble_fv
+from setd.sparse import SparseOperator
 
 
 @contextmanager
@@ -103,6 +111,44 @@ def build_cases(nx):
     ]
 
 
+def build_route_cases():
+    """(name, taylor, uniformized) fused actions on the study operators."""
+    cfg = KrylovConfig()
+    rng = np.random.default_rng(1)
+    cases = []
+    for label, study, dts in (
+            ("Darcy-streak FV", advection_study(heterogeneous=True), (10, 160, 1600)),
+            ("P1-FEM", linear_additive_study(), (160, 1280))):
+        A = build_problem(study).discrete.A
+        form = A.uniformized()
+        u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
+        for d in dts:
+            args = (u, f, 1.0 / d, cfg)
+            cases.append((
+                f"fused action, {label} ({A.n_rows} dof, dt=1/{d})",
+                lambda A=A, args=args: krylov._taylor_action(A, *args),
+                lambda A=A, form=form, args=args: krylov._uniformized_action(A, form, *args)))
+    return cases
+
+
+def _products(fn):
+    """Sparse products one call of ``fn`` takes."""
+    count = 0
+    product = SparseOperator.matvec
+
+    def counted(self, x):
+        nonlocal count
+        count += 1
+        return product(self, x)
+
+    SparseOperator.matvec = counted
+    try:
+        fn()
+    finally:
+        SparseOperator.matvec = product
+    return count
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5,
@@ -133,6 +179,17 @@ def main(argv=None):
         if len(backends) == 2:
             row += f"  {times['numpy'] / times['numba']:7.1f}x"
         print(row)
+
+    routes = build_route_cases()
+    width = max(len(name) for name, _, _ in routes)
+    header = (f"\n{'phi-action route':<{width}}  {'Taylor':>12} {'products':>8}"
+              f"  {'uniformized':>12} {'products':>8}   ratio")
+    print(header)
+    print("-" * (len(header) - 1))
+    for name, taylor, uniformized in routes:
+        tt, tu = _time(taylor, args.repeats), _time(uniformized, args.repeats)
+        print(f"{name:<{width}}  {_fmt(tt)} {_products(taylor):8d}"
+              f"  {_fmt(tu)} {_products(uniformized):8d}  {tu / tt:5.2f}x")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,47 @@
-"""Phi-function actions by a truncated Taylor series: phi0(dt*A) v, phi1(dt*A) v
-and the fused SETDM1 action phi0(dt*A) u + dt*phi1(dt*A) f.
+"""Phi-function actions: phi0(dt*A) v, phi1(dt*A) v and the fused SETDM1
+action phi0(dt*A) u + dt*phi1(dt*A) f.
 
 phi0(z) = exp(z), phi1(z) = (exp(z) - 1)/z with phi1(0) = 1. All three
-actions are thin wrappers over one core, the truncated-Taylor exponential
-action of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2):488-511, 2011). The
-operator is shifted by mu = trace/n, [0, t] is cut into s equal scaling
-steps, and each step applies a Taylor polynomial of degree at most m and
-multiplies back by exp(t*mu/s). (m, s) minimise the matvec count m*s
-subject to t*||B||_1/s <= theta_m, the double-precision bounds of their
-Table 3.1, so every action is accurate to unit roundoff; a series stops
-early once two consecutive terms fall below 2^-53 of the partial sum.
+actions are thin wrappers over one core, which computes the first block of
+
+    exp(t [[A, f], [0, 0]]) [u; 1] = phi0(tA) u + t phi1(tA) f
+
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2):488-511, 2011, Theorem 2.1;
+Niesen & Wright, ACM TOMS 38(3), 2012, use the same idea in Krylov form),
+so A is never inverted (it may be singular, e.g. a Neumann Laplacian) and a
+SETDM1 step costs one action. The core has two routes, chosen from the
+operator's sign pattern and the step alone; nothing else selects them.
+
+Uniformization (Jensen, Skand. Aktuarietidskr. 36, 1953) serves a Metzler
+A, one whose off-diagonal entries are >= 0. Upwind-FV generators are, and
+so is the P1 generator of diagonal diffusion on these right triangles with
+lumped mass, zero Dirichlet rows included; P1 advection and a c0 shift
+(consistent mass) are not. With lam = max(-min_i a_ii, 0) and
+beta = max(||A + lam I||_inf, lam), the matrix P = (A + lam I)/beta is
+>= 0 with ||P||_inf <= 1 and 0 <= lam/beta <= 1
+(``SparseOperator.uniformized``), and with x = t*beta and w_k the
+Poisson(x) weights
+
+    exp(t [[A, f], [0, 0]]) [u; 1] = e^{t(beta - lam)} sum_k w_k y_k,
+    y_0 = u,  y_k = P y_{k-1} + (lam/beta)^{k-1} f/beta,
+
+the augmented matrix shifted by lam I and divided by beta. Every weight and
+every P^k is non-negative, so the series does not cancel, and the sum stops
+at the smallest K with P(N >= K) <= 2^-53, fixed before the first product:
+no term norms, no stop test, no restarts. The route is taken only when
+t(beta - lam) <= 1, i.e. the growth factor e^{t(beta - lam)} is at most e,
+and when A + lam I is not 0; its truncation bound is
+e^{t(beta - lam)} [P(N > K) ||u||_inf + t P(N >= K) ||f||_inf]. The
+weights are cached on the operator per step length.
+
+Every other operator takes the truncated-Taylor exponential action of
+Al-Mohy & Higham. The operator is shifted by mu = trace/n, [0, t] is cut
+into s equal scaling steps, and each step applies a Taylor polynomial of
+degree at most m and multiplies back by exp(t*mu/s). (m, s) minimise the
+matvec count m*s subject to t*||B||_1/s <= theta_m, the double-precision
+bounds of their Table 3.1, so every action is accurate to unit roundoff; a
+series stops early once two consecutive terms fall below 2^-53 of the
+partial sum.
 
 Each Taylor term costs one product with A - mu I, built once per operator
 on its first action (``SparseOperator.shifted``), one scaling, one
@@ -17,20 +49,15 @@ accumulation and one inf-norm of the new term. The stop test needs
 ||partial sum||_inf too, but that is taken only when the scalar bound
 b = ||u||_inf + sum of the term norms, which is at least the partial
 sum's norm, says the test could pass (terms <= 2 * 2^-53 * b); every stop
-decision is therefore the one the exact test makes at every term.
+decision is therefore the one the exact test makes at every term. On this
+route the last coordinate of [u; 1] is carried as a scalar and reset to its
+exact value 1 after every scaling step. Scaling the f column by eta and the
+last coordinate by 1/eta leaves the result unchanged (their Section 3), so
+||B||_1 is taken as eta -> 0, which leaves max(||A - mu I||_1, |mu|).
 
-phi1 terms come from the augmented operator [[A, f], [0, 0]] acting on
-[u; 1] (their Theorem 2.1; Niesen & Wright, ACM TOMS 38(3), 2012, use the
-same idea in Krylov form):
-
-    exp(t [[A, f], [0, 0]]) [u; 1] = [phi0(tA) u + t phi1(tA) f; 1],
-
-so A is never inverted (it may be singular, e.g. a Neumann Laplacian) and a
-SETDM1 step costs one action. The last coordinate is carried as a scalar
-and reset to its exact value 1 after every scaling step. Scaling the f
-column by eta and the last coordinate by 1/eta leaves the result unchanged
-(their Section 3), so ||B||_1 is taken as eta -> 0, which leaves
-max(||A - mu I||_1, |mu|).
+Both routes share one product ceiling, (max_restarts + 1) * 55 sparse
+products: the Taylor route caps its scaling steps at max_restarts + 1 of
+degree at most 55, the uniformized route its series at that many terms.
 
 ``dense_phi`` is the independent dense oracle (n <= 256): Taylor
 scaling-and-squaring on the plain or augmented matrix. It shares no code
@@ -67,11 +94,13 @@ _THETAS = np.array([_THETA[m] for m in _DEGREES])
 class KrylovConfig:
     """Knobs of the phi actions.
 
-    max_restarts caps the scaling steps: an action that needs s steps with
-    s - 1 > max_restarts raises KrylovConvergenceError. m and tol are
-    validated but no longer change the computation: the Taylor action
-    works to unit roundoff, which meets any tol > 0, and picks its own
-    degree.
+    max_restarts sets the product ceiling (max_restarts + 1) * 55 on both
+    routes: a Taylor action that needs s scaling steps with
+    s - 1 > max_restarts, or a uniformized action whose series needs more
+    terms than the ceiling, raises KrylovConvergenceError with its
+    truncation bound. m and tol are validated but no longer change the
+    computation: both routes work to unit roundoff, which meets any
+    tol > 0, and pick their own degree.
     """
 
     m: int = 6
@@ -90,7 +119,8 @@ class KrylovConfig:
 @dataclass
 class PhiResult:
     """An action's vector, its truncation bound (the sum over scaling steps
-    of the Taylor tail bound) and restarts_used = scaling steps - 1."""
+    of the Taylor tail bound, or the Poisson tail bound of a uniformized
+    action) and restarts_used = scaling steps - 1 (0 when uniformized)."""
 
     vector: np.ndarray
     est_error: float
@@ -117,9 +147,8 @@ def _taylor_tail(x, m):
 
 
 def _taylor_action(A, u, f, t, cfg):
-    """First block of exp(t [[A, f], [0, 0]]) [u; 1]; f None means exp(tA) u."""
-    if f is not None and not f.any():
-        f = None
+    """First block of exp(t [[A, f], [0, 0]]) [u; 1] by the Taylor action;
+    f None (or all zero, dropped by the caller) means exp(tA) u."""
     B = A.shifted()
     mu, norm = A.shifted_norm()
     if f is not None:
@@ -163,6 +192,87 @@ def _taylor_action(A, u, f, t, cfg):
     return PhiResult(u, est, s - 1)
 
 
+def _poisson_weights(x):
+    """Poisson(x) weights w_0..w_K, K the smallest k with P(N >= k) <= 2^-53,
+    and the tails P(N >= k) for k = 0 up to past K.
+
+    The weights run outward from the mode m = floor(x) by the ratios
+    w_{k+1}/w_k = x/(k+1) and w_{k-1}/w_k = k/x, from w_m = 1, and are then
+    normalised to sum 1 (Fox & Glynn, Commun. ACM 31(4), 1988): each weight
+    is then good to a few ulps, where e^{k log x - x - lgamma(k+1)} loses
+    about ulp(x log x) to cancellation (7e-13 relative at x = 320), and
+    nothing underflows for x > 745 as e^-x would. Above
+    x + 20 sqrt(x) + 50 the mass is below e^-70 (Bernstein's inequality), so
+    the weights stop there. The tails are summed from the top, so they do
+    not cancel.
+    """
+    top = math.ceil(x + 20.0 * math.sqrt(x) + 50.0)
+    m = int(x)
+    w = np.empty(top + 1)
+    w[m] = 1.0
+    w[m + 1:] = np.cumprod(x / np.arange(m + 1, top + 1))
+    w[:m] = np.cumprod(np.arange(m, 0, -1) / x)[::-1]
+    w /= w.sum()
+    tail = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    K = int(np.argmax(tail <= _UNIT_ROUNDOFF))
+    return w[:K + 1], tail
+
+
+def _uniformized_action(A, form, u, f, t, cfg):
+    """First block of exp(t [[A, f], [0, 0]]) [u; 1] for a Metzler A whose
+    growth factor e^{t(beta - lam)} is at most e: one series of Poisson
+    weights times products with P >= 0, no stop test, no restarts."""
+    P, beta, lam = form
+    x = t * beta
+    growth = math.exp(t * (beta - lam))
+    u_norm = float(np.abs(u).max())
+    f_norm = 0.0 if f is None else float(np.abs(f).max())
+    cap = (cfg.max_restarts + 1) * int(_DEGREES[-1])
+    if x - 1.0 >= cap:      # K > x - 1 (N's median is >= x - ln 2): skip the weights
+        raise KrylovConvergenceError(
+            f"uniformized phi action needs more than {cap} products",
+            est_error=growth * (u_norm + t * f_norm))
+
+    def build():
+        w, tail = _poisson_weights(x)
+        return (growth * w).tolist(), tail
+
+    coeffs, tail = A.step_weights(t, build)
+    K = len(coeffs) - 1
+    if K > cap:
+        raise KrylovConvergenceError(
+            f"uniformized phi action needs {K} products, more than {cap}",
+            est_error=growth * (tail[cap + 1] * u_norm + t * tail[cap] * f_norm))
+    out = coeffs[0] * u
+    term = np.empty_like(u)
+    y = u
+    if f is not None:
+        g = f / beta
+        ratio, scale = lam / beta, 1.0
+    for k in range(1, K + 1):
+        y = P.matvec(y)
+        if f is not None:
+            y += np.multiply(g, scale, out=term)
+            scale *= ratio
+        out += np.multiply(y, coeffs[k], out=term)
+    est = growth * (tail[K + 1] * u_norm + t * tail[K] * f_norm)
+    return PhiResult(out, est, 0)
+
+
+def _action(A, u, f, t, cfg):
+    """First block of exp(t [[A, f], [0, 0]]) [u; 1]; f None means exp(tA) u.
+
+    Uniformization when A is Metzler and the series cannot amplify by more
+    than e, the Taylor action otherwise.
+    """
+    if f is not None and not f.any():
+        f = None
+    form = A.uniformized()
+    if form is not None and t * (form[1] - form[2]) <= 1.0:
+        return _uniformized_action(A, form, u, f, t, cfg)
+    return _taylor_action(A, u, f, t, cfg)
+
+
 def _check_vector(A, v, name="vector"):
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (A.n_cols,):
@@ -201,7 +311,7 @@ def phi0_action(A, v, dt, config=None):
     v = _check_vector(A, v)
     if dt == 0.0 or A.nnz == 0:
         return PhiResult(v.copy(), 0.0, 0)
-    return _taylor_action(A, v, None, dt, config or KrylovConfig())
+    return _action(A, v, None, dt, config or KrylovConfig())
 
 
 def phi1_action(A, v, dt, config=None):
@@ -214,7 +324,7 @@ def phi1_action(A, v, dt, config=None):
     v = _check_vector(A, v)
     if dt == 0.0 or A.nnz == 0:
         return PhiResult(v.copy(), 0.0, 0)
-    res = _taylor_action(A, np.zeros_like(v), v, dt, config or KrylovConfig())
+    res = _action(A, np.zeros_like(v), v, dt, config or KrylovConfig())
     return PhiResult(res.vector / dt, res.est_error / dt, res.restarts_used)
 
 
@@ -225,7 +335,7 @@ def fused_action(A, u, f, dt, config=None):
     f = _check_vector(A, f, "f")
     if dt == 0.0 or A.nnz == 0:
         return PhiResult(u + dt * f, 0.0, 0)
-    return _taylor_action(A, u, f, dt, config or KrylovConfig())
+    return _action(A, u, f, dt, config or KrylovConfig())
 
 
 # ---------------------------------------------------------------------------

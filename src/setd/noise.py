@@ -241,12 +241,15 @@ class NoisePath:
         """Stream-0 block of one fine step, kept until its field is assembled.
 
         Blocks are kept only if the blocks of all the path's steps fit the
-        ``_MAX_CACHED_FLOATS`` budget. Callers never hand the kept array out.
+        ``_MAX_CACHED_FLOATS`` budget, and never for a step whose field some
+        field cache already holds, since nothing would take them. Callers
+        never hand the kept array out.
         """
         blk = self._kept.get(step)
         if blk is None:
             blk = self.normal_modes(step)
-            if self.steps * blk.size <= _MAX_CACHED_FLOATS:
+            if (self.steps * blk.size <= _MAX_CACHED_FLOATS
+                    and not any(entry and step in entry for entry in self._cache.values())):
                 self._kept[step] = blk
         return blk
 

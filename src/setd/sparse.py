@@ -6,9 +6,15 @@ duplicate summing, explicit-zero elimination, and index sorting to scipy so
 the stored format always satisfies: column indices strictly increasing
 within each row, no explicit zeros. Matvec multiplies through a scipy CSR
 matrix built once per operator; its rows accumulate left to right, so the
-products equal ``kernels.csr_matvec_numpy`` bit for bit. The shifted
-operator A - mu I that the phi actions multiply by is built on their first
-call (:meth:`SparseOperator.shifted`) and cached on the operator.
+products equal ``kernels.csr_matvec_numpy`` bit for bit.
+
+The phi actions multiply by one of two forms of A, each built on the first
+action that needs it and cached on the operator, never at assembly: the
+shifted operator A - mu I of the Taylor route (:meth:`SparseOperator.shifted`)
+and, for a Metzler A (off-diagonal entries >= 0), the non-negative matrix
+P = (A + lam I) / beta of the uniformized route
+(:meth:`SparseOperator.uniformized`), whose Poisson weights are cached per
+step length beside it (:meth:`SparseOperator.step_weights`).
 """
 
 from __future__ import annotations
@@ -21,9 +27,15 @@ import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 
+_CACHED_STEP_LENGTHS = 64   # Poisson weight sets kept per operator
+
 
 @dataclass
 class SparseOperator:
+    """CSR matrix with cached scipy product and the lazily built forms the
+    phi actions multiply by (see the module docstring); the caches take no
+    part in equality and never touch the three CSR arrays."""
+
     n_rows: int
     n_cols: int
     indptr: np.ndarray
@@ -31,6 +43,8 @@ class SparseOperator:
     data: np.ndarray
     _csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
     _shifted: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _uniformized: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _poisson: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._csr = self.to_scipy()
@@ -132,6 +146,61 @@ class SparseOperator:
         their (m, s) is chosen from; cached with :meth:`shifted`."""
         self.shifted()
         return self._shifted[1:]
+
+    def uniformized(self):
+        """(P, beta, lam) with P = (A + lam I) / beta >= 0, or None when A is
+        not Metzler (some off-diagonal entry < 0), not square, or
+        A + lam I = 0 (A a multiple of I with a non-positive factor).
+
+        lam = max(-min_i a_ii, 0) makes the diagonal of A + lam I
+        non-negative without a negative shift, and
+        beta = max(||A + lam I||_inf, lam) is the uniformization rate of the
+        augmented generator [[A, f], [0, 0]], whose last row shifted by lam
+        is lam; so ||P||_inf <= 1, 0 <= lam / beta <= 1, and beta - lam is
+        A's largest row sum when that is >= 0, else 0. (A negative lam, for
+        an all-positive diagonal, would make lam / beta negative and, when
+        |lam| > ||A + lam I||_inf, below -1, so the f terms would grow
+        faster than the Poisson weights fall.) P is a SparseOperator, so
+        its products go through :meth:`matvec`.
+
+        Built on the first call (the first phi action, never at assembly)
+        and cached; the CSR arrays of A are left alone. Two threads filling
+        the cache at once build equal values.
+        """
+        if self._uniformized is None:
+            self._uniformized = self._build_uniformized()
+        return self._uniformized or None
+
+    def step_weights(self, t, build):
+        """``build()``, the uniformized route's weights for step length t,
+        built on the first action with that t and cached.
+
+        A study uses at most a handful of step lengths per operator; the
+        cache is emptied when it holds _CACHED_STEP_LENGTHS of them, which
+        bounds it at about 2 MB for steps with t*beta <= 500. Two threads
+        filling it at once build equal values.
+        """
+        entry = self._poisson.get(t)
+        if entry is None:
+            entry = build()
+            if len(self._poisson) >= _CACHED_STEP_LENGTHS:
+                self._poisson.clear()
+            self._poisson[t] = entry
+        return entry
+
+    def _build_uniformized(self):
+        if self.n_rows != self.n_cols or self.nnz == 0:
+            return ()
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        if np.any(self.data[self.indices != rows] < 0):
+            return ()
+        lam = max(-float(self._csr.diagonal().min()), 0.0)
+        shifted = self._csr + lam * sp.identity(self.n_rows, format="csr")
+        norm = float(shifted.sum(axis=1).max())
+        if norm == 0.0:
+            return ()
+        beta = max(norm, lam)
+        return SparseOperator.from_scipy(shifted / beta), beta, lam
 
 
 def save_matrix_market(op, path, comment=""):

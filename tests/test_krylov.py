@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.stats
 
 from setd.errors import InvalidArgumentError, KrylovConvergenceError
+from setd import krylov
 from setd.grid import BoundaryTag, build_grid
+from setd.harness import advection_study, build_problem
 from setd.krylov import (_THETA, KrylovConfig, PhiResult, _taylor_parameters, dense_phi,
                          fused_action, phi0_action, phi1_action)
 from setd.operators import assemble_fem, assemble_fv, dirichlet
@@ -235,10 +238,11 @@ def _ungated_action(B, mu, m, s, u, f, t):
 def test_gated_stop_test_changes_no_stop():
     # the library reads ||out||_inf only when a scalar bound says the series
     # could stop; every stop must still fall on the term the exact test
-    # picks, so vectors agree bit for bit and products one for one
+    # picks, so vectors agree bit for bit and products one for one (on
+    # operators that are not Metzler, which take the Taylor route)
     rng = np.random.default_rng(31)
     ran_to_cap = 0
-    for A in _study_generators():
+    for A in _non_metzler_generators():
         n = A.n_rows
         mu, norm = A.shifted_norm()
         B = A.shifted()
@@ -266,10 +270,12 @@ def test_gated_stop_test_changes_no_stop():
 
 
 def test_shifted_cache_under_threads():
-    # threads that race to fill a fresh operator's shifted-operator cache
-    # get the serial results bit for bit and leave A's arrays alone
+    # threads that race to fill a fresh operator's shifted-operator cache,
+    # or its uniformized form and Poisson weights, get the serial results
+    # bit for bit and leave A's arrays alone
     rng = np.random.default_rng(41)
-    for A, serial in zip(_study_generators(), _study_generators()):
+    fresh = lambda: _study_generators() + _non_metzler_generators()
+    for A, serial in zip(fresh(), fresh()):
         arrays = [a.copy() for a in (A.data, A.indices, A.indptr)]
         u = rng.standard_normal(A.n_rows)
         fs = [rng.standard_normal(A.n_rows) for _ in range(4)]
@@ -290,6 +296,14 @@ def test_shifted_cache_under_threads():
             assert got.tobytes() == fused_action(serial, u, f, 0.5).vector.tobytes()
         for before, after in zip(arrays, (A.data, A.indices, A.indptr)):
             assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
+        # the route's own cache is the one filled
+        if A.uniformized() is None:
+            assert A._shifted is not None and A._poisson == {}
+        else:
+            assert A._shifted is None and list(A._poisson) == [0.5]
+            P, P_serial = A.uniformized()[0], serial.uniformized()[0]
+            assert P.data.tobytes() == P_serial.data.tobytes()
+            assert A._poisson[0.5][0] == serial._poisson[0.5][0]
 
 
 def _study_generators():
@@ -299,6 +313,57 @@ def _study_generators():
                      bc={BoundaryTag.LEFT: dirichlet(1.0)}).A
     assert np.any(np.diff(fv.indptr) == 0)  # frozen Dirichlet rows are empty
     return fem, fv
+
+
+def _non_metzler_generators():
+    """P1-FEM generators with negative off-diagonal entries: the Taylor route."""
+    grid = build_grid(8, 8, 1.0, 1.0)
+    return (assemble_fem(grid, 1.0, c0=0.5).A,                 # consistent-mass shift
+            assemble_fem(grid, 1.0, velocity=(1.0, 0.5)).A)    # advection
+
+
+def _metzler(n, row_sums, seed, scale=30.0):
+    """Random sparse Metzler matrix with the given row sums and off-diagonal
+    entries in [0, scale)."""
+    rng = np.random.default_rng(seed)
+    M = sp.random(n, n, density=0.15, random_state=rng, format="lil") * scale
+    M.setdiag(0.0)
+    M = M.tocsr()
+    M = M + sp.diags(np.asarray(row_sums) - np.asarray(M.sum(axis=1)).ravel())
+    return SparseOperator.from_scipy(M)
+
+
+def _metzler_generators():
+    """Metzler operators of the uniformized route: the two study generators,
+    a small Darcy-streak FV generator, one with strongly negative row sums
+    (beta = lam > ||A + lam I||_inf: a rate of ||A + lam I||_inf would
+    truncate the f terms, which grow like (lam/beta)^k, far too early),
+    one whose largest row sum is positive (lam / beta < 1) and one whose
+    diagonal is all positive (lam = 0: a negative shift -min a_ii would give
+    lam / beta near -12, and f terms growing like it)."""
+    streaks = build_problem(advection_study(heterogeneous=True, nx=8)).discrete.A
+    rng = np.random.default_rng(5)
+    negative = _metzler(40, -rng.uniform(100.0, 600.0, 40), 5)
+    mixed = _metzler(40, np.append(-rng.uniform(10.0, 60.0, 39), 1.5), 7)
+    positive = _metzler(40, rng.uniform(1.85, 1.95, 40), 9, scale=0.01)
+    assert positive.dense().diagonal().min() > 1.75
+    return _study_generators() + (streaks, negative, mixed, positive)
+
+
+def _spy_products(op):
+    """Count op.matvec calls in the returned list."""
+    calls = []
+    product = op.matvec
+    op.matvec = lambda x: calls.append(None) or product(x)
+    return calls
+
+
+def _dense_uniformization(A, dt):
+    """(x, lam, beta) of the documented rule, from the dense matrix."""
+    D = A.dense()
+    lam = max(-np.diag(D).min(), 0.0)
+    beta = max(np.abs(D + lam * np.eye(D.shape[0])).sum(axis=1).max(), lam)
+    return dt * beta, lam, beta
 
 
 @pytest.mark.parametrize("dt", [1.0 / 1280, 1.0 / 40, 0.5])
@@ -349,3 +414,112 @@ def test_actions_leave_global_random_state_alone():
     after = np.random.get_state()
     assert before[0] == after[0] and before[1].tobytes() == after[1].tobytes()
     assert before[2:] == after[2:]
+
+
+@pytest.mark.parametrize("dt", [1.0 / 1280, 1.0 / 40, 0.5])
+def test_uniformized_actions_match_pade_expm(dt):
+    # exp([[dt A, dt f], [0, 0]]) [u; 1] = phi0(dt A) u + dt phi1(dt A) f;
+    # scipy's Pade expm shares no code with uniformization
+    rng = np.random.default_rng(51)
+    for A in _metzler_generators():
+        n = A.n_rows
+        u, f = rng.standard_normal(n), rng.standard_normal(n)
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = dt * A.dense()
+        M[:n, n] = dt * f
+        E = scipy.linalg.expm(M)
+        rel = lambda got, want: np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert rel(fused_action(A, u, f, dt).vector, E[:n, :n] @ u + E[:n, n]) <= 1e-12
+        assert rel(phi0_action(A, u, dt).vector, E[:n, :n] @ u) <= 1e-12
+        assert rel(dt * phi1_action(A, f, dt).vector, E[:n, n]) <= 1e-12
+        assert A._shifted is None            # the Taylor route never ran
+
+
+def test_uniformized_series_length_and_bound():
+    # the series takes exactly K products with P, K the smallest k with
+    # P(N >= k) <= 2^-53 for N ~ Poisson(dt * beta), recomputed with
+    # scipy.stats; the bound is the documented Poisson tail bound
+    rng = np.random.default_rng(52)
+    for A in _metzler_generators():
+        n = A.n_rows
+        P, beta, lam = A.uniformized()
+        x1, lam_d, beta_d = _dense_uniformization(A, 1.0)
+        assert (lam, beta) == pytest.approx((lam_d, beta_d), rel=1e-14)
+        D = (A.dense() + lam * np.eye(n)) / beta
+        np.testing.assert_allclose(P.dense(), D, rtol=1e-15, atol=0)
+        assert P.data.min() >= 0 and P.dense().sum(axis=1).max() <= 1 + 1e-15
+        calls = _spy_products(P)
+        for dt in (1e-6, 1.0 / 1280, 1.0 / 40, 0.5):
+            x = dt * beta_d
+            K = next(k for k in range(1, 10 ** 6)
+                     if scipy.stats.poisson.sf(k - 1, x) <= 2.0 ** -53)
+            u, f = rng.standard_normal(n), rng.standard_normal(n)
+            for action, forcing in ((lambda: phi0_action(A, u, dt), None),
+                                    (lambda: fused_action(A, u, f, dt), f)):
+                calls.clear()
+                res = action()
+                assert len(calls) == K and res.restarts_used == 0
+                f_norm = 0.0 if forcing is None else np.abs(forcing).max()
+                bound = math.exp(dt * (beta - lam)) * (
+                    scipy.stats.poisson.sf(K, x) * np.abs(u).max()
+                    + dt * scipy.stats.poisson.sf(K - 1, x) * f_norm)
+                assert 0 < res.est_error == pytest.approx(bound, rel=1e-6)
+
+
+def test_route_falls_back_to_taylor():
+    # not Metzler, or a growth factor e^{dt(beta - lam)} above e: the
+    # shifted cache fills, P is never multiplied by, and the result is
+    # the Taylor action's bit for bit
+    rng = np.random.default_rng(53)
+    growing = _metzler(30, np.full(30, 3.0), 6)     # row sums 3
+    cases = [(A, 0.5) for A in _non_metzler_generators()] + [(growing, 0.5)]
+    for A, dt in cases:
+        assert A._shifted is None
+        calls = None if A.uniformized() is None else _spy_products(A.uniformized()[0])
+        u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
+        got = fused_action(A, u, f, dt).vector
+        want = krylov._taylor_action(A, u, f, dt, KrylovConfig()).vector
+        assert got.tobytes() == want.tobytes()
+        assert A._shifted is not None and A._poisson == {}
+        assert calls is None or calls == []
+    # below the guard the same Metzler operator is uniformized
+    calls = _spy_products(growing.uniformized()[0])
+    phi0_action(growing, rng.standard_normal(30), 0.25)
+    assert calls and list(growing._poisson) == [0.25]
+
+
+def test_uniformized_product_ceiling_raises_with_estimate():
+    # the ceiling (max_restarts + 1) * 55 holds on the uniformized route:
+    # K just above it and K far above it both raise with a positive bound
+    A = build_problem(advection_study(heterogeneous=True, nx=8)).discrete.A
+    v = np.random.default_rng(54).standard_normal(A.n_rows)
+    x, _, _ = _dense_uniformization(A, 0.5)
+    K = next(k for k in range(1, 10 ** 6) if scipy.stats.poisson.sf(k - 1, x) <= 2.0 ** -53)
+    near = K // 55 - 1                       # ceiling 55 * (near + 1) < K
+    assert x - 1 < 55 * (near + 1) < K
+    for restarts in (near, 0):
+        with pytest.raises(KrylovConvergenceError) as exc:
+            fused_action(A, v, v, 0.5, KrylovConfig(max_restarts=restarts))
+        assert exc.value.est_error > 0
+        with pytest.raises(KrylovConvergenceError):
+            phi0_action(A, v, 0.5, KrylovConfig(max_restarts=restarts))
+    assert A._shifted is None
+    res = fused_action(A, v, v, 0.5, KrylovConfig(max_restarts=K // 55))
+    assert res.restarts_used == 0
+
+
+def test_poisson_weights_to_a_few_ulps():
+    # against exact rationals: with x = p/q, term_k = p^k q^(top-k) top!/k!
+    # is an integer proportional to x^k/k!, and int / int rounds correctly
+    for x in (0.25, 5.0, 320.0, 2000.0):
+        w, tail = krylov._poisson_weights(x)
+        top = len(tail) - 2
+        p, q = x.as_integer_ratio()
+        terms = [p ** k * q ** (top - k) * math.perm(top, top - k) for k in range(top + 1)]
+        total = sum(terms)
+        exact = np.array([t / total for t in terms[:len(w)]])
+        big = exact > 1e-300
+        assert np.abs(w[big] / exact[big] - 1).max() <= 1e-14, x
+        # K is the first index whose tail is at most 2^-53
+        K = len(w) - 1
+        assert sum(terms[K:]) / total <= 2.0 ** -53 < sum(terms[K - 1:]) / total

@@ -162,6 +162,22 @@ def test_cache_does_not_change_bits():
     np.testing.assert_array_equal(first, fresh)
 
 
+def test_no_block_kept_for_a_step_whose_field_is_cached():
+    # fields of steps 0-3 are cached first; a coarse increment over steps
+    # 2-3 afterwards must not keep blocks that no field assembly will take
+    spec = NoiseSpec.exponential(n1=8, n2=8)
+    grid = build_grid(6, 6, 1.0, 1.0)
+    path = make_path(spec, 3, 0, 0.25, 4)
+    for s in range(4):
+        sample_increment(path, grid, s)
+    pair = path.brownian_increment_modes(1, coarsening=2)
+    assert path._kept == {}
+    fresh = make_path(spec, 3, 0, 0.25, 4)
+    np.testing.assert_array_equal(pair, fresh.brownian_increment_modes(1, coarsening=2))
+    # without cached fields the blocks are still kept for the fields to take
+    assert sorted(fresh._kept) == [2, 3]
+
+
 def test_path_validation():
     spec = NoiseSpec.exponential(n1=4, n2=4)
     with pytest.raises(InvalidArgumentError):
