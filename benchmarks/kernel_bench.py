@@ -1,18 +1,12 @@
-"""Timing comparison of the numba and pure-numpy kernel backends.
+"""Timings of the numerical hot paths.
 
-Measures the four hot paths — CSR matvec, counter-based normal blocks,
-a truncated-Taylor phi0 action, and one full SETDM1 step (one fused
-action) — under both backends by rebinding the shared kernel aliases, so
-one process reports both columns.
-``SparseOperator.matvec`` multiplies through scipy's CSR product under
-either backend, so the phi0 and SETDM1 rows differ between the columns
-only through the kernels they still call; the ``A.matvec`` row times that
-scipy product.
+Times the kernels and actions a study step runs: the numpy CSR matvec
+reference ``csr_matvec_numpy`` beside the scipy product
+``SparseOperator.matvec`` that the phi actions call, counter-based normal
+blocks (``normal_block``), a truncated-Taylor phi0 action, and one full
+SETDM1 step (one fused action).
 
     python benchmarks/kernel_bench.py [--repeats N] [--nx NX]
-
-The same comparison is what the SETD_DISABLE_NUMBA environment flag
-switches at import time; this script only quantifies the gap.
 
 A second table times one fused SETDM1 action on the study operators (the
 Darcy-streak upwind FV generator of the ``streaks`` workload and the P1-FEM
@@ -26,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,21 +33,9 @@ from setd.operators import assemble_fem, assemble_fv
 from setd.sparse import SparseOperator
 
 
-@contextmanager
-def _backend(name):
-    """Temporarily bind the shared kernel aliases to one backend."""
-    saved = (kernels.csr_matvec, kernels.normal_block)
-    kernels.csr_matvec = getattr(kernels, f"csr_matvec_{name}")
-    kernels.normal_block = getattr(kernels, f"normal_block_{name}")
-    try:
-        yield
-    finally:
-        kernels.csr_matvec, kernels.normal_block = saved
-
-
 def _time(fn, repeats):
     """Best per-call seconds over ``repeats`` batches (auto-sized batches)."""
-    fn()  # warmup; compiles the numba kernels on first use
+    fn()  # warmup; builds the operator's cached forms on first use
     t0 = time.perf_counter()
     fn()
     once = time.perf_counter() - t0
@@ -96,17 +77,17 @@ def build_cases(nx):
     state = 0.1 * rng.standard_normal(fv.ndof)
 
     return [
-        (f"csr_matvec ({fem.ndof} dof, {A.nnz} nnz)",
-         lambda: kernels.csr_matvec(A.indptr, A.indices, A.data, x)),
-        (f"A.matvec, scipy CSR ({fem.ndof} dof, {A.nnz} nnz)",
+        (f"csr_matvec_numpy ({fem.ndof} dof, {A.nnz} nnz)",
+         lambda: kernels.csr_matvec_numpy(A.indptr, A.indices, A.data, x)),
+        (f"SparseOperator.matvec ({fem.ndof} dof, {A.nnz} nnz)",
          lambda: A.matvec(x)),
         ("normal_block 65x65",
          lambda: kernels.normal_block(key0, key1, spec.n1 + 1, spec.n2 + 1, 3, 0)),
         ("normal_block 101x101 (advection lattice)",
          lambda: kernels.normal_block(key0, key1, 101, 101, 3, 0)),
-        (f"Taylor phi0 action on A_h ({fem.ndof} dof, dt=0.1)",
+        (f"phi0_action, Taylor route ({fem.ndof} dof, dt=0.1)",
          lambda: phi0_action(A, x, 0.1)),
-        (f"SETDM1 step ({fv.ndof} cells, multiplicative)",
+        (f"setdm1_step ({fv.ndof} cells, multiplicative)",
          lambda: setdm1_step(problem, cfg, state, dW)),
     ]
 
@@ -157,28 +138,13 @@ def main(argv=None):
                         help="grid cells per side for the operator cases (default 64)")
     args = parser.parse_args(argv)
 
-    backends = ["numpy"]
-    if kernels.HAVE_NUMBA:
-        backends.insert(0, "numba")
-    else:
-        print("numba is not importable; timing the numpy backend only\n")
-
     cases = build_cases(args.nx)
     width = max(len(name) for name, _ in cases)
-    header = f"{'case':<{width}}" + "".join(f"  {b:>12}" for b in backends)
-    if len(backends) == 2:
-        header += "   speedup"
+    header = f"{'case':<{width}}  {'time':>12}"
     print(header)
     print("-" * len(header))
     for name, fn in cases:
-        times = {}
-        for b in backends:
-            with _backend(b):
-                times[b] = _time(fn, args.repeats)
-        row = f"{name:<{width}}" + "".join(f"  {_fmt(times[b])}" for b in backends)
-        if len(backends) == 2:
-            row += f"  {times['numpy'] / times['numba']:7.1f}x"
-        print(row)
+        print(f"{name:<{width}}  {_fmt(_time(fn, args.repeats))}")
 
     routes = build_route_cases()
     width = max(len(name) for name, _, _ in routes)

@@ -32,7 +32,6 @@ from .integrators import (
     ProblemDef,
     Scheme,
     SchemeConfig,
-    SETDM1Variant,
     Trajectory,
     run,
     semi_implicit_step,
@@ -66,7 +65,6 @@ __all__ = [
     "PermeabilityField",
     "ProblemDef",
     "SETDError",
-    "SETDM1Variant",
     "Scheme",
     "SchemeConfig",
     "SolverError",

@@ -101,7 +101,7 @@ def cmd_solve(args):
     path = make_path(study.noise, study.seed, solve["realization"],
                      float(study.finest_dt), study.fine_steps)
     scheme_cfg = SchemeConfig(scheme=solve["scheme"], dt=float(dt), steps=steps,
-                              krylov=study.krylov, setdm1_variant=study.variant)
+                              krylov=study.krylov)
     traj = run(problem, scheme_cfg, path, coarsening=coarsening,
                snapshot_every=solve["snapshot_every"])
 

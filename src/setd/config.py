@@ -13,22 +13,21 @@ from fractions import Fraction
 
 from .errors import ConfigError
 from .harness import PROBLEM_NAMES, StudyConfig, default_noise
-from .integrators import Scheme, SETDM1Variant
+from .integrators import Scheme
 from .krylov import KrylovConfig
 from .noise import NoiseSpec
 
 _SCHEME_NAMES = {s.value: s for s in Scheme}
-_VARIANT_NAMES = {v.value: v for v in SETDM1Variant}
 
 _SECTION_KEYS = {
     "study": {"problem", "schemes", "dt_list", "finest_dt", "t", "realizations",
-              "seed", "threads", "setdm1_variant", "expected_order", "c0"},
+              "seed", "threads", "expected_order", "c0"},
     "grid": {"nx", "ny", "l1", "l2"},
     "noise": {"kind", "gamma", "b1", "b2", "r", "n1", "n2"},
     "problem": {"diffusion", "reaction", "diffusion_x", "diffusion_y", "inflow",
                 "velocity_x", "velocity_y"},
     "darcy": {"contrast", "base", "mu", "p_left", "p_right", "width_cells", "centers"},
-    "krylov": {"m", "tol", "max_restarts"},
+    "krylov": {"max_restarts"},
     "solve": {"scheme", "dt", "realization", "snapshot_every"},
 }
 
@@ -147,13 +146,6 @@ def study_from_config(sections, overrides=None):
     finest_dt = _fraction(study.get("finest_dt", default_finest), "study.finest_dt")
     T = _fraction(study.get("t", "1"), "study.T")
 
-    variant_name = study.get("setdm1_variant", "as_defined").strip().lower()
-    if variant_name not in _VARIANT_NAMES:
-        raise ConfigError(
-            f"unknown setdm1_variant {variant_name!r}; "
-            f"expected one of {sorted(_VARIANT_NAMES)}"
-        )
-
     grid_sec = sections.get("grid", {})
     nx = _parse_typed(grid_sec.get("nx", "32"), "grid.nx", int)
     ny = _parse_typed(grid_sec.get("ny", str(nx)), "grid.ny", int)
@@ -163,12 +155,8 @@ def study_from_config(sections, overrides=None):
     noise = _build_noise(sections.get("noise", {}), problem, L1, L2)
 
     kry_sec = sections.get("krylov", {})
-    krylov = KrylovConfig(
-        m=_parse_typed(kry_sec.get("m", "6"), "krylov.m", int),
-        tol=_parse_typed(kry_sec.get("tol", "1e-6"), "krylov.tol", float),
-        max_restarts=_parse_typed(kry_sec.get("max_restarts", "10000"),
-                                  "krylov.max_restarts", int),
-    )
+    krylov = KrylovConfig(max_restarts=_parse_typed(
+        kry_sec.get("max_restarts", "10000"), "krylov.max_restarts", int))
 
     prob_sec = dict(sections.get("problem", {}))
     allowed = _PROBLEM_KEYS[problem]
@@ -211,7 +199,6 @@ def study_from_config(sections, overrides=None):
         nx=nx, ny=ny, L1=L1, L2=L2,
         noise=noise,
         krylov=krylov,
-        variant=_VARIANT_NAMES[variant_name],
         c0=_parse_typed(study.get("c0", "0.0"), "study.c0", float),
         expected_order=_parse_typed(study.get("expected_order", "0.5"),
                                     "study.expected_order", float),

@@ -28,7 +28,7 @@ import numpy as np
 from . import darcy
 from .errors import DegenerateFitError, InvalidArgumentError, SETDError
 from .grid import BoundaryTag, build_grid
-from .integrators import (ProblemDef, Scheme, SchemeConfig, SETDM1Variant, run)
+from .integrators import ProblemDef, Scheme, SchemeConfig, run
 from .krylov import KrylovConfig
 from .noise import NoiseSpec, make_path
 from .operators import (FaceVelocities, assemble_fem, assemble_fv, dirichlet,
@@ -60,7 +60,6 @@ class StudyConfig:
     L2: float = 1.0
     noise: Optional[NoiseSpec] = None
     krylov: KrylovConfig = field(default_factory=KrylovConfig)
-    variant: SETDM1Variant = SETDM1Variant.AS_DEFINED
     threads: int = 1
     c0: float = 0.0
     expected_order: float = 0.5
@@ -302,9 +301,7 @@ def _realization_worker(cfg, problem, r):
             state = evolve_exact(linear_state(cfg.noise, diffusion, reaction), path)
             ref = spectral_to_nodal(state, problem.discrete.grid, problem.where)
         else:
-            template = SchemeConfig(Scheme.SETDM1, float(cfg.finest_dt), cfg.fine_steps,
-                                    krylov=cfg.krylov, setdm1_variant=cfg.variant)
-            ref = finest_reference(problem, path, template)
+            ref = finest_reference(problem, path, cfg.krylov)
     except SETDError:
         return None, {}
     fields = {}
@@ -312,8 +309,7 @@ def _realization_worker(cfg, problem, r):
         for dt in cfg.dt_list:
             coarsening = int(dt / cfg.finest_dt)
             steps = int(cfg.T / dt)
-            run_cfg = SchemeConfig(scheme, float(dt), steps, krylov=cfg.krylov,
-                                   setdm1_variant=cfg.variant)
+            run_cfg = SchemeConfig(scheme, float(dt), steps, krylov=cfg.krylov)
             try:
                 fields[(scheme, dt)] = run(problem, run_cfg, path, coarsening).final
             except SETDError:
@@ -380,9 +376,7 @@ def run_study(cfg):
             "b2": noise.b2,
             "r": noise.r,
         },
-        "krylov": {"m": cfg.krylov.m, "tol": cfg.krylov.tol,
-                   "max_restarts": cfg.krylov.max_restarts},
-        "setdm1_variant": cfg.variant.value,
+        "krylov": {"max_restarts": cfg.krylov.max_restarts},
         "c0": cfg.c0,
         "schemes": [s.value for s in cfg.schemes],
         "problem_params": dict(cfg.problem_params),

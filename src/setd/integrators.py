@@ -27,7 +27,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, InvalidArgumentError, SolverError
-from .krylov import KrylovConfig, fused_action, phi0_action, phi1_action
+# phi1_action is not called here; it stays importable from this module
+# because studybench's tracer wraps setd.integrators.phi1_action by name.
+from .krylov import KrylovConfig, fused_action, phi0_action, phi1_action  # noqa: F401
 from .noise import NoiseSpec, sample_increment
 from .operators import DiscreteProblem, apply_dirichlet
 
@@ -42,29 +44,6 @@ class Scheme(enum.Enum):
     SEMI_IMPLICIT_EULER = "semi_implicit"
 
 
-class SETDM1Variant(enum.Enum):
-    """Two algebraic arrangements of the first-order stochastic ETD step.
-
-    AS_DEFINED applies the semigroup to the noise-updated state:
-
-        X+ = phi0(dt A)(X + B(X) dW) + dt phi1(dt A) F(X).
-
-    AS_REWRITTEN folds everything through phi1:
-
-        X+ = X + dt phi1(dt A)(A (X + B(X) dW) + F(X)).
-
-    The two differ by exactly B(X) dW (use the identity
-    phi0(z) = 1 + z phi1(z)): the rewritten form damps the noise term to
-    O(dt^(3/2)) per step and therefore converges to the *deterministic*
-    PDE as dt -> 0. It is retained as an explicit variant because the
-    difference is instructive and cheap to test; AS_DEFINED is the default
-    and the form used by the convergence studies.
-    """
-
-    AS_DEFINED = "as_defined"
-    AS_REWRITTEN = "as_rewritten"
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """What to run: scheme, step size, step count, and numerical knobs."""
@@ -73,7 +52,6 @@ class SchemeConfig:
     dt: float
     steps: int
     krylov: Optional[KrylovConfig] = None
-    setdm1_variant: Optional[SETDM1Variant] = None
 
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
@@ -84,12 +62,6 @@ class SchemeConfig:
             raise InvalidArgumentError(f"steps must be a nonnegative integer, got {self.steps}")
         if self.krylov is None:
             object.__setattr__(self, "krylov", KrylovConfig())
-        if self.setdm1_variant is None:
-            object.__setattr__(self, "setdm1_variant", SETDM1Variant.AS_DEFINED)
-        elif not isinstance(self.setdm1_variant, SETDM1Variant):
-            raise InvalidArgumentError(
-                f"setdm1_variant must be a SETDM1Variant, got {self.setdm1_variant!r}"
-            )
 
 
 @dataclass
@@ -175,16 +147,14 @@ def setdm0_step(problem, config, state, dW):
 
 
 def setdm1_step(problem, config, state, dW):
-    """First-order stochastic ETD step (variant chosen by the config)."""
-    A = problem.discrete.A
-    dt = config.dt
+    """First-order stochastic ETD step.
+
+    X+ = phi0(dt A)(X + B(X) dW) + dt phi1(dt A) F(X): one fused action.
+    """
     noise = _masked_noise(problem, state, dW)
     drift = _masked_drift(problem, state)
-    if config.setdm1_variant is SETDM1Variant.AS_DEFINED:
-        return fused_action(A, state + noise, drift, dt, config.krylov).vector
-    # AS_REWRITTEN: X + dt phi1(dt A)(A(X + B dW) + F(X))
-    inner = A.matvec(state + noise) + drift
-    return state + dt * phi1_action(A, inner, dt, config.krylov).vector
+    return fused_action(problem.discrete.A, state + noise, drift, config.dt,
+                        config.krylov).vector
 
 
 def semi_implicit_step(problem, config, state, dW, solver=None):

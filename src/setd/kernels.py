@@ -1,42 +1,22 @@
-"""Low-level numerical kernels with numba and pure-numpy backends.
+"""Low-level numerical kernels in plain numpy.
 
 Two families live here:
 
-* CSR matrix-vector products (the benchmark and test reference for the
+* a CSR matrix-vector product (the benchmark and test reference for the
   scipy product that every phi action's Taylor terms call),
 * counter-based normal draws (Philox4x32-10), which make every noise sample
   a pure function of ``(seed, realization, mode_i, mode_j, step, stream)``.
   That keying is what guarantees bit-exact path refinement and makes results
   independent of how realizations are scheduled across workers.
   ``philox4x32`` and ``normals_from_words`` are the plain reference;
-  ``normal_block_numpy`` gives the same bits for a whole mode lattice while
+  ``normal_block`` gives the same bits for a whole mode lattice while
   allocating only its working words, since a block's counters vary along
   one axis each.
-
-The numba backend is used when numba imports cleanly and the environment
-variable ``SETD_DISABLE_NUMBA`` is unset/empty/"0"; otherwise the numpy
-fallback (identical semantics, same bits for the integer pipeline) is used.
-Both implementations are importable under explicit names for tests and for
-``benchmarks/kernel_bench.py``.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-try:
-    import numba as nb
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via SETD_DISABLE_NUMBA
-    nb = None
-    HAVE_NUMBA = False
-
-_DISABLE = os.environ.get("SETD_DISABLE_NUMBA", "") not in ("", "0")
-USING_NUMBA = HAVE_NUMBA and not _DISABLE
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -92,8 +72,8 @@ def philox4x32(k0, k1, c0, c1, c2, c3):
     All inputs are 32-bit words (scalars or equal-shape arrays). Returns the
     four 32-bit output words as uint64 arrays holding 32-bit values. This is
     the reference used by the known-answer tests and by the block oracle
-    test; the block kernels below inline the same rounds (the numpy one on
-    counter vectors first, then in place), so their bits must match it.
+    test; ``normal_block`` inlines the same rounds (on the counter vectors
+    first, then in place), so its bits must match it.
     """
     c0 = np.asarray(c0, dtype=np.uint64)
     c1 = np.asarray(c1, dtype=np.uint64)
@@ -130,7 +110,7 @@ def normals_from_words(x0, x1, x2, x3):
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
-def normal_block_numpy(k0, k1, n1, n2, step, stream):
+def normal_block(k0, k1, n1, n2, step, stream):
     """Standard-normal draws for all modes (i, j), i < n1, j < n2.
 
     The draw at [i, j] is a pure function of (key, i, j, step, stream);
@@ -218,67 +198,3 @@ def csr_matvec_numpy(indptr, indices, data, x):
     n = indptr.shape[0] - 1
     rows = np.repeat(np.arange(n), np.diff(indptr))
     return np.bincount(rows, weights=data * x[indices], minlength=n)
-
-
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True, nogil=True)
-    def csr_matvec_numba(indptr, indices, data, x):  # pragma: no cover - numba
-        n = indptr.shape[0] - 1
-        y = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            acc = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                acc += data[p] * x[indices[p]]
-            y[i] = acc
-        return y
-
-    @nb.njit(cache=True, nogil=True)
-    def normal_block_numba(k0, k1, n1, n2, step, stream):  # pragma: no cover - numba
-        mask = np.uint64(0xFFFFFFFF)
-        m0 = np.uint64(0xD2511F53)
-        m1 = np.uint64(0xCD9E8D57)
-        w0 = np.uint64(0x9E3779B9)
-        w1 = np.uint64(0xBB67AE85)
-        out = np.empty((n1, n2), dtype=np.float64)
-        for i in range(n1):
-            for j in range(n2):
-                c0 = np.uint64(i)
-                c1 = np.uint64(j)
-                c2 = np.uint64(step)
-                c3 = np.uint64(stream)
-                kk0 = np.uint64(k0)
-                kk1 = np.uint64(k1)
-                for _ in range(10):
-                    p0 = m0 * c0
-                    p1 = m1 * c2
-                    hi0 = p0 >> np.uint64(32)
-                    lo0 = p0 & mask
-                    hi1 = p1 >> np.uint64(32)
-                    lo1 = p1 & mask
-                    c0 = hi1 ^ c1 ^ kk0
-                    c1 = lo1
-                    c2 = hi0 ^ c3 ^ kk1
-                    c3 = lo0
-                    kk0 = (kk0 + w0) & mask
-                    kk1 = (kk1 + w1) & mask
-                ua = (c0 << np.uint64(32)) | c1
-                ub = (c2 << np.uint64(32)) | c3
-                u1 = np.float64(ua >> np.uint64(11)) + 0.5
-                u2 = np.float64(ub >> np.uint64(11)) + 0.5
-                u1 *= 2.0 ** -53
-                u2 *= 2.0 ** -53
-                out[i, j] = math.sqrt(-2.0 * math.log(u1)) * math.cos(6.283185307179586 * u2)
-        return out
-
-else:  # pragma: no cover - numba missing entirely
-    csr_matvec_numba = None
-    normal_block_numba = None
-
-
-if USING_NUMBA:
-    csr_matvec = csr_matvec_numba
-    normal_block = normal_block_numba
-else:
-    csr_matvec = csr_matvec_numpy
-    normal_block = normal_block_numpy

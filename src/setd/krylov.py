@@ -67,6 +67,7 @@ with the action core.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,26 +93,22 @@ _THETAS = np.array([_THETA[m] for m in _DEGREES])
 
 @dataclass(frozen=True)
 class KrylovConfig:
-    """Knobs of the phi actions.
+    """The one knob of the phi actions; both routes work to unit roundoff
+    and pick their own degree.
 
     max_restarts sets the product ceiling (max_restarts + 1) * 55 on both
     routes: a Taylor action that needs s scaling steps with
     s - 1 > max_restarts, or a uniformized action whose series needs more
     terms than the ceiling, raises KrylovConvergenceError with its
-    truncation bound. m and tol are validated but no longer change the
-    computation: both routes work to unit roundoff, which meets any
-    tol > 0, and pick their own degree.
+    truncation bound.
     """
 
-    m: int = 6
-    tol: float = 1e-6
     max_restarts: int = 10000
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidArgumentError("Krylov dimension m must be >= 1")
-        if not (self.tol > 0):
-            raise InvalidArgumentError("Krylov tolerance must be > 0")
+        if not isinstance(self.max_restarts, numbers.Integral):
+            raise InvalidArgumentError(
+                f"max_restarts must be an integer, got {self.max_restarts!r}")
         if self.max_restarts < 0:
             raise InvalidArgumentError("max_restarts must be >= 0")
 

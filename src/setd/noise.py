@@ -258,9 +258,9 @@ class NoisePath:
 
         Probes evaluate the generator one counter at a time, so a probe at
         coarsening c equals the sum of its fine probes bit-for-bit. (The
-        numpy-transformed scalar may differ from the corresponding block
-        entry in the last ulp of log/cos when the numba backend fills the
-        blocks; the laws are identical.)
+        scalar goes through numpy's scalar log/cos, not the block kernel's
+        array loops, so it is held to the block entry only to rounding; the
+        laws are identical.)
         """
         i = int(i)
         j = int(j)

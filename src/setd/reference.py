@@ -148,16 +148,13 @@ def spectral_to_nodal(state, grid, where="nodes"):
     return (ex.T @ state.c @ ey).T.ravel()
 
 
-def finest_reference(problem, path, config=None):
+def finest_reference(problem, path, krylov=None):
     """SETDM1 run at the path's finest resolution; the surrogate truth for
-    nonlinear problems, path-coupled with every coarser run."""
+    nonlinear problems, path-coupled with every coarser run.
+
+    krylov is the KrylovConfig of its phi actions (default KrylovConfig()).
+    """
     from .integrators import Scheme, SchemeConfig, run
 
-    cfg = SchemeConfig(
-        scheme=Scheme.SETDM1,
-        dt=path.finest_dt,
-        steps=path.steps,
-        krylov=config.krylov if config is not None else None,
-        setdm1_variant=config.setdm1_variant if config is not None else None,
-    )
+    cfg = SchemeConfig(Scheme.SETDM1, path.finest_dt, path.steps, krylov=krylov)
     return run(problem, cfg, path, coarsening=1).final

@@ -14,7 +14,8 @@ shifted operator A - mu I of the Taylor route (:meth:`SparseOperator.shifted`)
 and, for a Metzler A (off-diagonal entries >= 0), the non-negative matrix
 P = (A + lam I) / beta of the uniformized route
 (:meth:`SparseOperator.uniformized`), whose Poisson weights are cached per
-step length beside it (:meth:`SparseOperator.step_weights`).
+step length beside it (:meth:`SparseOperator.step_weights`). Those caches
+are why the phi actions take this wrapper rather than a bare scipy matrix.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class SparseOperator:
         m.sort_indices()
         return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
 
-    @classmethod
-    def identity(cls, n):
-        return cls.from_scipy(sp.identity(n, format="csr"))
-
     @property
     def nnz(self):
         return int(self.data.shape[0])
@@ -99,11 +96,6 @@ class SparseOperator:
 
     def dense(self):
         return self.to_scipy().toarray()
-
-    def row_sums(self):
-        out = np.zeros(self.n_rows)
-        np.add.at(out, np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), self.data)
-        return out
 
     def scale_rows(self, factors):
         """New operator with row i multiplied by factors[i]."""

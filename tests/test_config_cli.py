@@ -16,7 +16,7 @@ import pytest
 from setd.cli import main
 from setd.config import read_config, solve_from_config, study_from_config
 from setd.errors import ConfigError
-from setd.integrators import Scheme, SETDM1Variant
+from setd.integrators import Scheme
 from setd.sparse import load_matrix_market
 
 
@@ -116,7 +116,12 @@ def test_study_validation_errors(tmp_path):
         ("[study]\nproblem = heat_death\n", "unknown problem"),
         ("[study]\nschemes = setdm7\n", "unknown scheme"),
         ("[study]\ndt_list = abc\n", "exact fraction"),
-        ("[study]\nsetdm1_variant = upside_down\n", "unknown setdm1_variant"),
+        # removed options are unknown keys like any other, listing the allowed ones
+        ("[krylov]\nm = 6\n",
+         r"unknown key 'm' in section \[krylov\]; allowed: \['max_restarts'\]"),
+        ("[krylov]\ntol = 1e-6\n", r"unknown key 'tol' in section \[krylov\]"),
+        ("[study]\nsetdm1_variant = as_defined\n",
+         r"unknown key 'setdm1_variant' in section \[study\]; allowed: \["),
         ("[noise]\nn1 = 4\n", "requires a 'kind'"),
         ("[noise]\nkind = white\n", "unknown noise kind"),
         ("[noise]\nkind = exponential\nr = 3\n", "does not apply"),
@@ -126,9 +131,8 @@ def test_study_validation_errors(tmp_path):
          "do not apply"),
     ]
     for text, match in bads:
-        sections = read_config(_write(tmp_path, text, name="bad.ini"))
         with pytest.raises(ConfigError, match=match):
-            study_from_config(sections)
+            study_from_config(read_config(_write(tmp_path, text, name="bad.ini")))
 
 
 def test_darcy_keys_feed_problem_params(tmp_path):
@@ -305,15 +309,14 @@ def test_cli_entry_point_declared(capsys):
 
 
 def test_hard_dependencies_are_numpy_and_scipy():
-    # numba is an optional backend (kernels.py imports it in a try), so an
-    # install must not require it
+    # the kernels are plain numpy: no extra installs a second backend
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     names = {re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0].lower()
              for req in project["dependencies"]}
     assert names == {"numpy", "scipy"}
-    assert project["optional-dependencies"]["numba"] == ["numba>=0.57"]
+    assert set(project["optional-dependencies"]) == {"test"}
 
 
 def test_public_surface_resolves():

@@ -260,7 +260,8 @@ def test_report_files_round_trip(tmp_path):
     assert payload["rows"][0]["dt"] == "1/4"
     assert payload["metadata"]["grid"]["nx"] == 6
     # max_restarts decides which cells are flagged, so the report records it
-    assert payload["metadata"]["krylov"] == {"m": 6, "tol": 1e-6, "max_restarts": 500}
+    assert payload["metadata"]["krylov"] == {"max_restarts": 500}
+    assert "setdm1_variant" not in payload["metadata"]   # one SETDM1 form
 
 
 def test_linear_study_order_rises_on_finer_steps():

@@ -1,5 +1,5 @@
-"""Scheme step tests against dense phi-matrix formulas, the variant
-identity, statistical mean preservation, and the run() bookkeeping."""
+"""Scheme step tests against dense phi-matrix formulas, statistical mean
+preservation, and the run() bookkeeping."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from setd.integrators import (
     ProblemDef,
     Scheme,
     SchemeConfig,
-    SETDM1Variant,
     Trajectory,
     make_implicit_solver,
     run,
@@ -22,9 +21,6 @@ from setd.integrators import (
 from setd.krylov import KrylovConfig, dense_phi
 from setd.noise import NoiseSpec, make_path, sample_increment
 from setd.operators import assemble_fem, assemble_fv, dirichlet
-
-TIGHT = KrylovConfig(m=8, tol=1e-10)
-
 
 def _linear_problem(nx=6, c0=0.5, drift=None, dispersion=None, X0=None):
     grid = build_grid(nx, nx, 1.0, 1.0)
@@ -38,7 +34,7 @@ def _linear_problem(nx=6, c0=0.5, drift=None, dispersion=None, X0=None):
 
 def test_setdm0_step_matches_dense_formula():
     problem = _linear_problem(drift=lambda u: -0.3 * u)
-    cfg = SchemeConfig(Scheme.SETDM0, dt=0.125, steps=1, krylov=TIGHT)
+    cfg = SchemeConfig(Scheme.SETDM0, dt=0.125, steps=1)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(problem.discrete.ndof)
     dW = rng.standard_normal(problem.discrete.ndof) * 0.1
@@ -50,7 +46,7 @@ def test_setdm0_step_matches_dense_formula():
 
 def test_setdm1_step_matches_dense_formula():
     problem = _linear_problem(drift=lambda u: -0.3 * u, dispersion=lambda u: 1.0 + 0.1 * u)
-    cfg = SchemeConfig(Scheme.SETDM1, dt=0.125, steps=1, krylov=TIGHT)
+    cfg = SchemeConfig(Scheme.SETDM1, dt=0.125, steps=1)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(problem.discrete.ndof)
     dW = rng.standard_normal(problem.discrete.ndof) * 0.1
@@ -59,20 +55,6 @@ def test_setdm1_step_matches_dense_formula():
     noise = (1.0 + 0.1 * x) * dW
     want = dense_phi(A, 0, cfg.dt) @ (x + noise) + cfg.dt * (dense_phi(A, 1, cfg.dt) @ (-0.3 * x))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.linalg.norm(want))
-
-
-def test_setdm1_variants_differ_by_exactly_the_noise_term():
-    problem = _linear_problem(drift=lambda u: -u / (np.abs(u) + 1.0),
-                              dispersion=lambda u: u)
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(problem.discrete.ndof)
-    dW = rng.standard_normal(problem.discrete.ndof) * 0.05
-    a = setdm1_step(problem, SchemeConfig(Scheme.SETDM1, 0.1, 1, TIGHT,
-                                          SETDM1Variant.AS_DEFINED), x, dW)
-    b = setdm1_step(problem, SchemeConfig(Scheme.SETDM1, 0.1, 1, TIGHT,
-                                          SETDM1Variant.AS_REWRITTEN), x, dW)
-    np.testing.assert_allclose(a - b, x * dW, rtol=0,
-                               atol=1e-9 * max(np.linalg.norm(x * dW), 1.0))
 
 
 def test_semi_implicit_scalar_resolvent():
@@ -119,7 +101,7 @@ def test_linear_exactness_over_many_steps():
     # zero-noise path: use dispersion that kills the increments
     problem.dispersion = lambda u: np.zeros_like(u)
     path = make_path(spec, 0, 0, 0.1, 10)
-    cfg = SchemeConfig(Scheme.SETDM1, dt=0.1, steps=10, krylov=TIGHT)
+    cfg = SchemeConfig(Scheme.SETDM1, dt=0.1, steps=10)
     out = run(problem, cfg, path).final
     A = problem.discrete.A.to_scipy().toarray()
     want = dense_phi(A, 0, 1.0) @ X0
@@ -193,7 +175,7 @@ def test_coarsened_run_consumes_same_path():
     # fine increments — the coupling the convergence studies rely on
     problem = _linear_problem(nx=4, c0=0.5)
     path = make_path(problem.noise, 9, 0, 0.0625, 16)
-    cfg = SchemeConfig(Scheme.SETDM0, dt=0.25, steps=1, krylov=TIGHT)
+    cfg = SchemeConfig(Scheme.SETDM0, dt=0.25, steps=1)
     got = run(problem, cfg, path, coarsening=4).final
     grid = problem.discrete.grid
     dW = sum(sample_increment(path, grid, s) for s in range(4))
@@ -209,8 +191,5 @@ def test_scheme_config_validation():
         SchemeConfig(Scheme.SETDM1, -0.1, 1)
     with pytest.raises(InvalidArgumentError):
         SchemeConfig(Scheme.SETDM1, 0.1, -1)
-    with pytest.raises(InvalidArgumentError):
-        SchemeConfig(Scheme.SETDM1, 0.1, 1, setdm1_variant="as_defined")
     cfg = SchemeConfig(Scheme.SETDM1, 0.1, 1)
     assert cfg.krylov == KrylovConfig()
-    assert cfg.setdm1_variant is SETDM1Variant.AS_DEFINED

@@ -1,13 +1,10 @@
 """Counter-based RNG and CSR kernel tests.
 
 The Philox4x32-10 implementation is pinned to the published known-answer
-vectors, and the numba/numpy backends are required to agree bit-for-bit:
-every downstream reproducibility guarantee rests on these two facts.
+vectors, and the block kernel is required to reproduce those rounds
+byte for byte: every downstream reproducibility guarantee rests on these
+two facts.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -57,19 +54,19 @@ def test_derive_key_distinct_and_stable():
 
 
 def test_normal_block_pure_function_of_counters():
-    a = kernels.normal_block_numpy(1, 2, 8, 8, 5, 0)
-    b = kernels.normal_block_numpy(1, 2, 8, 8, 5, 0)
+    a = kernels.normal_block(1, 2, 8, 8, 5, 0)
+    b = kernels.normal_block(1, 2, 8, 8, 5, 0)
     np.testing.assert_array_equal(a, b)
     # different step / stream / key each decorrelate completely
-    assert not np.array_equal(a, kernels.normal_block_numpy(1, 2, 8, 8, 6, 0))
-    assert not np.array_equal(a, kernels.normal_block_numpy(1, 2, 8, 8, 5, 1))
-    assert not np.array_equal(a, kernels.normal_block_numpy(1, 3, 8, 8, 5, 0))
+    assert not np.array_equal(a, kernels.normal_block(1, 2, 8, 8, 6, 0))
+    assert not np.array_equal(a, kernels.normal_block(1, 2, 8, 8, 5, 1))
+    assert not np.array_equal(a, kernels.normal_block(1, 3, 8, 8, 5, 0))
 
 
 def test_normal_block_moments():
     # 200 blocks of 32x32 = 204800 draws; mean ~ N(0, 1/n), fourth moment ~ 3
     draws = np.concatenate([
-        kernels.normal_block_numpy(*kernels.derive_key(7, r), 32, 32, 0, 0).ravel()
+        kernels.normal_block(*kernels.derive_key(7, r), 32, 32, 0, 0).ravel()
         for r in range(200)
     ])
     n = draws.size
@@ -94,19 +91,11 @@ def test_normal_block_numpy_matches_reference_rounds(shape):
     for k0, k1 in keys:
         for step in (0, 1, 2**32 - 1):
             for stream in (0, 1):
-                got = kernels.normal_block_numpy(k0, k1, *shape, step, stream)
+                got = kernels.normal_block(k0, k1, *shape, step, stream)
                 want = _oracle_block(k0, k1, *shape, step, stream)
                 assert got.shape == shape and got.dtype == np.float64
                 assert got.flags.c_contiguous
                 assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_normal_block_backends_bit_identical():
-    for step, stream in [(0, 0), (3, 1), (1000, 0)]:
-        a = kernels.normal_block_numba(11, 22, 16, 12, step, stream)
-        b = kernels.normal_block_numpy(11, 22, 16, 12, step, stream)
-        np.testing.assert_array_equal(a, b)
 
 
 def test_csr_matvec_matches_scipy():
@@ -115,33 +104,6 @@ def test_csr_matvec_matches_scipy():
     x = rng.standard_normal(120)
     y = kernels.csr_matvec_numpy(A.indptr, A.indices, A.data, x)
     np.testing.assert_allclose(y, A @ x, rtol=1e-13, atol=1e-15)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_csr_matvec_backends_agree():
-    rng = np.random.default_rng(4)
-    A = sp.random(200, 200, density=0.03, random_state=rng, format="csr")
-    x = rng.standard_normal(200)
-    a = kernels.csr_matvec_numba(A.indptr, A.indices, A.data, x)
-    b = kernels.csr_matvec_numpy(A.indptr, A.indices, A.data, x)
-    # row accumulation order differs (sequential vs bincount), so bits may
-    # differ in the last ulp; demand near-exact agreement
-    np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-300)
-
-
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "import setd.kernels as k; "
-        "assert not k.USING_NUMBA; "
-        "assert k.csr_matvec is k.csr_matvec_numpy; "
-        "assert k.normal_block is k.normal_block_numpy; "
-        "print('fallback ok')"
-    )
-    env = dict(os.environ, SETD_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "fallback ok" in out.stdout
 
 
 def _splitmix64_plain(x):

@@ -151,10 +151,12 @@ def test_phi_validation_errors():
     rect = SparseOperator.from_scipy(sp.csr_matrix(np.ones((3, 4))))
     with pytest.raises(InvalidArgumentError):
         phi0_action(rect, np.zeros(4), 1.0)
-    with pytest.raises(InvalidArgumentError):
-        KrylovConfig(m=0)
-    with pytest.raises(InvalidArgumentError):
-        KrylovConfig(tol=0.0)
+    # a fractional ceiling would reach the uniformized route's tail lookup
+    # as a float index (IndexError, not a SETDError) on a long series
+    for bad in (-1, 0.5, 1.5, 2.0, "3", None):
+        with pytest.raises(InvalidArgumentError):
+            KrylovConfig(max_restarts=bad)
+    assert KrylovConfig(max_restarts=np.int64(3)).max_restarts == 3
 
 
 def _scaling_steps(A, dt, fused=False):
@@ -179,7 +181,7 @@ def test_restart_budget_exhaustion_raises_with_estimate():
     steps = _scaling_steps(A, 10.0)
     assert steps > 3
     with pytest.raises(KrylovConvergenceError) as exc:
-        phi0_action(A, v, 10.0, KrylovConfig(m=4, tol=1e-12, max_restarts=2))
+        phi0_action(A, v, 10.0, KrylovConfig(max_restarts=2))
     assert exc.value.est_error > 0
     with pytest.raises(KrylovConvergenceError):
         fused_action(A, v, v, 10.0, KrylovConfig(max_restarts=steps - 2))
@@ -191,7 +193,7 @@ def test_result_reports_substeps():
     A = _random_operator(40, 20.0, 13)
     v = np.random.default_rng(13).standard_normal(40)
     assert A._shifted is None                # filled by the first action only
-    res = phi0_action(A, v, 1.0, KrylovConfig(m=6, tol=1e-8))
+    res = phi0_action(A, v, 1.0)
     assert isinstance(res, PhiResult)
     assert A._shifted is not None
     shifted = A.shifted()
@@ -206,9 +208,6 @@ def test_result_reports_substeps():
     assert np.isfinite(res.est_error) and res.est_error >= 0
     fused = fused_action(A, v, v, 1.0)
     assert fused.restarts_used == _scaling_steps(A, 1.0, fused=True) - 1
-    # m and tol no longer change the computation
-    other = phi0_action(A, v, 1.0, KrylovConfig(m=30, tol=1e-3))
-    assert other.vector.tobytes() == res.vector.tobytes()
 
 
 def _ungated_action(B, mu, m, s, u, f, t):
