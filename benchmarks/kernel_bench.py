@@ -27,7 +27,7 @@ from setd import kernels, krylov
 from setd.grid import build_grid
 from setd.harness import advection_study, build_problem, linear_additive_study
 from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm1_step
-from setd.krylov import KrylovConfig, phi0_action
+from setd.krylov import phi0_action
 from setd.noise import NoiseSpec, make_path, sample_increment
 from setd.operators import assemble_fem, assemble_fv
 from setd.sparse import SparseOperator
@@ -94,7 +94,6 @@ def build_cases(nx):
 
 def build_route_cases():
     """(name, taylor, uniformized) fused actions on the study operators."""
-    cfg = KrylovConfig()
     rng = np.random.default_rng(1)
     cases = []
     for label, study, dts in (
@@ -104,7 +103,7 @@ def build_route_cases():
         form = A.uniformized()
         u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
         for d in dts:
-            args = (u, f, 1.0 / d, cfg)
+            args = (u, f, 1.0 / d)
             cases.append((
                 f"fused action, {label} ({A.n_rows} dof, dt=1/{d})",
                 lambda A=A, args=args: krylov._taylor_action(A, *args),

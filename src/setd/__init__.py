@@ -38,7 +38,7 @@ from .integrators import (
     setdm0_step,
     setdm1_step,
 )
-from .krylov import KrylovConfig, dense_phi, fused_action, phi0_action, phi1_action
+from .krylov import dense_phi, fused_action, phi0_action, phi1_action
 from .noise import NoisePath, NoiseSpec, make_path, sample_increment
 from .operators import DiscreteProblem, assemble_fem, assemble_fv, quadrature_weights
 from .reference import (
@@ -58,7 +58,6 @@ __all__ = [
     "FaceVelocities",
     "Grid",
     "InvalidArgumentError",
-    "KrylovConfig",
     "KrylovConvergenceError",
     "NoisePath",
     "NoiseSpec",

@@ -100,8 +100,7 @@ def cmd_solve(args):
     steps = int(study.T / dt)
     path = make_path(study.noise, study.seed, solve["realization"],
                      float(study.finest_dt), study.fine_steps)
-    scheme_cfg = SchemeConfig(scheme=solve["scheme"], dt=float(dt), steps=steps,
-                              krylov=study.krylov)
+    scheme_cfg = SchemeConfig(scheme=solve["scheme"], dt=float(dt), steps=steps)
     traj = run(problem, scheme_cfg, path, coarsening=coarsening,
                snapshot_every=solve["snapshot_every"])
 
@@ -119,26 +118,11 @@ def cmd_solve(args):
 
 def cmd_darcy(args):
     sections = cfgmod.read_config(args.config)
-    grid_sec = sections.get("grid", {})
-    nx = int(grid_sec.get("nx", "32"))
-    ny = int(grid_sec.get("ny", str(nx)))
-    L1 = float(grid_sec.get("l1", "1.0"))
-    L2 = float(grid_sec.get("l2", "1.0"))
+    nx, ny, L1, L2 = cfgmod.grid_from_config(sections)
     grid = build_grid(nx, ny, L1, L2)
-
-    darcy_sec = dict(sections.get("darcy", {}))
-    p_left = float(darcy_sec.pop("p_left", 1.0))
-    p_right = float(darcy_sec.pop("p_right", 0.0))
-    streaks = {}
-    for key in ("contrast", "base", "mu"):
-        if key in darcy_sec:
-            streaks[key] = float(darcy_sec.pop(key))
-    if "width_cells" in darcy_sec:
-        streaks["width_cells"] = int(darcy_sec.pop("width_cells"))
-    if "centers" in darcy_sec:
-        streaks["centers"] = tuple(
-            float(tok) for tok in darcy_sec.pop("centers").split(",") if tok.strip()
-        )
+    streaks = cfgmod.darcy_from_config(sections)
+    p_left = streaks.pop("p_left", 1.0)
+    p_right = streaks.pop("p_right", 0.0)
     perm = PermeabilityField.streaks(grid, **streaks)
 
     p, vel = solve_darcy(perm, p_left=p_left, p_right=p_right)

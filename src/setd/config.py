@@ -14,7 +14,6 @@ from fractions import Fraction
 from .errors import ConfigError
 from .harness import PROBLEM_NAMES, StudyConfig, default_noise
 from .integrators import Scheme
-from .krylov import KrylovConfig
 from .noise import NoiseSpec
 
 _SCHEME_NAMES = {s.value: s for s in Scheme}
@@ -27,7 +26,6 @@ _SECTION_KEYS = {
     "problem": {"diffusion", "reaction", "diffusion_x", "diffusion_y", "inflow",
                 "velocity_x", "velocity_y"},
     "darcy": {"contrast", "base", "mu", "p_left", "p_right", "width_cells", "centers"},
-    "krylov": {"max_restarts"},
     "solve": {"scheme", "dt", "realization", "snapshot_every"},
 }
 
@@ -117,6 +115,31 @@ def _build_noise(noise_sec, problem, L1, L2):
     raise ConfigError(f"unknown noise kind {kind!r}; expected exponential or powerlaw")
 
 
+def grid_from_config(sections):
+    """(nx, ny, L1, L2) from the [grid] section; ny defaults to nx."""
+    grid_sec = sections.get("grid", {})
+    nx = _parse_typed(grid_sec.get("nx", "32"), "grid.nx", int)
+    ny = _parse_typed(grid_sec.get("ny", str(nx)), "grid.ny", int)
+    L1 = _parse_typed(grid_sec.get("l1", "1.0"), "grid.L1", float)
+    L2 = _parse_typed(grid_sec.get("l2", "1.0"), "grid.L2", float)
+    return nx, ny, L1, L2
+
+
+def darcy_from_config(sections):
+    """The [darcy] values by key: width_cells an int, centers a tuple of
+    floats, every other key a float."""
+    params = {}
+    for key, raw in sections.get("darcy", {}).items():
+        if key == "centers":
+            params[key] = tuple(_parse_typed(tok, "darcy.centers", float)
+                                for tok in _csv_list(raw))
+        elif key == "width_cells":
+            params[key] = _parse_typed(raw, "darcy.width_cells", int)
+        else:
+            params[key] = _parse_typed(raw, f"darcy.{key}", float)
+    return params
+
+
 def study_from_config(sections, overrides=None):
     """Build a StudyConfig from parsed config sections.
 
@@ -146,17 +169,8 @@ def study_from_config(sections, overrides=None):
     finest_dt = _fraction(study.get("finest_dt", default_finest), "study.finest_dt")
     T = _fraction(study.get("t", "1"), "study.T")
 
-    grid_sec = sections.get("grid", {})
-    nx = _parse_typed(grid_sec.get("nx", "32"), "grid.nx", int)
-    ny = _parse_typed(grid_sec.get("ny", str(nx)), "grid.ny", int)
-    L1 = _parse_typed(grid_sec.get("l1", "1.0"), "grid.L1", float)
-    L2 = _parse_typed(grid_sec.get("l2", "1.0"), "grid.L2", float)
-
+    nx, ny, L1, L2 = grid_from_config(sections)
     noise = _build_noise(sections.get("noise", {}), problem, L1, L2)
-
-    kry_sec = sections.get("krylov", {})
-    krylov = KrylovConfig(max_restarts=_parse_typed(
-        kry_sec.get("max_restarts", "10000"), "krylov.max_restarts", int))
 
     prob_sec = dict(sections.get("problem", {}))
     allowed = _PROBLEM_KEYS[problem]
@@ -167,18 +181,9 @@ def study_from_config(sections, overrides=None):
         )
     problem_params = {k: _parse_typed(v, f"problem.{k}", float) for k, v in prob_sec.items()}
 
-    darcy_sec = dict(sections.get("darcy", {}))
-    if darcy_sec and problem != "advection_heterogeneous":
+    if sections.get("darcy") and problem != "advection_heterogeneous":
         raise ConfigError("[darcy] section applies only to advection_heterogeneous")
-    for key, raw in darcy_sec.items():
-        if key == "centers":
-            problem_params["centers"] = tuple(
-                _parse_typed(tok, "darcy.centers", float) for tok in _csv_list(raw)
-            )
-        elif key == "width_cells":
-            problem_params["width_cells"] = _parse_typed(raw, "darcy.width_cells", int)
-        else:
-            problem_params[key] = _parse_typed(raw, f"darcy.{key}", float)
+    problem_params.update(darcy_from_config(sections))
 
     return StudyConfig(
         problem=problem,
@@ -198,7 +203,6 @@ def study_from_config(sections, overrides=None):
         )),
         nx=nx, ny=ny, L1=L1, L2=L2,
         noise=noise,
-        krylov=krylov,
         c0=_parse_typed(study.get("c0", "0.0"), "study.c0", float),
         expected_order=_parse_typed(study.get("expected_order", "0.5"),
                                     "study.expected_order", float),

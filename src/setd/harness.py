@@ -18,6 +18,7 @@ order, so reports are bit-identical for any worker count.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,6 @@ from . import darcy
 from .errors import DegenerateFitError, InvalidArgumentError, SETDError
 from .grid import BoundaryTag, build_grid
 from .integrators import ProblemDef, Scheme, SchemeConfig, run
-from .krylov import KrylovConfig
 from .noise import NoiseSpec, make_path
 from .operators import (FaceVelocities, assemble_fem, assemble_fv, dirichlet,
                         quadrature_weights)
@@ -59,7 +59,6 @@ class StudyConfig:
     L1: float = 1.0
     L2: float = 1.0
     noise: Optional[NoiseSpec] = None
-    krylov: KrylovConfig = field(default_factory=KrylovConfig)
     threads: int = 1
     c0: float = 0.0
     expected_order: float = 0.5
@@ -75,6 +74,11 @@ class StudyConfig:
         for s in self.schemes:
             if not isinstance(s, Scheme):
                 raise InvalidArgumentError(f"schemes must be Scheme members, got {s!r}")
+        for name in ("realizations", "seed", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.realizations < 1:
             raise InvalidArgumentError("realizations must be >= 1")
         if self.threads < 1:
@@ -301,7 +305,7 @@ def _realization_worker(cfg, problem, r):
             state = evolve_exact(linear_state(cfg.noise, diffusion, reaction), path)
             ref = spectral_to_nodal(state, problem.discrete.grid, problem.where)
         else:
-            ref = finest_reference(problem, path, cfg.krylov)
+            ref = finest_reference(problem, path)
     except SETDError:
         return None, {}
     fields = {}
@@ -309,7 +313,7 @@ def _realization_worker(cfg, problem, r):
         for dt in cfg.dt_list:
             coarsening = int(dt / cfg.finest_dt)
             steps = int(cfg.T / dt)
-            run_cfg = SchemeConfig(scheme, float(dt), steps, krylov=cfg.krylov)
+            run_cfg = SchemeConfig(scheme, float(dt), steps)
             try:
                 fields[(scheme, dt)] = run(problem, run_cfg, path, coarsening).final
             except SETDError:
@@ -376,7 +380,6 @@ def run_study(cfg):
             "b2": noise.b2,
             "r": noise.r,
         },
-        "krylov": {"max_restarts": cfg.krylov.max_restarts},
         "c0": cfg.c0,
         "schemes": [s.value for s in cfg.schemes],
         "problem_params": dict(cfg.problem_params),

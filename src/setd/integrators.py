@@ -19,6 +19,7 @@ boundary values are re-imposed after each step.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -29,7 +30,7 @@ import scipy.sparse.linalg as spla
 from .errors import DivergenceError, InvalidArgumentError, SolverError
 # phi1_action is not called here; it stays importable from this module
 # because studybench's tracer wraps setd.integrators.phi1_action by name.
-from .krylov import KrylovConfig, fused_action, phi0_action, phi1_action  # noqa: F401
+from .krylov import fused_action, phi0_action, phi1_action  # noqa: F401
 from .noise import NoiseSpec, sample_increment
 from .operators import DiscreteProblem, apply_dirichlet
 
@@ -46,12 +47,11 @@ class Scheme(enum.Enum):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """What to run: scheme, step size, step count, and numerical knobs."""
+    """What to run: scheme, step size and step count."""
 
     scheme: Scheme
     dt: float
     steps: int
-    krylov: Optional[KrylovConfig] = None
 
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
@@ -60,8 +60,6 @@ class SchemeConfig:
             raise InvalidArgumentError(f"dt must be positive and finite, got {self.dt}")
         if int(self.steps) != self.steps or self.steps < 0:
             raise InvalidArgumentError(f"steps must be a nonnegative integer, got {self.steps}")
-        if self.krylov is None:
-            object.__setattr__(self, "krylov", KrylovConfig())
 
 
 @dataclass
@@ -143,7 +141,7 @@ def setdm0_step(problem, config, state, dW):
     to the fully updated state.
     """
     y = state + config.dt * _masked_drift(problem, state) + _masked_noise(problem, state, dW)
-    return phi0_action(problem.discrete.A, y, config.dt, config.krylov).vector
+    return phi0_action(problem.discrete.A, y, config.dt).vector
 
 
 def setdm1_step(problem, config, state, dW):
@@ -153,8 +151,7 @@ def setdm1_step(problem, config, state, dW):
     """
     noise = _masked_noise(problem, state, dW)
     drift = _masked_drift(problem, state)
-    return fused_action(problem.discrete.A, state + noise, drift, config.dt,
-                        config.krylov).vector
+    return fused_action(problem.discrete.A, state + noise, drift, config.dt).vector
 
 
 def semi_implicit_step(problem, config, state, dW, solver=None):
@@ -190,12 +187,6 @@ def make_implicit_solver(discrete, dt):
     return solve
 
 
-_STEP_FUNCS = {
-    Scheme.SETDM0: setdm0_step,
-    Scheme.SETDM1: setdm1_step,
-}
-
-
 def run(problem, config, path, coarsening=1, snapshot_every=None):
     """Integrate the problem along one noise path.
 
@@ -226,22 +217,18 @@ def run(problem, config, path, coarsening=1, snapshot_every=None):
     where = problem.where
     x = apply_dirichlet(discrete, problem.X0)
 
-    solver = None
     if config.scheme is Scheme.SEMI_IMPLICIT_EULER:
-        step_func = semi_implicit_step
-        solver = make_implicit_solver(discrete, config.dt)
+        step_func = functools.partial(
+            semi_implicit_step, solver=make_implicit_solver(discrete, config.dt))
     else:
-        step_func = _STEP_FUNCS[config.scheme]
+        step_func = setdm0_step if config.scheme is Scheme.SETDM0 else setdm1_step
 
     snapshots = []
     if snapshot_every is not None and snapshot_every > 0:
         snapshots.append((0, x.copy()))
     for m in range(config.steps):
         dW = sample_increment(path, grid, m, coarsening, where=where)
-        if solver is not None:
-            x = step_func(problem, config, x, dW, solver)
-        else:
-            x = step_func(problem, config, x, dW)
+        x = step_func(problem, config, x, dW)
         x = apply_dirichlet(discrete, x)
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _DIVERGENCE_LIMIT:
             raise DivergenceError(

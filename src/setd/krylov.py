@@ -55,9 +55,12 @@ exact value 1 after every scaling step. Scaling the f column by eta and the
 last coordinate by 1/eta leaves the result unchanged (their Section 3), so
 ||B||_1 is taken as eta -> 0, which leaves max(||A - mu I||_1, |mu|).
 
-Both routes share one product ceiling, (max_restarts + 1) * 55 sparse
-products: the Taylor route caps its scaling steps at max_restarts + 1 of
-degree at most 55, the uniformized route its series at that many terms.
+Both routes share one fixed product ceiling of
+_MAX_SCALING_STEPS * 55 = 550 055 sparse products: the Taylor route caps
+its scaling steps at _MAX_SCALING_STEPS of degree at most 55, the
+uniformized route its series at that many terms. An action beyond it
+raises KrylovConvergenceError with its truncation bound before any
+product is taken; a study flags that cell. Nothing configures it.
 
 ``dense_phi`` is the independent dense oracle (n <= 256): Taylor
 scaling-and-squaring on the plain or augmented matrix. It shares no code
@@ -67,7 +70,6 @@ with the action core.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,27 +92,9 @@ _THETA = {
 _DEGREES = np.array(sorted(_THETA))
 _THETAS = np.array([_THETA[m] for m in _DEGREES])
 
-
-@dataclass(frozen=True)
-class KrylovConfig:
-    """The one knob of the phi actions; both routes work to unit roundoff
-    and pick their own degree.
-
-    max_restarts sets the product ceiling (max_restarts + 1) * 55 on both
-    routes: a Taylor action that needs s scaling steps with
-    s - 1 > max_restarts, or a uniformized action whose series needs more
-    terms than the ceiling, raises KrylovConvergenceError with its
-    truncation bound.
-    """
-
-    max_restarts: int = 10000
-
-    def __post_init__(self):
-        if not isinstance(self.max_restarts, numbers.Integral):
-            raise InvalidArgumentError(
-                f"max_restarts must be an integer, got {self.max_restarts!r}")
-        if self.max_restarts < 0:
-            raise InvalidArgumentError("max_restarts must be >= 0")
+# Scaling steps of degree at most 55 a Taylor action may take; the
+# uniformized series gets the same product count, _MAX_SCALING_STEPS * 55.
+_MAX_SCALING_STEPS = 10001
 
 
 @dataclass
@@ -143,7 +127,7 @@ def _taylor_tail(x, m):
         return math.inf
 
 
-def _taylor_action(A, u, f, t, cfg):
+def _taylor_action(A, u, f, t):
     """First block of exp(t [[A, f], [0, 0]]) [u; 1] by the Taylor action;
     f None (or all zero, dropped by the caller) means exp(tA) u."""
     B = A.shifted()
@@ -152,8 +136,8 @@ def _taylor_action(A, u, f, t, cfg):
         norm = max(norm, abs(mu))
     m, s = _taylor_parameters(t * norm)
     needed = s
-    if needed - 1 > cfg.max_restarts:
-        m, s = int(_DEGREES[-1]), cfg.max_restarts + 1
+    if needed > _MAX_SCALING_STEPS:
+        m, s = int(_DEGREES[-1]), _MAX_SCALING_STEPS
     h = t / s
     eta = np.exp(h * mu)
     # tail bound of one step; the f terms lag the u terms by one degree
@@ -161,7 +145,7 @@ def _taylor_action(A, u, f, t, cfg):
     hf_norm = 0.0 if f is None else h * float(np.abs(f).sum())
     if s < needed:
         raise KrylovConvergenceError(
-            f"phi action needs {needed} scaling steps, more than max_restarts + 1 = {s}",
+            f"phi action needs {needed} scaling steps, more than the ceiling of {s}",
             est_error=s * tail * (float(np.abs(u).sum()) + hf_norm),
         )
     est = 0.0
@@ -215,7 +199,7 @@ def _poisson_weights(x):
     return w[:K + 1], tail
 
 
-def _uniformized_action(A, form, u, f, t, cfg):
+def _uniformized_action(A, form, u, f, t):
     """First block of exp(t [[A, f], [0, 0]]) [u; 1] for a Metzler A whose
     growth factor e^{t(beta - lam)} is at most e: one series of Poisson
     weights times products with P >= 0, no stop test, no restarts."""
@@ -224,10 +208,10 @@ def _uniformized_action(A, form, u, f, t, cfg):
     growth = math.exp(t * (beta - lam))
     u_norm = float(np.abs(u).max())
     f_norm = 0.0 if f is None else float(np.abs(f).max())
-    cap = (cfg.max_restarts + 1) * int(_DEGREES[-1])
+    cap = _MAX_SCALING_STEPS * int(_DEGREES[-1])
     if x - 1.0 >= cap:      # K > x - 1 (N's median is >= x - ln 2): skip the weights
         raise KrylovConvergenceError(
-            f"uniformized phi action needs more than {cap} products",
+            f"uniformized phi action needs more than the ceiling of {cap} products",
             est_error=growth * (u_norm + t * f_norm))
 
     def build():
@@ -238,7 +222,7 @@ def _uniformized_action(A, form, u, f, t, cfg):
     K = len(coeffs) - 1
     if K > cap:
         raise KrylovConvergenceError(
-            f"uniformized phi action needs {K} products, more than {cap}",
+            f"uniformized phi action needs {K} products, more than the ceiling of {cap}",
             est_error=growth * (tail[cap + 1] * u_norm + t * tail[cap] * f_norm))
     out = coeffs[0] * u
     term = np.empty_like(u)
@@ -256,7 +240,7 @@ def _uniformized_action(A, form, u, f, t, cfg):
     return PhiResult(out, est, 0)
 
 
-def _action(A, u, f, t, cfg):
+def _action(A, u, f, t):
     """First block of exp(t [[A, f], [0, 0]]) [u; 1]; f None means exp(tA) u.
 
     Uniformization when A is Metzler and the series cannot amplify by more
@@ -266,8 +250,8 @@ def _action(A, u, f, t, cfg):
         f = None
     form = A.uniformized()
     if form is not None and t * (form[1] - form[2]) <= 1.0:
-        return _uniformized_action(A, form, u, f, t, cfg)
-    return _taylor_action(A, u, f, t, cfg)
+        return _uniformized_action(A, form, u, f, t)
+    return _taylor_action(A, u, f, t)
 
 
 def _check_vector(A, v, name="vector"):
@@ -288,7 +272,7 @@ def _check_action_args(A, dt):
     return dt
 
 
-def phi0_action(A, v, dt, config=None):
+def phi0_action(A, v, dt):
     """Approximate exp(dt*A) v.
 
     Parameters
@@ -296,7 +280,6 @@ def phi0_action(A, v, dt, config=None):
     A : SparseOperator
     v : array, shape (n,)
     dt : float >= 0
-    config : KrylovConfig, optional
 
     Returns
     -------
@@ -308,10 +291,10 @@ def phi0_action(A, v, dt, config=None):
     v = _check_vector(A, v)
     if dt == 0.0 or A.nnz == 0:
         return PhiResult(v.copy(), 0.0, 0)
-    return _action(A, v, None, dt, config or KrylovConfig())
+    return _action(A, v, None, dt)
 
 
-def phi1_action(A, v, dt, config=None):
+def phi1_action(A, v, dt):
     """Approximate phi1(dt*A) v without inverting A.
 
     The first block of exp(dt [[A, v], [0, 0]]) [0; 1] equals
@@ -321,18 +304,18 @@ def phi1_action(A, v, dt, config=None):
     v = _check_vector(A, v)
     if dt == 0.0 or A.nnz == 0:
         return PhiResult(v.copy(), 0.0, 0)
-    res = _action(A, np.zeros_like(v), v, dt, config or KrylovConfig())
+    res = _action(A, np.zeros_like(v), v, dt)
     return PhiResult(res.vector / dt, res.est_error / dt, res.restarts_used)
 
 
-def fused_action(A, u, f, dt, config=None):
+def fused_action(A, u, f, dt):
     """phi0(dt*A) u + dt * phi1(dt*A) f as one action: a whole SETDM1 step."""
     dt = _check_action_args(A, dt)
     u = _check_vector(A, u, "u")
     f = _check_vector(A, f, "f")
     if dt == 0.0 or A.nnz == 0:
         return PhiResult(u + dt * f, 0.0, 0)
-    return _action(A, u, f, dt, config or KrylovConfig())
+    return _action(A, u, f, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -148,13 +148,10 @@ def spectral_to_nodal(state, grid, where="nodes"):
     return (ex.T @ state.c @ ey).T.ravel()
 
 
-def finest_reference(problem, path, krylov=None):
-    """SETDM1 run at the path's finest resolution; the surrogate truth for
-    nonlinear problems, path-coupled with every coarser run.
-
-    krylov is the KrylovConfig of its phi actions (default KrylovConfig()).
-    """
+def finest_reference(problem, path):
+    """SETDM1 run over every fine step of the path; the surrogate truth for
+    nonlinear problems, path-coupled with every coarser run."""
     from .integrators import Scheme, SchemeConfig, run
 
-    cfg = SchemeConfig(Scheme.SETDM1, path.finest_dt, path.steps, krylov=krylov)
+    cfg = SchemeConfig(Scheme.SETDM1, path.finest_dt, path.steps)
     return run(problem, cfg, path, coarsening=1).final

@@ -1,7 +1,6 @@
 """Study orchestration tests: error metric, order fitting, report formats,
 thread-count invariance, and flagging of failed cells."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from setd.harness import (
     run_study,
 )
 from setd.integrators import Scheme
-from setd.krylov import KrylovConfig
 from setd.noise import NoiseSpec, sample_increment
 
 
@@ -99,6 +97,19 @@ def test_study_config_validation():
     with pytest.raises(InvalidArgumentError):
         StudyConfig(problem="linear_additive", schemes=(Scheme.SETDM1,),
                     dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4), threads=0)
+    # counts must be integers: a float count would reach range() or Philox
+    # keys by truncation while the report records the float
+    for name, bad in (("realizations", 1.5), ("realizations", "2"), ("seed", 1.5),
+                      ("seed", "1"), ("seed", None), ("threads", 2.0)):
+        with pytest.raises(InvalidArgumentError, match=name):
+            StudyConfig(problem="linear_additive", schemes=(Scheme.SETDM1,),
+                        dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4), **{name: bad})
+    with pytest.raises(InvalidArgumentError, match="realizations"):
+        linear_additive_study(realizations=1.5)
+    cfg = StudyConfig(problem="linear_additive", schemes=(Scheme.SETDM1,),
+                      dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4),
+                      realizations=np.int64(2), seed=np.int64(3))
+    assert (type(cfg.realizations), type(cfg.seed)) == (int, int)
     cfg = _tiny_linear()
     assert cfg.fine_steps == 16
     assert cfg.noise.n1 == 12
@@ -243,9 +254,7 @@ def test_kept_blocks_never_leak_through_returned_arrays():
 
 
 def test_report_files_round_trip(tmp_path):
-    cfg = dataclasses.replace(_tiny_linear(realizations=2),
-                              krylov=KrylovConfig(max_restarts=500))
-    report = run_study(cfg)
+    report = run_study(_tiny_linear(realizations=2))
     csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
     report.to_csv(csv_path)
@@ -259,8 +268,7 @@ def test_report_files_round_trip(tmp_path):
     assert set(payload) == {"rows", "fitted_orders", "expected_order", "metadata"}
     assert payload["rows"][0]["dt"] == "1/4"
     assert payload["metadata"]["grid"]["nx"] == 6
-    # max_restarts decides which cells are flagged, so the report records it
-    assert payload["metadata"]["krylov"] == {"max_restarts": 500}
+    assert "krylov" not in payload["metadata"]           # no phi-action knob
     assert "setdm1_variant" not in payload["metadata"]   # one SETDM1 form
 
 
@@ -355,10 +363,10 @@ def test_failed_reference_flags_whole_realization(monkeypatch):
     cfg = _tiny_multiplicative()
     real_reference = harness.finest_reference
 
-    def failing_reference(problem, path, config=None):
+    def failing_reference(problem, path):
         if path.realization == 0:
             raise KrylovConvergenceError("reference over its step cap", est_error=1.0)
-        return real_reference(problem, path, config)
+        return real_reference(problem, path)
 
     monkeypatch.setattr(harness, "finest_reference", failing_reference)
     report = run_study(cfg)

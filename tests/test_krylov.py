@@ -17,8 +17,8 @@ from setd.errors import InvalidArgumentError, KrylovConvergenceError
 from setd import krylov
 from setd.grid import BoundaryTag, build_grid
 from setd.harness import advection_study, build_problem
-from setd.krylov import (_THETA, KrylovConfig, PhiResult, _taylor_parameters, dense_phi,
-                         fused_action, phi0_action, phi1_action)
+from setd.krylov import (_THETA, PhiResult, _taylor_parameters, dense_phi, fused_action,
+                         phi0_action, phi1_action)
 from setd.operators import assemble_fem, assemble_fv, dirichlet
 from setd.sparse import SparseOperator
 
@@ -151,12 +151,6 @@ def test_phi_validation_errors():
     rect = SparseOperator.from_scipy(sp.csr_matrix(np.ones((3, 4))))
     with pytest.raises(InvalidArgumentError):
         phi0_action(rect, np.zeros(4), 1.0)
-    # a fractional ceiling would reach the uniformized route's tail lookup
-    # as a float index (IndexError, not a SETDError) on a long series
-    for bad in (-1, 0.5, 1.5, 2.0, "3", None):
-        with pytest.raises(InvalidArgumentError):
-            KrylovConfig(max_restarts=bad)
-    assert KrylovConfig(max_restarts=np.int64(3)).max_restarts == 3
 
 
 def _scaling_steps(A, dt, fused=False):
@@ -173,20 +167,49 @@ def _scaling_steps(A, dt, fused=False):
     return s
 
 
-def test_restart_budget_exhaustion_raises_with_estimate():
-    # the cap on scaling steps (max_restarts + 1) raises a typed error that
-    # still carries a positive truncation bound; at the cap the action runs
+def test_restart_budget_exhaustion_raises_with_estimate(monkeypatch):
+    # the cap on scaling steps raises a typed error that still carries a
+    # positive truncation bound; at the cap the action runs
     A = _random_operator(40, 50.0, 9)
     v = np.random.default_rng(9).standard_normal(40)
     steps = _scaling_steps(A, 10.0)
     assert steps > 3
+    monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", 3)
     with pytest.raises(KrylovConvergenceError) as exc:
-        phi0_action(A, v, 10.0, KrylovConfig(max_restarts=2))
+        phi0_action(A, v, 10.0)
     assert exc.value.est_error > 0
+    monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", steps - 1)
     with pytest.raises(KrylovConvergenceError):
-        fused_action(A, v, v, 10.0, KrylovConfig(max_restarts=steps - 2))
-    res = phi0_action(A, v, 10.0, KrylovConfig(max_restarts=steps - 1))
+        fused_action(A, v, v, 10.0)
+    monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", steps)
+    res = phi0_action(A, v, 10.0)
     assert res.restarts_used == steps - 1
+
+
+def test_shipped_product_ceiling_raises_before_any_product():
+    # the ceiling at its shipped value, 10001 scaling steps of degree 55 or
+    # 10001 * 55 = 550055 uniformized products: just past it both routes
+    # raise before their first product, and the messages name the ceiling
+    rng = np.random.default_rng(55)
+    A = _non_metzler_generators()[0]
+    calls = _spy_products(A.shifted())
+    B = A.dense() - np.trace(A.dense()) / A.n_rows * np.eye(A.n_rows)
+    dt = 10001 * 9.9 * 1.0001 / np.abs(B).sum(axis=0).max()   # 10003 steps
+    assert A.uniformized() is None
+    with pytest.raises(KrylovConvergenceError,
+                       match=r"needs 10003 scaling steps, more than the ceiling of 10001$"):
+        phi0_action(A, rng.standard_normal(A.n_rows), dt)
+    # row sums -1e6: lam = beta, about 1e6, and no growth
+    M = _metzler(20, np.full(20, -1e6), 56, scale=1.0)
+    P, beta, lam = M.uniformized()
+    assert lam == beta > 1e6
+    p_calls = _spy_products(P)
+    u = rng.standard_normal(20)
+    for dt in ((550055 + 1) / beta, 1.0):     # dt * beta - 1 >= 550055
+        with pytest.raises(KrylovConvergenceError,
+                           match=r"needs more than the ceiling of 550055 products$"):
+            fused_action(M, u, u, dt)
+    assert calls == p_calls == []
 
 
 def test_result_reports_substeps():
@@ -477,7 +500,7 @@ def test_route_falls_back_to_taylor():
         calls = None if A.uniformized() is None else _spy_products(A.uniformized()[0])
         u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
         got = fused_action(A, u, f, dt).vector
-        want = krylov._taylor_action(A, u, f, dt, KrylovConfig()).vector
+        want = krylov._taylor_action(A, u, f, dt).vector
         assert got.tobytes() == want.tobytes()
         assert A._shifted is not None and A._poisson == {}
         assert calls is None or calls == []
@@ -487,23 +510,25 @@ def test_route_falls_back_to_taylor():
     assert calls and list(growing._poisson) == [0.25]
 
 
-def test_uniformized_product_ceiling_raises_with_estimate():
-    # the ceiling (max_restarts + 1) * 55 holds on the uniformized route:
+def test_uniformized_product_ceiling_raises_with_estimate(monkeypatch):
+    # the ceiling _MAX_SCALING_STEPS * 55 holds on the uniformized route:
     # K just above it and K far above it both raise with a positive bound
     A = build_problem(advection_study(heterogeneous=True, nx=8)).discrete.A
     v = np.random.default_rng(54).standard_normal(A.n_rows)
     x, _, _ = _dense_uniformization(A, 0.5)
     K = next(k for k in range(1, 10 ** 6) if scipy.stats.poisson.sf(k - 1, x) <= 2.0 ** -53)
-    near = K // 55 - 1                       # ceiling 55 * (near + 1) < K
-    assert x - 1 < 55 * (near + 1) < K
-    for restarts in (near, 0):
+    near = K // 55                           # ceiling 55 * near < K
+    assert x - 1 < 55 * near < K
+    for steps in (near, 1):
+        monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", steps)
         with pytest.raises(KrylovConvergenceError) as exc:
-            fused_action(A, v, v, 0.5, KrylovConfig(max_restarts=restarts))
+            fused_action(A, v, v, 0.5)
         assert exc.value.est_error > 0
         with pytest.raises(KrylovConvergenceError):
-            phi0_action(A, v, 0.5, KrylovConfig(max_restarts=restarts))
+            phi0_action(A, v, 0.5)
     assert A._shifted is None
-    res = fused_action(A, v, v, 0.5, KrylovConfig(max_restarts=K // 55))
+    monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", K // 55 + 1)
+    res = fused_action(A, v, v, 0.5)
     assert res.restarts_used == 0
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from setd.errors import InvalidArgumentError
 from setd.grid import build_grid
-from setd.krylov import KrylovConfig
 from setd.noise import NoiseSpec, eigenfunction_nodal, make_path, spectrum
 from setd.operators import assemble_fem, quadrature_weights
 from setd.reference import (
@@ -147,7 +146,7 @@ def test_finest_reference_agrees_with_exact_solution():
     scales = []
     for r in range(5):
         path = make_path(spec, 31, r, 1.0 / 256, 256)
-        fin = finest_reference(problem, path, KrylovConfig())
+        fin = finest_reference(problem, path)
         exact = spectral_to_nodal(evolve_exact(linear_state(spec), path), grid)
         gaps.append(np.sqrt(np.sum(w * (fin - exact) ** 2)))
         scales.append(np.sqrt(np.sum(w * exact**2)))
