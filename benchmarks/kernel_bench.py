@@ -100,14 +100,14 @@ def build_route_cases():
             ("Darcy-streak FV", advection_study(heterogeneous=True), (10, 160, 1600)),
             ("P1-FEM", linear_additive_study(), (160, 1280))):
         A = build_problem(study).discrete.A
-        form = A.uniformized()
+        form = A.uniformized_form
         u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
         for d in dts:
             args = (u, f, 1.0 / d)
             cases.append((
                 f"fused action, {label} ({A.n_rows} dof, dt=1/{d})",
                 lambda A=A, args=args: krylov._taylor_action(A, *args),
-                lambda A=A, form=form, args=args: krylov._uniformized_action(A, form, *args)))
+                lambda form=form, args=args: krylov._uniformized_action(form, *args)))
     return cases
 
 

@@ -20,8 +20,6 @@ import scipy.sparse.linalg as spla
 from .errors import InvalidArgumentError, SolverError
 from .operators import FaceVelocities
 
-VelocityField = FaceVelocities
-
 
 @dataclass
 class PermeabilityField:

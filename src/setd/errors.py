@@ -14,10 +14,10 @@ class ConfigError(SETDError, ValueError):
 
 
 class KrylovConvergenceError(SETDError, RuntimeError):
-    """A phi action failed to reach tolerance within the restart budget.
+    """A phi action needs more sparse products than the fixed product ceiling.
 
-    Carries the last error estimate so callers can report how far off the
-    evaluation was.
+    Raised before any product is taken; carries the action's truncation
+    bound at the ceiling so callers can report how far off it would be.
     """
 
     def __init__(self, message, est_error):

@@ -79,6 +79,8 @@ class StudyConfig:
             if not isinstance(value, numbers.Integral):
                 raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if not 0 <= self.seed < 2 ** 64:
+            raise InvalidArgumentError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.realizations < 1:
             raise InvalidArgumentError("realizations must be >= 1")
         if self.threads < 1:

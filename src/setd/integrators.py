@@ -6,9 +6,10 @@ All schemes advance the spatially discrete system
 
 with A_h the assembled (Dirichlet-frozen) operator, F and B pointwise
 Nemytskii maps, and dW_h the nodal/cell increments of the truncated
-Q-Wiener path. Exponential steps apply phi-function actions by a truncated
-Taylor series (:mod:`setd.krylov`) and never form a matrix exponential: a
-SETDM0 step is one phi0 action, a SETDM1 step one fused phi0/phi1 action.
+Q-Wiener path. Exponential steps apply phi-function actions, by
+uniformization or a truncated Taylor series (:mod:`setd.krylov`), and never
+form a matrix exponential: a SETDM0 step is one phi0 action, a SETDM1 step
+one fused phi0/phi1 action.
 The semi-implicit step factorizes (I - dt A_h) once per run.
 
 Frozen Dirichlet DOFs have zero rows in A_h, so every propagator acts as
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -56,9 +59,9 @@ class SchemeConfig:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             raise InvalidArgumentError(f"scheme must be a Scheme, got {self.scheme!r}")
-        if not (float(self.dt) > 0.0) or not np.isfinite(self.dt):
-            raise InvalidArgumentError(f"dt must be positive and finite, got {self.dt}")
-        if int(self.steps) != self.steps or self.steps < 0:
+        if not isinstance(self.dt, numbers.Real) or not 0.0 < float(self.dt) < math.inf:
+            raise InvalidArgumentError(f"dt must be a positive finite number, got {self.dt!r}")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 0:
             raise InvalidArgumentError(f"steps must be a nonnegative integer, got {self.steps}")
 
 

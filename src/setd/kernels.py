@@ -2,8 +2,8 @@
 
 Two families live here:
 
-* a CSR matrix-vector product (the benchmark and test reference for the
-  scipy product that every phi action's Taylor terms call),
+* a CSR matrix-vector product (the benchmark and test reference for
+  scipy's CSR product, which every sparse product of a phi action uses),
 * counter-based normal draws (Philox4x32-10), which make every noise sample
   a pure function of ``(seed, realization, mode_i, mode_j, step, stream)``.
   That keying is what guarantees bit-exact path refinement and makes results

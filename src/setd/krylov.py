@@ -19,7 +19,7 @@ lumped mass, zero Dirichlet rows included; P1 advection and a c0 shift
 (consistent mass) are not. With lam = max(-min_i a_ii, 0) and
 beta = max(||A + lam I||_inf, lam), the matrix P = (A + lam I)/beta is
 >= 0 with ||P||_inf <= 1 and 0 <= lam/beta <= 1
-(``SparseOperator.uniformized``), and with x = t*beta and w_k the
+(``SparseOperator.uniformized_form``), and with x = t*beta and w_k the
 Poisson(x) weights
 
     exp(t [[A, f], [0, 0]]) [u; 1] = e^{t(beta - lam)} sum_k w_k y_k,
@@ -32,7 +32,8 @@ no term norms, no stop test, no restarts. The route is taken only when
 t(beta - lam) <= 1, i.e. the growth factor e^{t(beta - lam)} is at most e,
 and when A + lam I is not 0; its truncation bound is
 e^{t(beta - lam)} [P(N > K) ||u||_inf + t P(N >= K) ||f||_inf]. The
-weights are cached on the operator per step length.
+weights, a pure function of t*beta and the growth factor, are cached for
+the last 64 such pairs (``_step_weights``).
 
 Every other operator takes the truncated-Taylor exponential action of
 Al-Mohy & Higham. The operator is shifted by mu = trace/n, [0, t] is cut
@@ -44,7 +45,7 @@ series stops early once two consecutive terms fall below 2^-53 of the
 partial sum.
 
 Each Taylor term costs one product with A - mu I, built once per operator
-on its first action (``SparseOperator.shifted``), one scaling, one
+on its first action (``SparseOperator.taylor_form``), one scaling, one
 accumulation and one inf-norm of the new term. The stop test needs
 ||partial sum||_inf too, but that is taken only when the scalar bound
 b = ||u||_inf + sum of the term norms, which is at least the partial
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,8 +132,7 @@ def _taylor_tail(x, m):
 def _taylor_action(A, u, f, t):
     """First block of exp(t [[A, f], [0, 0]]) [u; 1] by the Taylor action;
     f None (or all zero, dropped by the caller) means exp(tA) u."""
-    B = A.shifted()
-    mu, norm = A.shifted_norm()
+    B, mu, norm = A.taylor_form
     if f is not None:
         norm = max(norm, abs(mu))
     m, s = _taylor_parameters(t * norm)
@@ -199,7 +200,16 @@ def _poisson_weights(x):
     return w[:K + 1], tail
 
 
-def _uniformized_action(A, form, u, f, t):
+@lru_cache(maxsize=64)
+def _step_weights(x, growth):
+    """The uniformized route's coefficients growth * w_k (a list) and the
+    tails of the Poisson(x) weights: built once per (x, growth), which a
+    study repeats every step; 64 entries take about 2 MB for x <= 500."""
+    w, tail = _poisson_weights(x)
+    return (growth * w).tolist(), tail
+
+
+def _uniformized_action(form, u, f, t):
     """First block of exp(t [[A, f], [0, 0]]) [u; 1] for a Metzler A whose
     growth factor e^{t(beta - lam)} is at most e: one series of Poisson
     weights times products with P >= 0, no stop test, no restarts."""
@@ -213,12 +223,7 @@ def _uniformized_action(A, form, u, f, t):
         raise KrylovConvergenceError(
             f"uniformized phi action needs more than the ceiling of {cap} products",
             est_error=growth * (u_norm + t * f_norm))
-
-    def build():
-        w, tail = _poisson_weights(x)
-        return (growth * w).tolist(), tail
-
-    coeffs, tail = A.step_weights(t, build)
+    coeffs, tail = _step_weights(x, growth)
     K = len(coeffs) - 1
     if K > cap:
         raise KrylovConvergenceError(
@@ -248,9 +253,9 @@ def _action(A, u, f, t):
     """
     if f is not None and not f.any():
         f = None
-    form = A.uniformized()
+    form = A.uniformized_form
     if form is not None and t * (form[1] - form[2]) <= 1.0:
-        return _uniformized_action(A, form, u, f, t)
+        return _uniformized_action(form, u, f, t)
     return _taylor_action(A, u, f, t)
 
 

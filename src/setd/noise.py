@@ -299,12 +299,8 @@ class NoisePath:
         return fld
 
 
-def _sqrt_q(spec):
-    return _sqrt_q_cached(spec)
-
-
 @lru_cache(maxsize=32)
-def _sqrt_q_cached(spec):
+def _sqrt_q(spec):
     return np.sqrt(spectrum_matrix(spec))
 
 

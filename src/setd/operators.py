@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 from .grid import BoundaryTag, boundary_cells, boundary_nodes, cell_xy, node_xy
@@ -250,7 +251,7 @@ def assemble_fem(grid, D, velocity=None, bc=None, c0=0.0):
         np.concatenate(vals),
     )
     mask, values = _dirichlet_arrays(grid, bc, grid.node_count, boundary_nodes)
-    A = K.scale_rows(-1.0 / lumped).zero_rows(mask)
+    A = K.scale_rows(np.where(mask, 0.0, -1.0 / lumped))
     return DiscreteProblem(grid, "fem", A, K, lumped, mask, values, bc, float(c0))
 
 
@@ -347,17 +348,12 @@ def assemble_fv(grid, D, q_faces=None, bc=None, c0=0.0):
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
     )
     # K in stiffness convention (A_h = -M^{-1} K), M = vol * I
-    K = SparseOperator.from_scipy(-N.to_scipy() + c0 * vol * _speye(grid.cell_count))
+    K = SparseOperator.from_scipy(
+        -N.to_scipy() + c0 * vol * sp.identity(grid.cell_count, format="csr"))
     mask, values = _dirichlet_arrays(grid, bc, grid.cell_count, boundary_cells)
     masses = np.full(grid.cell_count, vol)
-    A = K.scale_rows(-1.0 / masses).zero_rows(mask)
+    A = K.scale_rows(np.where(mask, 0.0, -1.0 / masses))
     return DiscreteProblem(grid, "fv", A, K, masses, mask, values, bc, float(c0))
-
-
-def _speye(n):
-    import scipy.sparse as sp
-
-    return sp.identity(n, format="csr")
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,14 @@ def test_cli_converge_flag_overrides(tmp_path):
     assert report["rows"][0]["realizations"] == 1
 
 
+def test_cli_converge_rejects_out_of_range_seed(tmp_path, capsys):
+    cfg = _write(tmp_path, TINY_STUDY)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 1
+    assert "error: seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_solve_writes_trajectory_snapshots_operator(tmp_path):
     cfg = _write(tmp_path, TINY_SOLVE)
     out = tmp_path / "traj.csv"

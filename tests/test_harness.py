@@ -104,6 +104,12 @@ def test_study_config_validation():
         with pytest.raises(InvalidArgumentError, match=name):
             StudyConfig(problem="linear_additive", schemes=(Scheme.SETDM1,),
                         dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4), **{name: bad})
+    # Philox keys take the seed mod 2^64, so seeds outside [0, 2^64) would
+    # alias seeds inside it
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            linear_additive_study(seed=bad)
+    assert linear_additive_study(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
     with pytest.raises(InvalidArgumentError, match="realizations"):
         linear_additive_study(realizations=1.5)
     cfg = StudyConfig(problem="linear_additive", schemes=(Scheme.SETDM1,),

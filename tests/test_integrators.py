@@ -191,5 +191,11 @@ def test_scheme_config_validation():
         SchemeConfig(Scheme.SETDM1, -0.1, 1)
     with pytest.raises(InvalidArgumentError):
         SchemeConfig(Scheme.SETDM1, 0.1, -1)
+    for dt in ("0.1", None):                 # not a number: no bare TypeError
+        with pytest.raises(InvalidArgumentError, match="dt"):
+            SchemeConfig(Scheme.SETDM1, dt, 1)
+    for steps in (None, 2.0, "1"):
+        with pytest.raises(InvalidArgumentError, match="steps"):
+            SchemeConfig(Scheme.SETDM1, 0.1, steps)
     cfg = SchemeConfig(Scheme.SETDM1, 0.1, 1)
     assert (cfg.scheme, cfg.dt, cfg.steps) == (Scheme.SETDM1, 0.1, 1)

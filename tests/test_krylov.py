@@ -192,16 +192,16 @@ def test_shipped_product_ceiling_raises_before_any_product():
     # raise before their first product, and the messages name the ceiling
     rng = np.random.default_rng(55)
     A = _non_metzler_generators()[0]
-    calls = _spy_products(A.shifted())
+    calls = _spy_products(A.taylor_form[0])
     B = A.dense() - np.trace(A.dense()) / A.n_rows * np.eye(A.n_rows)
     dt = 10001 * 9.9 * 1.0001 / np.abs(B).sum(axis=0).max()   # 10003 steps
-    assert A.uniformized() is None
+    assert A.uniformized_form is None
     with pytest.raises(KrylovConvergenceError,
                        match=r"needs 10003 scaling steps, more than the ceiling of 10001$"):
         phi0_action(A, rng.standard_normal(A.n_rows), dt)
     # row sums -1e6: lam = beta, about 1e6, and no growth
     M = _metzler(20, np.full(20, -1e6), 56, scale=1.0)
-    P, beta, lam = M.uniformized()
+    P, beta, lam = M.uniformized_form
     assert lam == beta > 1e6
     p_calls = _spy_products(P)
     u = rng.standard_normal(20)
@@ -215,16 +215,16 @@ def test_shipped_product_ceiling_raises_before_any_product():
 def test_result_reports_substeps():
     A = _random_operator(40, 20.0, 13)
     v = np.random.default_rng(13).standard_normal(40)
-    assert A._shifted is None                # filled by the first action only
+    assert "taylor_form" not in vars(A)      # filled by the first action only
     res = phi0_action(A, v, 1.0)
     assert isinstance(res, PhiResult)
-    assert A._shifted is not None
-    shifted = A.shifted()
-    assert A.shifted() is shifted            # built once, then reused
+    assert "taylor_form" in vars(A)
+    shifted = A.taylor_form[0]
+    assert A.taylor_form[0] is shifted       # built once, then reused
     D = A.dense()
     mu = np.trace(D) / 40
     S = D - mu * np.eye(40)
-    assert A.shifted_norm() == pytest.approx((mu, np.abs(S).sum(0).max()), rel=1e-14)
+    assert A.taylor_form[1:] == pytest.approx((mu, np.abs(S).sum(0).max()), rel=1e-14)
     np.testing.assert_allclose(shifted.dense(), S, rtol=0, atol=1e-15 * abs(mu))
     steps = _scaling_steps(A, 1.0)
     assert res.restarts_used == steps - 1 >= 1   # stiff enough to need scaling steps
@@ -266,8 +266,7 @@ def test_gated_stop_test_changes_no_stop():
     ran_to_cap = 0
     for A in _non_metzler_generators():
         n = A.n_rows
-        mu, norm = A.shifted_norm()
-        B = A.shifted()
+        B, mu, norm = A.taylor_form
         calls = []
         product = B.matvec
         B.matvec = lambda x: calls.append(None) or product(x)
@@ -292,12 +291,13 @@ def test_gated_stop_test_changes_no_stop():
 
 
 def test_shifted_cache_under_threads():
-    # threads that race to fill a fresh operator's shifted-operator cache,
-    # or its uniformized form and Poisson weights, get the serial results
-    # bit for bit and leave A's arrays alone
+    # threads that race to fill a fresh operator's Taylor form, or its
+    # uniformized form and the Poisson weights, get the serial results bit
+    # for bit and leave A's arrays alone
     rng = np.random.default_rng(41)
     fresh = lambda: _study_generators() + _non_metzler_generators()
     for A, serial in zip(fresh(), fresh()):
+        krylov._step_weights.cache_clear()
         arrays = [a.copy() for a in (A.data, A.indices, A.indptr)]
         u = rng.standard_normal(A.n_rows)
         fs = [rng.standard_normal(A.n_rows) for _ in range(4)]
@@ -314,18 +314,25 @@ def test_shifted_cache_under_threads():
                 threaded = list(pool.map(work, fs, timeout=120))
         finally:
             sys.setswitchinterval(interval)
+        # the route's own cache is the one filled
+        form = A.uniformized_form
+        if form is None:
+            assert "taylor_form" in vars(A)
+            assert krylov._step_weights.cache_info().currsize == 0
+        else:
+            assert "taylor_form" not in vars(A)
+            assert krylov._step_weights.cache_info().currsize == 1
+            assert _weights_cached(form, 0.5)
+            threaded_weights = _weights(form, 0.5)
+            krylov._step_weights.cache_clear()    # the serial actions rebuild them
         for f, got in zip(fs, threaded):
             assert got.tobytes() == fused_action(serial, u, f, 0.5).vector.tobytes()
         for before, after in zip(arrays, (A.data, A.indices, A.indptr)):
             assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
-        # the route's own cache is the one filled
-        if A.uniformized() is None:
-            assert A._shifted is not None and A._poisson == {}
-        else:
-            assert A._shifted is None and list(A._poisson) == [0.5]
-            P, P_serial = A.uniformized()[0], serial.uniformized()[0]
-            assert P.data.tobytes() == P_serial.data.tobytes()
-            assert A._poisson[0.5][0] == serial._poisson[0.5][0]
+        if form is not None:
+            assert form[0].data.tobytes() == serial.uniformized_form[0].data.tobytes()
+            assert _weights_cached(form, 0.5)
+            assert _weights(form, 0.5)[0] == threaded_weights[0]
 
 
 def _study_generators():
@@ -378,6 +385,19 @@ def _spy_products(op):
     product = op.matvec
     op.matvec = lambda x: calls.append(None) or product(x)
     return calls
+
+
+def _weights(form, dt):
+    """The uniformized route's cached coefficients and tails for step dt."""
+    _, beta, lam = form
+    return krylov._step_weights(dt * beta, math.exp(dt * (beta - lam)))
+
+
+def _weights_cached(form, dt):
+    """Whether the weights for step dt were cached before this call."""
+    misses = krylov._step_weights.cache_info().misses
+    _weights(form, dt)
+    return krylov._step_weights.cache_info().misses == misses
 
 
 def _dense_uniformization(A, dt):
@@ -454,7 +474,7 @@ def test_uniformized_actions_match_pade_expm(dt):
         assert rel(fused_action(A, u, f, dt).vector, E[:n, :n] @ u + E[:n, n]) <= 1e-12
         assert rel(phi0_action(A, u, dt).vector, E[:n, :n] @ u) <= 1e-12
         assert rel(dt * phi1_action(A, f, dt).vector, E[:n, n]) <= 1e-12
-        assert A._shifted is None            # the Taylor route never ran
+        assert "taylor_form" not in vars(A)  # the Taylor route never ran
 
 
 def test_uniformized_series_length_and_bound():
@@ -464,7 +484,7 @@ def test_uniformized_series_length_and_bound():
     rng = np.random.default_rng(52)
     for A in _metzler_generators():
         n = A.n_rows
-        P, beta, lam = A.uniformized()
+        P, beta, lam = A.uniformized_form
         x1, lam_d, beta_d = _dense_uniformization(A, 1.0)
         assert (lam, beta) == pytest.approx((lam_d, beta_d), rel=1e-14)
         D = (A.dense() + lam * np.eye(n)) / beta
@@ -490,24 +510,28 @@ def test_uniformized_series_length_and_bound():
 
 def test_route_falls_back_to_taylor():
     # not Metzler, or a growth factor e^{dt(beta - lam)} above e: the
-    # shifted cache fills, P is never multiplied by, and the result is
-    # the Taylor action's bit for bit
+    # Taylor form fills, P is never multiplied by, no Poisson weights are
+    # built, and the result is the Taylor action's bit for bit
     rng = np.random.default_rng(53)
     growing = _metzler(30, np.full(30, 3.0), 6)     # row sums 3
     cases = [(A, 0.5) for A in _non_metzler_generators()] + [(growing, 0.5)]
+    krylov._step_weights.cache_clear()
     for A, dt in cases:
-        assert A._shifted is None
-        calls = None if A.uniformized() is None else _spy_products(A.uniformized()[0])
+        assert "taylor_form" not in vars(A)
+        form = A.uniformized_form
+        calls = None if form is None else _spy_products(form[0])
         u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
         got = fused_action(A, u, f, dt).vector
         want = krylov._taylor_action(A, u, f, dt).vector
         assert got.tobytes() == want.tobytes()
-        assert A._shifted is not None and A._poisson == {}
+        assert "taylor_form" in vars(A)
+        assert krylov._step_weights.cache_info().currsize == 0
         assert calls is None or calls == []
     # below the guard the same Metzler operator is uniformized
-    calls = _spy_products(growing.uniformized()[0])
+    calls = _spy_products(growing.uniformized_form[0])
     phi0_action(growing, rng.standard_normal(30), 0.25)
-    assert calls and list(growing._poisson) == [0.25]
+    assert calls and krylov._step_weights.cache_info().currsize == 1
+    assert _weights_cached(growing.uniformized_form, 0.25)
 
 
 def test_uniformized_product_ceiling_raises_with_estimate(monkeypatch):
@@ -526,7 +550,7 @@ def test_uniformized_product_ceiling_raises_with_estimate(monkeypatch):
         assert exc.value.est_error > 0
         with pytest.raises(KrylovConvergenceError):
             phi0_action(A, v, 0.5)
-    assert A._shifted is None
+    assert "taylor_form" not in vars(A)
     monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", K // 55 + 1)
     res = fused_action(A, v, v, 0.5)
     assert res.restarts_used == 0

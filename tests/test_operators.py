@@ -275,3 +275,18 @@ def test_assembly_validation():
         assemble_fem(grid, 1.0, bc={BoundaryTag.LEFT: "dirichlet"})
     with pytest.raises(InvalidArgumentError):
         FaceVelocities(np.zeros((3, 3)), np.zeros((3, 3))).validate(grid)
+
+
+def test_rows_scaled_by_zero_come_out_empty():
+    # the assemblers freeze Dirichlet rows by scaling them with 0: those
+    # rows must hold no stored entries, explicit zeros included
+    grid = build_grid(4, 4, 1.0, 1.0)
+    K = assemble_fem(grid, 1.0, velocity=(1.0, 0.5)).K
+    mask = np.zeros(K.n_rows, dtype=bool)
+    mask[[0, 5, K.n_rows - 1]] = True
+    factors = np.where(mask, 0.0, -2.0)
+    A = K.scale_rows(factors)
+    counts = np.diff(A.indptr)
+    assert np.all(counts[mask] == 0) and np.all(counts[~mask] == np.diff(K.indptr)[~mask])
+    assert np.all(A.data != 0)
+    np.testing.assert_array_equal(A.dense(), factors[:, None] * K.dense())
