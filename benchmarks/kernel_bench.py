@@ -3,8 +3,10 @@
 Times the kernels and actions a study step runs: the numpy CSR matvec
 reference ``csr_matvec_numpy`` beside the scipy product
 ``SparseOperator.matvec`` that the phi actions call, counter-based normal
-blocks (``normal_block``), a truncated-Taylor phi0 action, and one full
-SETDM1 step (one fused action).
+blocks (``normal_block``: one compiled numpy Philox4x64-10 draw per block,
+on the 65x65 lattice of the linear study and the 101x101 lattice of the
+advection studies), a truncated-Taylor phi0 action, and one full SETDM1
+step (one fused action).
 
     python benchmarks/kernel_bench.py [--repeats N] [--nx NX]
 

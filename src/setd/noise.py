@@ -12,9 +12,11 @@ carries zero noise there). A Wiener increment over one step is
 
     dW = sqrt(dt) * sum_{i,j} sqrt(q_{i,j}) R_{i,j} e_{i,j},
 
-with R standard normal. Every draw is a pure function of
-(seed, realization, i, j, step, stream) through the Philox counter-based
-generator in :mod:`setd.kernels`, which is what makes paths refinement
+with R standard normal. Each fine step's block of draws is a pure function
+of (seed, realization, step, stream) and the truncation through the Philox
+counter-based generator in :mod:`setd.kernels`; a mode's draw is fixed by
+its place in the (n1+1) x (n2+1) lattice, so a path drawn at another
+truncation redraws every mode. That keying is what makes paths refinement
 consistent: the increment over a coarse step is assembled as the
 sequential sum of its fine-step increments, so coarse == sum(fine) holds
 bit-for-bit at both mode and nodal level, and results cannot depend on
@@ -177,11 +179,13 @@ def eigenfunction_nodal(grid, i, j, where="nodes"):
 class NoisePath:
     """One realization's Wiener path at finest resolution ``finest_dt``.
 
-    All randomness is derived on demand from the Philox key; the object
-    holds no state beyond an optional cache of assembled fine-step fields
-    and the stream-0 blocks kept between the reference and the schemes.
-    Stream 0 carries the Wiener mode draws, stream 1 the auxiliary draws
-    used for exact conditional sampling in the spectral reference.
+    All randomness is derived on demand from the Philox key, one block per
+    (fine step, stream); the object holds no state beyond an optional cache
+    of assembled fine-step fields and the stream-0 blocks kept between the
+    reference and the schemes. Stream 0 carries the Wiener mode draws,
+    stream 1 the auxiliary draws used for exact conditional sampling in the
+    spectral reference. A mode's draw depends on its lattice position, so
+    the same key at another truncation gives a different path.
     """
 
     spec: NoiseSpec
@@ -256,24 +260,20 @@ class NoisePath:
     def brownian_increment(self, i, j, step_index, coarsening=1):
         """Scalar Delta-beta for one mode (probe API; same accumulation order).
 
-        Probes evaluate the generator one counter at a time, so a probe at
-        coarsening c equals the sum of its fine probes bit-for-bit. (The
-        scalar goes through numpy's scalar log/cos, not the block kernel's
-        array loops, so it is held to the block entry only to rounding; the
-        laws are identical.)
+        Reads entry (i, j) of each fine step's block and accumulates it in
+        the order of ``brownian_increment_modes``, so it equals that entry
+        of the block increment exactly.
         """
         i = int(i)
         j = int(j)
         if not (0 <= i <= self.spec.n1 and 0 <= j <= self.spec.n2):
             raise InvalidArgumentError("mode indices outside the truncation lattice")
         lo, hi = self._check_window(step_index, coarsening)
-        k0, k1 = self._key
         sdt = math.sqrt(self.finest_dt)
-        acc = 0.0
-        for s in range(lo, hi):
-            x0, x1, x2, x3 = kernels.philox4x32(k0, k1, i, j, s, 0)
-            acc += sdt * float(kernels.normals_from_words(x0, x1, x2, x3))
-        return acc
+        acc = sdt * self.normal_modes(lo)[i, j]
+        for s in range(lo + 1, hi):
+            acc += sdt * self.normal_modes(s)[i, j]
+        return float(acc)
 
     # -- assembled fields ---------------------------------------------------
     def _fine_field(self, grid, where, step):
@@ -314,8 +314,8 @@ def make_path(spec, seed, realization, finest_dt, steps):
         raise InvalidArgumentError("steps must be >= 0")
     if int(realization) < 0:
         raise InvalidArgumentError("realization index must be >= 0")
-    if steps >= 2 ** 32 or spec.n1 >= 2 ** 32 or spec.n2 >= 2 ** 32:
-        raise InvalidArgumentError("step/mode indices must fit 32-bit counters")
+    if steps > 2 ** 64:
+        raise InvalidArgumentError("step indices must fit the 64-bit Philox counter word")
     return NoisePath(spec, int(seed), int(realization), finest_dt, steps)
 
 

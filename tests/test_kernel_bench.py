@@ -15,6 +15,8 @@ def test_kernel_bench_prints_both_tables(capsys):
     out = capsys.readouterr().out
     assert "SparseOperator.matvec (81 dof" in out
     assert "setdm1_step" in out
+    assert "normal_block 65x65" in out
+    assert "normal_block 101x101" in out
     routes = [line for line in out.splitlines() if line.startswith("fused action")]
     assert len(routes) == 5
     for line in routes:

@@ -131,10 +131,10 @@ def test_refinement_bit_exact():
 def test_scalar_probe_matches_block_law():
     spec = NoiseSpec.exponential(n1=6, n2=6)
     path = make_path(spec, 11, 0, 0.125, 8)
-    blk = path.brownian_increment_modes(1, coarsening=2)
-    for i, j in [(0, 0), (3, 2), (6, 6)]:
-        probe = path.brownian_increment(i, j, 1, coarsening=2)
-        assert probe == pytest.approx(blk[i, j], rel=1e-12, abs=1e-15)
+    for c in (2, 4):  # four terms: a different summation order would show
+        blk = path.brownian_increment_modes(1, coarsening=c)
+        for i, j in [(0, 0), (3, 2), (6, 6)]:
+            assert path.brownian_increment(i, j, 1, coarsening=c) == blk[i, j]
 
 
 def test_paths_decorrelated_across_realizations_and_seeds():
@@ -186,6 +186,12 @@ def test_path_validation():
         make_path(spec, 0, 0, 0.0, 2)
     with pytest.raises(InvalidArgumentError):
         make_path(spec, 0, 0, 0.5, -1)
+    # a step is one 64-bit counter word: the last step of the longest path
+    # is 2^64 - 1
+    longest = make_path(spec, 0, 0, 0.5, 2**64)
+    assert longest.normal_modes(2**64 - 1).shape == (5, 5)
+    with pytest.raises(InvalidArgumentError):
+        make_path(spec, 0, 0, 0.5, 2**64 + 1)
     path = make_path(spec, 0, 0, 0.5, 2)
     with pytest.raises(InvalidArgumentError):
         path.normal_modes(2)  # beyond horizon
