@@ -9,7 +9,8 @@ Three subcommands share the INI configuration format from `setd.config`:
 `converge` runs the full Monte-Carlo convergence study and writes
 report.csv / report.json. `solve` integrates a single trajectory and
 writes it as (index, x, y, value) rows. `darcy` solves the pressure
-system and writes cell pressures plus face velocities.
+system on the heterogeneous study's grid and writes cell pressures plus
+face velocities.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import sys
 import time
 
 from . import config as cfgmod
-from .darcy import PermeabilityField, divergence, flux_balance, solve_darcy
+from .darcy import divergence, flux_balance, solve_streaks
 from .errors import SETDError
 from .grid import build_grid, cell_xy
-from .harness import build_problem, run_study
+from .harness import advection_study, build_problem, run_study
 from .integrators import SchemeConfig, run
 from .noise import make_path
 from .sparse import save_matrix_market
@@ -118,14 +119,10 @@ def cmd_solve(args):
 
 def cmd_darcy(args):
     sections = cfgmod.read_config(args.config)
-    nx, ny, L1, L2 = cfgmod.grid_from_config(sections)
-    grid = build_grid(nx, ny, L1, L2)
-    streaks = cfgmod.darcy_from_config(sections)
-    p_left = streaks.pop("p_left", 1.0)
-    p_right = streaks.pop("p_right", 0.0)
-    perm = PermeabilityField.streaks(grid, **streaks)
-
-    p, vel = solve_darcy(perm, p_left=p_left, p_right=p_right)
+    study = advection_study(heterogeneous=True, **cfgmod.grid_from_config(sections))
+    nx, ny = study.nx, study.ny
+    grid = build_grid(nx, ny, study.L1, study.L2)
+    p, vel = solve_streaks(grid, **cfgmod.darcy_from_config(sections))
     div = divergence(grid, vel)
     inflow, outflow = flux_balance(grid, vel)
 

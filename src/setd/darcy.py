@@ -143,8 +143,11 @@ def solve_pressure(perm, p_left=1.0, p_right=0.0):
     return p
 
 
-def velocity_from_pressure(perm, p, p_left=1.0, p_right=0.0):
-    """Face-normal Darcy velocities q = -(k/mu) grad p from cell pressures."""
+def velocity_from_pressure(perm, p, p_left, p_right):
+    """Face-normal Darcy velocities q = -(k/mu) grad p from cell pressures.
+
+    p_left and p_right must be the boundary pressures p was solved for.
+    """
     g = perm.grid
     nx, ny = g.nx, g.ny
     p = np.asarray(p, dtype=np.float64)
@@ -180,3 +183,13 @@ def solve_darcy(perm, p_left=1.0, p_right=0.0):
     """Pressure solve plus velocity reconstruction in one call."""
     p = solve_pressure(perm, p_left, p_right)
     return p, velocity_from_pressure(perm, p, p_left, p_right)
+
+
+def solve_streaks(grid, **params):
+    """solve_darcy on a PermeabilityField.streaks field.
+
+    p_left and p_right go to solve_darcy, every other keyword to streaks;
+    keys left out take those functions' defaults.
+    """
+    flow = {key: params.pop(key) for key in ("p_left", "p_right") if key in params}
+    return solve_darcy(PermeabilityField.streaks(grid, **params), **flow)

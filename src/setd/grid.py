@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -56,24 +55,6 @@ class Grid:
     @property
     def cell_count(self):
         return self.nx * self.ny
-
-    @cached_property
-    def boundary_tags(self):
-        """Map from boundary face to its tag.
-
-        Faces are keyed ``(axis, i, j)``: axis 0 faces have normal x and
-        live at ``i in [0, nx], j in [0, ny-1]``; axis 1 faces have normal
-        y at ``i in [0, nx-1], j in [0, ny]``. Every boundary face carries
-        exactly one tag.
-        """
-        tags = {}
-        for j in range(self.ny):
-            tags[(0, 0, j)] = BoundaryTag.LEFT
-            tags[(0, self.nx, j)] = BoundaryTag.RIGHT
-        for i in range(self.nx):
-            tags[(1, i, 0)] = BoundaryTag.BOTTOM
-            tags[(1, i, self.ny)] = BoundaryTag.TOP
-        return tags
 
 
 def build_grid(nx, ny, L1, L2):

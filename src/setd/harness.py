@@ -22,7 +22,7 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -36,7 +36,16 @@ from .operators import (FaceVelocities, assemble_fem, assemble_fv, dirichlet,
 from .reference import (evolve_exact, finest_reference, linear_state,
                         spectral_to_nodal)
 
-PROBLEM_NAMES = ("linear_additive", "advection_homogeneous", "advection_heterogeneous")
+# Each problem's [problem] keys and their defaults. The heterogeneous
+# problem also takes the Darcy keys, forwarded to darcy only when given.
+_ADVECTION_PARAMS = {"diffusion_x": 1e-2, "diffusion_y": 1e-3, "inflow": 1.0}
+PROBLEM_PARAMS = {
+    "linear_additive": {"diffusion": 1.0, "reaction": 0.5},
+    "advection_homogeneous": {**_ADVECTION_PARAMS, "velocity_x": 1.0, "velocity_y": 0.0},
+    "advection_heterogeneous": _ADVECTION_PARAMS,
+}
+DARCY_KEYS = ("contrast", "centers", "width_cells", "base", "mu", "p_left", "p_right")
+PROBLEM_NAMES = tuple(PROBLEM_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -120,41 +129,49 @@ def default_noise(problem, L1=1.0, L2=1.0):
     return NoiseSpec.powerlaw(L1=L1, L2=L2)
 
 
-def linear_additive_study(nx=32, realizations=10, seed=0, threads=1,
-                          dt_list=(Fraction(1, 10), Fraction(1, 20), Fraction(1, 40),
-                                   Fraction(1, 80), Fraction(1, 160)),
-                          finest_dt=Fraction(1, 160), schemes=None, **kwargs):
-    """Reaction-diffusion with additive smooth noise; exact spectral reference."""
-    if schemes is None:
-        schemes = (Scheme.SETDM0, Scheme.SETDM1, Scheme.SEMI_IMPLICIT_EULER)
+_DT_LIST = tuple(Fraction(1, n) for n in (10, 20, 40, 80, 160))
+
+
+def linear_additive_study(nx=32, realizations=10, dt_list=_DT_LIST, finest_dt=Fraction(1, 160),
+                          schemes=(Scheme.SETDM0, Scheme.SETDM1, Scheme.SEMI_IMPLICIT_EULER),
+                          **kwargs):
+    """Reaction-diffusion with additive smooth noise; exact spectral reference.
+
+    The study's defaults are the arguments here; other keywords go to
+    StudyConfig, with ny defaulting to nx.
+    """
     return StudyConfig(problem="linear_additive", schemes=tuple(schemes),
-                       dt_list=tuple(dt_list), finest_dt=finest_dt, nx=nx, ny=nx,
-                       realizations=realizations, seed=seed, threads=threads, **kwargs)
+                       dt_list=dt_list, finest_dt=finest_dt, nx=nx,
+                       realizations=realizations, **{"ny": nx, **kwargs})
 
 
-def advection_study(heterogeneous=False, nx=32, realizations=20, seed=0, threads=1,
-                    dt_list=(Fraction(1, 10), Fraction(1, 20), Fraction(1, 40),
-                             Fraction(1, 80), Fraction(1, 160)),
-                    finest_dt=Fraction(1, 1600), schemes=None, **kwargs):
+def advection_study(heterogeneous=False, nx=32, realizations=20, dt_list=_DT_LIST,
+                    finest_dt=Fraction(1, 1600), schemes=(Scheme.SETDM0, Scheme.SETDM1),
+                    **kwargs):
     """Advection-diffusion-reaction with multiplicative rough noise;
-    finest-step SETDM1 reference."""
-    if schemes is None:
-        schemes = (Scheme.SETDM0, Scheme.SETDM1)
+    finest-step SETDM1 reference. Other keywords as for linear_additive_study."""
     name = "advection_heterogeneous" if heterogeneous else "advection_homogeneous"
-    return StudyConfig(problem=name, schemes=tuple(schemes), dt_list=tuple(dt_list),
-                       finest_dt=finest_dt, nx=nx, ny=nx,
-                       realizations=realizations, seed=seed, threads=threads, **kwargs)
+    return StudyConfig(problem=name, schemes=tuple(schemes), dt_list=dt_list,
+                       finest_dt=finest_dt, nx=nx, realizations=realizations,
+                       **{"ny": nx, **kwargs})
 
 
 def build_problem(cfg):
-    """Assemble the discrete problem for a study config (shared, read-only)."""
+    """Assemble the discrete problem for a study config (shared, read-only).
+
+    Keys of ``cfg.problem_params`` that the problem does not give take
+    their PROBLEM_PARAMS defaults; Darcy keys go to darcy only when given.
+    """
     grid = build_grid(cfg.nx, cfg.ny, cfg.L1, cfg.L2)
-    pp = dict(cfg.problem_params)
+    defaults = PROBLEM_PARAMS[cfg.problem]
+    flow_keys = DARCY_KEYS if cfg.problem == "advection_heterogeneous" else ()
+    unknown = set(cfg.problem_params) - set(defaults) - set(flow_keys)
+    if unknown:
+        raise InvalidArgumentError(f"unknown problem parameters: {sorted(unknown)}")
+    pp = {key: float(cfg.problem_params.get(key, value)) for key, value in defaults.items()}
     c0 = cfg.c0
     if cfg.problem == "linear_additive":
-        diffusion = float(pp.pop("diffusion", 1.0))
-        reaction = float(pp.pop("reaction", 0.5))
-        _reject_unknown(pp)
+        diffusion, reaction = pp["diffusion"], pp["reaction"]
         discrete = assemble_fem(grid, diffusion, bc=None, c0=c0)
         if c0 == 0.0:
             def drift(u, _r=reaction):
@@ -166,29 +183,14 @@ def build_problem(cfg):
                           drift=drift, dispersion=None, name=cfg.problem,
                           linear_reference=(diffusion, reaction))
 
-    dx_diff = float(pp.pop("diffusion_x", 1e-2))
-    dy_diff = float(pp.pop("diffusion_y", 1e-3))
-    inflow = float(pp.pop("inflow", 1.0))
     if cfg.problem == "advection_homogeneous":
-        vx = float(pp.pop("velocity_x", 1.0))
-        vy = float(pp.pop("velocity_y", 0.0))
-        _reject_unknown(pp)
-        faces = FaceVelocities.constant(grid, vx, vy)
+        faces = FaceVelocities.constant(grid, pp["velocity_x"], pp["velocity_y"])
     else:
-        perm = darcy.PermeabilityField.streaks(
-            grid,
-            contrast=float(pp.pop("contrast", 100.0)),
-            centers=tuple(pp.pop("centers", (0.25, 0.5, 0.75))),
-            width_cells=pp.pop("width_cells", None),
-            base=float(pp.pop("base", 1.0)),
-            mu=float(pp.pop("mu", 1.0)),
-        )
-        p_left = float(pp.pop("p_left", 1.0))
-        p_right = float(pp.pop("p_right", 0.0))
-        _reject_unknown(pp)
-        _, faces = darcy.solve_darcy(perm, p_left, p_right)
-    bc = {BoundaryTag.LEFT: dirichlet(inflow)}
-    discrete = assemble_fv(grid, (dx_diff, dy_diff), q_faces=faces, bc=bc, c0=c0)
+        flow = {key: cfg.problem_params[key] for key in flow_keys if key in cfg.problem_params}
+        _, faces = darcy.solve_streaks(grid, **flow)
+    bc = {BoundaryTag.LEFT: dirichlet(pp["inflow"])}
+    discrete = assemble_fv(grid, (pp["diffusion_x"], pp["diffusion_y"]), q_faces=faces,
+                           bc=bc, c0=c0)
 
     if c0 == 0.0:
         def drift(u):
@@ -199,11 +201,6 @@ def build_problem(cfg):
 
     return ProblemDef(discrete=discrete, noise=cfg.noise, X0=np.zeros(discrete.ndof),
                       drift=drift, dispersion=lambda u: u, name=cfg.problem)
-
-
-def _reject_unknown(pp):
-    if pp:
-        raise InvalidArgumentError(f"unknown problem parameters: {sorted(pp)}")
 
 
 def rms_l2_error(samples, grid):

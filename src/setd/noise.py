@@ -33,6 +33,7 @@ field cache. Kept blocks never leave the path: callers get fresh arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -41,7 +42,6 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidArgumentError
-from .grid import cell_xy, node_xy
 
 _MAX_CACHED_FLOATS = 8_000_000  # per-path budget of each (grid, site) field cache and of kept blocks
 
@@ -72,6 +72,11 @@ class NoiseSpec:
     def __post_init__(self):
         if self.L1 <= 0 or self.L2 <= 0:
             raise InvalidArgumentError("domain lengths must be positive")
+        for name in ("n1", "n2"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n1 < 0 or self.n2 < 0:
             raise InvalidArgumentError("mode truncation must be >= 0")
         if self.kind is SpectrumKind.EXPONENTIAL:
@@ -193,13 +198,15 @@ class NoisePath:
     realization: int
     finest_dt: float
     steps: int
-    _key: tuple = field(repr=False, default=None)
-    _cache: dict = field(repr=False, default_factory=dict)
-    _kept: dict = field(repr=False, default_factory=dict)
+    _key: tuple = field(init=False, repr=False)
+    _cache: dict = field(init=False, repr=False, default_factory=dict)
+    _kept: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if self._key is None:
-            self._key = kernels.derive_key(self.seed, self.realization)
+        # derive_key takes the seed mod 2^64, so other seeds would alias these
+        if not 0 <= self.seed < 2 ** 64:
+            raise InvalidArgumentError(f"seed must be in [0, 2**64), got {self.seed}")
+        self._key = kernels.derive_key(self.seed, self.realization)
 
     # -- raw draws --------------------------------------------------------
     def normal_modes(self, step, stream=0):

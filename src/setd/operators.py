@@ -360,28 +360,6 @@ def assemble_fv(grid, D, q_faces=None, bc=None, c0=0.0):
 # State helpers
 # ---------------------------------------------------------------------------
 
-def project_nodal(problem, f):
-    """Collocate a scalar field onto the problem's DOFs.
-
-    ``f`` may be a callable (x, y) -> values or an array already sampled at
-    the DOF sites; the result is validated to be finite.
-    """
-    if callable(f):
-        x, y = problem.dof_xy()
-        out = np.asarray(f(x, y), dtype=np.float64)
-        out = np.broadcast_to(out, (problem.ndof,)).astype(np.float64, copy=True)
-    else:
-        out = np.asarray(f, dtype=np.float64)
-        if out.shape != (problem.ndof,):
-            raise InvalidArgumentError(
-                f"field has shape {out.shape}, expected ({problem.ndof},)"
-            )
-        out = out.copy()
-    if not np.all(np.isfinite(out)):
-        raise InvalidArgumentError("field contains NaN/Inf at DOFs")
-    return out
-
-
 def apply_dirichlet(problem, state):
     """Overwrite Dirichlet DOFs with their boundary values (pure; idempotent)."""
     state = np.asarray(state, dtype=np.float64)

@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import setd.darcy as darcy
 from setd.cli import main
 from setd.config import read_config, solve_from_config, study_from_config
 from setd.errors import ConfigError
+from setd.harness import advection_study, build_problem, linear_additive_study
 from setd.integrators import Scheme
 from setd.sparse import load_matrix_market
 
@@ -111,6 +113,46 @@ def test_study_defaults_and_overrides(tmp_path):
     assert (over.seed, over.realizations, over.threads) == (99, 4, 2)
 
 
+@pytest.mark.parametrize("problem", ["linear_additive", "advection_homogeneous",
+                                     "advection_heterogeneous"])
+def test_bare_ini_builds_the_preset(tmp_path, problem):
+    # every key an INI leaves out takes the preset's value
+    preset = {
+        "linear_additive": linear_additive_study(),
+        "advection_homogeneous": advection_study(),
+        "advection_heterogeneous": advection_study(heterogeneous=True),
+    }[problem]
+    sections = read_config(_write(tmp_path, f"[study]\nproblem = {problem}\n"))
+    assert study_from_config(sections) == preset
+
+
+def test_problem_and_darcy_keys_reach_the_problem(tmp_path, monkeypatch):
+    def built(problem, extra=""):
+        text = f"[study]\nproblem = {problem}\n[grid]\nnx = 6\n" + extra
+        return build_problem(study_from_config(read_config(_write(tmp_path, text))))
+
+    plain = built("linear_additive")
+    doubled = built("linear_additive", "[problem]\ndiffusion = 2\n")
+    assert doubled.linear_reference == (2.0, 0.5)
+    np.testing.assert_allclose(doubled.discrete.A.dense(), 2 * plain.discrete.A.dense(),
+                               rtol=1e-13, atol=0)
+
+    faces = []
+    solve_darcy = darcy.solve_darcy
+
+    def spy(*args, **kwargs):
+        p, q = solve_darcy(*args, **kwargs)
+        faces.append(q)
+        return p, q
+
+    monkeypatch.setattr(darcy, "solve_darcy", spy)
+    built("advection_heterogeneous")
+    built("advection_heterogeneous", "[darcy]\np_left = 2\n")
+    # with p_right = 0 the face velocities are linear in p_left
+    np.testing.assert_allclose(faces[1].qx, 2 * faces[0].qx, rtol=1e-10, atol=0)
+    assert np.abs(faces[1].qx).max() > 0
+
+
 def test_study_validation_errors(tmp_path):
     bads = [
         ("[study]\nproblem = heat_death\n", "unknown problem"),
@@ -165,7 +207,7 @@ def test_solve_from_config(tmp_path):
     assert solve["dt"] == Fraction(1, 4)
     assert solve["realization"] == 1
     assert solve["snapshot_every"] == 2
-    # defaults: scheme setdm1, dt = coarsest-listed... actually last (smallest)
+    # defaults: scheme setdm1, dt = the last (smallest) listed step
     bare = study_from_config(read_config(_write(tmp_path, TINY_STUDY, name="s2.ini")))
     solve2 = solve_from_config({}, bare)
     assert solve2["dt"] == bare.dt_list[-1]
@@ -248,8 +290,9 @@ def test_cli_solve_realization_override_changes_output(tmp_path):
                  "--realization", "0"]) == 0
     assert main(["solve", "--config", cfg, "--out", str(out1),
                  "--realization", "1"]) == 0
-    v0 = [r[3] for r in csv.reader(out0.open())][1:]
-    v1 = [r[3] for r in csv.reader(out1.open())][1:]
+    with out0.open(newline="") as fh0, out1.open(newline="") as fh1:
+        v0 = [r[3] for r in csv.reader(fh0)][1:]
+        v1 = [r[3] for r in csv.reader(fh1)][1:]
     assert v0 != v1
 
 

@@ -101,7 +101,7 @@ def test_velocity_consistent_with_pressure():
     qmax = max(np.abs(vel.qx).max(), np.abs(vel.qy).max())
     assert np.abs(divergence(grid, vel)).max() <= 1e-10 * qmax
     with pytest.raises(InvalidArgumentError):
-        velocity_from_pressure(perm, p[:-1])
+        velocity_from_pressure(perm, p[:-1], p_left=2.0, p_right=0.5)
 
 
 def test_permeability_validation():

@@ -83,14 +83,3 @@ def test_boundary_sets(nx, ny):
     np.testing.assert_allclose(xc[boundary_cells(g, BoundaryTag.RIGHT)], g.L1 - g.dx / 2, **tight)
     np.testing.assert_allclose(yc[boundary_cells(g, BoundaryTag.BOTTOM)], g.dy / 2, **tight)
     np.testing.assert_allclose(yc[boundary_cells(g, BoundaryTag.TOP)], g.L2 - g.dy / 2, **tight)
-
-
-def test_boundary_faces_tagged_once():
-    g = build_grid(3, 2, 1.0, 1.0)
-    tags = g.boundary_tags
-    # 2·ny x-normal boundary faces + 2·nx y-normal boundary faces
-    assert len(tags) == 2 * g.ny + 2 * g.nx
-    assert tags[(0, 0, 1)] is BoundaryTag.LEFT
-    assert tags[(0, 3, 0)] is BoundaryTag.RIGHT
-    assert tags[(1, 2, 0)] is BoundaryTag.BOTTOM
-    assert tags[(1, 0, 2)] is BoundaryTag.TOP

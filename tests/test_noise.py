@@ -192,6 +192,11 @@ def test_path_validation():
     assert longest.normal_modes(2**64 - 1).shape == (5, 5)
     with pytest.raises(InvalidArgumentError):
         make_path(spec, 0, 0, 0.5, 2**64 + 1)
+    # Philox keys take the seed mod 2^64, so seeds outside [0, 2^64) would
+    # alias seeds inside it
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            make_path(spec, seed, 0, 0.5, 1)
     path = make_path(spec, 0, 0, 0.5, 2)
     with pytest.raises(InvalidArgumentError):
         path.normal_modes(2)  # beyond horizon
@@ -206,6 +211,16 @@ def test_path_validation():
         NoiseSpec.exponential(gamma=-1.0)
     with pytest.raises(InvalidArgumentError):
         NoiseSpec.exponential(b1=0.0)
+    # a float truncation would pass the spec and fail inside a study's
+    # block draw with an untyped TypeError
+    for name in ("n1", "n2"):
+        for bad in (2.5, True, "4", None):
+            with pytest.raises(InvalidArgumentError, match=name):
+                NoiseSpec.exponential(**{name: bad})
+            with pytest.raises(InvalidArgumentError, match=name):
+                NoiseSpec.powerlaw(**{name: bad})
+    spec = NoiseSpec.powerlaw(n1=np.int64(4), n2=np.int64(3))
+    assert (type(spec.n1), type(spec.n2)) == (int, int)
 
 
 @settings(max_examples=20, deadline=None)

@@ -15,7 +15,6 @@ from setd.operators import (
     assemble_fem,
     assemble_fv,
     dirichlet,
-    project_nodal,
     quadrature_weights,
 )
 from setd.sparse import load_matrix_market, save_matrix_market
@@ -199,19 +198,6 @@ def test_apply_dirichlet_idempotent():
     np.testing.assert_array_equal(once[untouched], state[untouched])
     with pytest.raises(InvalidArgumentError):
         apply_dirichlet(prob, np.zeros(3))
-
-
-def test_project_nodal():
-    grid = build_grid(3, 2, 1.0, 1.0)
-    prob = assemble_fem(grid, 1.0)
-    vals = project_nodal(prob, lambda x, y: x + 2 * y)
-    x, y = prob.dof_xy()
-    np.testing.assert_array_equal(vals, x + 2 * y)
-    np.testing.assert_array_equal(project_nodal(prob, vals), vals)
-    with pytest.raises(InvalidArgumentError):
-        project_nodal(prob, np.zeros(5))
-    with pytest.raises(InvalidArgumentError):
-        project_nodal(prob, lambda x, y: x * np.nan)
 
 
 def test_quadrature_weights():
