@@ -10,11 +10,18 @@ step (one fused action).
 
     python benchmarks/kernel_bench.py [--repeats N] [--nx NX]
 
-A second table times one fused SETDM1 action on the study operators (the
-Darcy-streak upwind FV generator of the ``streaks`` workload and the P1-FEM
-generator of the linear study, both on the presets' 1/32 grid) along both
-routes of the phi-action core, the truncated-Taylor action and
-uniformization, with the sparse products each one takes.
+A second table times one product with the uniformized form P of each study
+generator (the P1-FEM generator of the linear study and the upwind FV
+generators of the homogeneous and Darcy-streak advection studies, all on
+the presets' 1/32 grid) two ways: scipy's ``csr @ x`` and the private
+helper ``sparse._matvec_into`` that the phi-action series call, the same
+compiled kernel without scipy's dispatch. The ratio helper / ``csr @ x``
+is the part of a product's time that remains without that dispatch.
+
+A third table times one fused SETDM1 action on the Darcy-streak and P1-FEM
+study operators along both routes of the phi-action core, the
+truncated-Taylor action and uniformization, with the sparse products each
+one takes (``PhiResult.products``).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm1_step
 from setd.krylov import phi0_action
 from setd.noise import NoiseSpec, make_path, sample_increment
 from setd.operators import assemble_fem, assemble_fv
-from setd.sparse import SparseOperator
+from setd.sparse import _matvec_into
 
 
 def _time(fn, repeats):
@@ -94,6 +101,21 @@ def build_cases(nx):
     ]
 
 
+def build_product_cases():
+    """(name, csr @ x, helper) products with each study generator's P."""
+    rng = np.random.default_rng(2)
+    cases = []
+    for label, study in (("P1-FEM", linear_additive_study()),
+                         ("homogeneous FV", advection_study()),
+                         ("Darcy-streak FV", advection_study(heterogeneous=True))):
+        P = build_problem(study).discrete.A.uniformized_form[0]
+        x, out = rng.standard_normal(P.n_cols), np.empty(P.n_rows)
+        cases.append((f"P of {label} ({P.n_rows} dof, {P.nnz} nnz)",
+                      lambda P=P, x=x: P.to_scipy() @ x,
+                      lambda P=P, x=x, out=out: _matvec_into(P, x, out)))
+    return cases
+
+
 def build_route_cases():
     """(name, taylor, uniformized) fused actions on the study operators."""
     rng = np.random.default_rng(1)
@@ -113,24 +135,6 @@ def build_route_cases():
     return cases
 
 
-def _products(fn):
-    """Sparse products one call of ``fn`` takes."""
-    count = 0
-    product = SparseOperator.matvec
-
-    def counted(self, x):
-        nonlocal count
-        count += 1
-        return product(self, x)
-
-    SparseOperator.matvec = counted
-    try:
-        fn()
-    finally:
-        SparseOperator.matvec = product
-    return count
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5,
@@ -147,6 +151,16 @@ def main(argv=None):
     for name, fn in cases:
         print(f"{name:<{width}}  {_fmt(_time(fn, args.repeats))}")
 
+    products = build_product_cases()
+    width = max(len(name) for name, _, _ in products)
+    header = (f"\n{'sparse product':<{width}}  {'csr @ x':>12}"
+              f"  {'_matvec_into':>12}   ratio")
+    print(header)
+    print("-" * (len(header) - 1))
+    for name, scipy_product, helper in products:
+        ts, th = _time(scipy_product, args.repeats), _time(helper, args.repeats)
+        print(f"{name:<{width}}  {_fmt(ts)}  {_fmt(th)}  {th / ts:5.2f}x")
+
     routes = build_route_cases()
     width = max(len(name) for name, _, _ in routes)
     header = (f"\n{'phi-action route':<{width}}  {'Taylor':>12} {'products':>8}"
@@ -155,8 +169,8 @@ def main(argv=None):
     print("-" * (len(header) - 1))
     for name, taylor, uniformized in routes:
         tt, tu = _time(taylor, args.repeats), _time(uniformized, args.repeats)
-        print(f"{name:<{width}}  {_fmt(tt)} {_products(taylor):8d}"
-              f"  {_fmt(tu)} {_products(uniformized):8d}  {tu / tt:5.2f}x")
+        print(f"{name:<{width}}  {_fmt(tt)} {taylor().products:8d}"
+              f"  {_fmt(tu)} {uniformized().products:8d}  {tu / tt:5.2f}x")
 
 
 if __name__ == "__main__":

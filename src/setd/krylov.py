@@ -44,11 +44,15 @@ bounds of their Table 3.1, so every action is accurate to unit roundoff; a
 series stops early once two consecutive terms fall below 2^-53 of the
 partial sum.
 
-Each Taylor term costs one product with A - mu I, built once per operator
-on its first action (``SparseOperator.taylor_form``), one scaling, one
-accumulation and one inf-norm of the new term. The stop test needs
-||partial sum||_inf too, but that is taken only when the scalar bound
-b = ||u||_inf + sum of the term norms, which is at least the partial
+Each term of either route costs one sparse product: one call of scipy's
+compiled CSR kernel through ``sparse._matvec_into``, without scipy's ``@``
+dispatch. It reads u or one of two buffers the action allocates and
+writes the other buffer, so no product allocates and the caller's u and f
+are never written. Each Taylor term multiplies by A - mu I, built once per
+operator on its first action (``SparseOperator.taylor_form``), and adds
+one scaling, one accumulation and one inf-norm of the new term. The stop
+test needs ||partial sum||_inf too, but that is taken only when the scalar
+bound b = ||u||_inf + sum of the term norms, which is at least the partial
 sum's norm, says the test could pass (terms <= 2 * 2^-53 * b); every stop
 decision is therefore the one the exact test makes at every term. On this
 route the last coordinate of [u; 1] is carried as a scalar and reset to its
@@ -77,6 +81,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, KrylovConvergenceError
+from .sparse import _matvec_into
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -103,11 +108,14 @@ _MAX_SCALING_STEPS = 10001
 class PhiResult:
     """An action's vector, its truncation bound (the sum over scaling steps
     of the Taylor tail bound, or the Poisson tail bound of a uniformized
-    action) and restarts_used = scaling steps - 1 (0 when uniformized)."""
+    action), restarts_used = scaling steps - 1 (0 when uniformized) and the
+    sparse products it took (the series length K when uniformized, the
+    Taylor terms it ran otherwise)."""
 
     vector: np.ndarray
     est_error: float
     restarts_used: int
+    products: int
 
 
 def _taylor_parameters(x):
@@ -150,13 +158,17 @@ def _taylor_action(A, u, f, t):
             est_error=s * tail * (float(np.abs(u).sum()) + hf_norm),
         )
     est = 0.0
+    products = 0
+    buffers = np.empty_like(u), np.empty_like(u)
     for _ in range(s):
         est += tail * (float(np.abs(u).sum()) + hf_norm)
         out = u.copy()
         v, w = u, 1.0
         c1 = bound = np.abs(v).max()
         for k in range(1, m + 1):
-            v = B.matvec(v)
+            # read u or one buffer, write the other buffer
+            v = _matvec_into(B, v, buffers[v is buffers[0]])
+            products += 1
             if f is not None:
                 v += w * f
                 w *= -mu * h / k
@@ -171,7 +183,7 @@ def _taylor_action(A, u, f, t):
                 break
             c1 = c2
         u = eta * out
-    return PhiResult(u, est, s - 1)
+    return PhiResult(u, est, s - 1, products)
 
 
 def _poisson_weights(x):
@@ -231,18 +243,20 @@ def _uniformized_action(form, u, f, t):
             est_error=growth * (tail[cap + 1] * u_norm + t * tail[cap] * f_norm))
     out = coeffs[0] * u
     term = np.empty_like(u)
+    buffers = np.empty_like(u), np.empty_like(u)
     y = u
     if f is not None:
         g = f / beta
         ratio, scale = lam / beta, 1.0
     for k in range(1, K + 1):
-        y = P.matvec(y)
+        # read u or one buffer, write the other buffer
+        y = _matvec_into(P, y, buffers[y is buffers[0]])
         if f is not None:
             y += np.multiply(g, scale, out=term)
             scale *= ratio
         out += np.multiply(y, coeffs[k], out=term)
     est = growth * (tail[K + 1] * u_norm + t * tail[K] * f_norm)
-    return PhiResult(out, est, 0)
+    return PhiResult(out, est, 0, K)
 
 
 def _action(A, u, f, t):
@@ -260,12 +274,15 @@ def _action(A, u, f, t):
 
 
 def _check_vector(A, v, name="vector"):
+    """v as a C-contiguous float64 array (the caller's own when it already
+    is one: the actions never write into it), checked for shape and
+    finiteness."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (A.n_cols,):
         raise InvalidArgumentError(f"{name} has shape {v.shape}, expected ({A.n_cols},)")
     if not np.all(np.isfinite(v)):
         raise InvalidArgumentError(f"{name} contains NaN/Inf")
-    return v
+    return np.ascontiguousarray(v)
 
 
 def _check_action_args(A, dt):
@@ -295,7 +312,7 @@ def phi0_action(A, v, dt):
     dt = _check_action_args(A, dt)
     v = _check_vector(A, v)
     if dt == 0.0 or A.nnz == 0:
-        return PhiResult(v.copy(), 0.0, 0)
+        return PhiResult(v.copy(), 0.0, 0, 0)
     return _action(A, v, None, dt)
 
 
@@ -308,9 +325,9 @@ def phi1_action(A, v, dt):
     dt = _check_action_args(A, dt)
     v = _check_vector(A, v)
     if dt == 0.0 or A.nnz == 0:
-        return PhiResult(v.copy(), 0.0, 0)
+        return PhiResult(v.copy(), 0.0, 0, 0)
     res = _action(A, np.zeros_like(v), v, dt)
-    return PhiResult(res.vector / dt, res.est_error / dt, res.restarts_used)
+    return PhiResult(res.vector / dt, res.est_error / dt, res.restarts_used, res.products)
 
 
 def fused_action(A, u, f, dt):
@@ -319,7 +336,7 @@ def fused_action(A, u, f, dt):
     u = _check_vector(A, u, "u")
     f = _check_vector(A, f, "f")
     if dt == 0.0 or A.nnz == 0:
-        return PhiResult(u + dt * f, 0.0, 0)
+        return PhiResult(u + dt * f, 0.0, 0, 0)
     return _action(A, u, f, dt)
 
 

@@ -203,9 +203,13 @@ class NoisePath:
     _kept: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        # derive_key takes the seed mod 2^64, so other seeds would alias these
+        # derive_key takes the seed and the realization mod 2^64, so values
+        # outside [0, 2^64) would alias values inside it
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidArgumentError(f"seed must be in [0, 2**64), got {self.seed}")
+        if not 0 <= self.realization < 2 ** 64:
+            raise InvalidArgumentError(
+                f"realization index must be in [0, 2**64), got {self.realization}")
         self._key = kernels.derive_key(self.seed, self.realization)
 
     # -- raw draws --------------------------------------------------------
@@ -319,8 +323,6 @@ def make_path(spec, seed, realization, finest_dt, steps):
     steps = int(steps)
     if steps < 0:
         raise InvalidArgumentError("steps must be >= 0")
-    if int(realization) < 0:
-        raise InvalidArgumentError("realization index must be >= 0")
     if steps > 2 ** 64:
         raise InvalidArgumentError("step indices must fit the 64-bit Philox counter word")
     return NoisePath(spec, int(seed), int(realization), finest_dt, steps)

@@ -4,9 +4,19 @@ A :class:`SparseOperator` holds one canonical scipy CSR matrix: duplicates
 summed, explicit zeros dropped, column indices strictly increasing within
 each row. Its one constructor makes that form; :meth:`SparseOperator.from_coo`
 and :meth:`SparseOperator.from_scipy` are entry points into it, and
-``indptr``, ``indices`` and ``data`` are the matrix's own arrays. Matvec
-is scipy's CSR product, whose rows accumulate left to right, so the
-products equal ``kernels.csr_matvec_numpy`` bit for bit.
+``indptr``, ``indices`` and ``data`` are the matrix's own arrays.
+
+Every product is one call of scipy's compiled CSR kernel
+(``scipy.sparse._sparsetools.csr_matvec``, the routine ``csr @ x`` ends in)
+through one private helper, :func:`_matvec_into`, which zero-fills a
+caller-owned float64 buffer and runs the kernel into it.
+:meth:`SparseOperator.matvec` validates its operand and passes a fresh
+buffer; the phi-action series of :mod:`setd.krylov` call the helper
+directly, into two buffers each action owns, and so skip scipy's ``@``
+dispatch, which costs about as much as the product itself. Rows accumulate
+left to right from 0, so every product equals ``csr @ x`` and
+``kernels.csr_matvec_numpy`` bit for bit. The kernel is private scipy API:
+if scipy moves it, importing this module fails.
 
 The phi actions multiply by one of two forms of A, each built on the first
 action that needs it and cached on the operator, never at assembly: the
@@ -15,8 +25,8 @@ shifted operator A - mu I of the Taylor route
 entries >= 0), the non-negative matrix P = (A + lam I) / beta of the
 uniformized route (:attr:`SparseOperator.uniformized_form`). Both forms are
 SparseOperators, so every product an action takes goes through
-:meth:`SparseOperator.matvec`. Those caches are why the phi actions take
-this wrapper rather than a bare scipy matrix.
+:func:`_matvec_into`. Those caches are why the phi actions take this
+wrapper rather than a bare scipy matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from functools import cached_property
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import InvalidArgumentError
 
@@ -64,7 +75,7 @@ class SparseOperator:
             raise InvalidArgumentError(
                 f"operand has shape {x.shape}, operator expects ({self.n_cols},)"
             )
-        return self._csr @ x
+        return _matvec_into(self, np.ascontiguousarray(x), np.empty(self.n_rows))
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -122,6 +133,20 @@ class SparseOperator:
             return None
         beta = max(norm, lam)
         return SparseOperator(shifted / beta), beta, lam
+
+
+def _matvec_into(op, x, out):
+    """out = A x for the SparseOperator op, and return out.
+
+    Unchecked: x is a C-contiguous float64 array of op.n_cols entries, out a
+    C-contiguous float64 buffer of op.n_rows entries that does not overlap
+    x. out is zero-filled and the kernel adds each row's products to it left
+    to right, as ``csr @ x`` does.
+    """
+    out.fill(0.0)
+    csr = op._csr
+    _csr_matvec(op.n_rows, op.n_cols, csr.indptr, csr.indices, csr.data, x, out)
+    return out
 
 
 def save_matrix_market(op, path, comment=""):

@@ -7,7 +7,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
 
 
-def test_kernel_bench_prints_both_tables(capsys):
+def test_kernel_bench_prints_every_table(capsys):
     spec = importlib.util.spec_from_file_location("kernel_bench", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
@@ -17,6 +17,11 @@ def test_kernel_bench_prints_both_tables(capsys):
     assert "setdm1_step" in out
     assert "normal_block 65x65" in out
     assert "normal_block 101x101" in out
+    products = [line for line in out.splitlines() if line.startswith("P of ")]
+    assert len(products) == 3
+    for line in products:
+        # csr @ x and the product helper both timed, with their ratio
+        assert line.count(" us") + line.count(" ms") == 2 and line.endswith("x"), line
     routes = [line for line in out.splitlines() if line.startswith("fused action")]
     assert len(routes) == 5
     for line in routes:

@@ -186,13 +186,13 @@ def test_restart_budget_exhaustion_raises_with_estimate(monkeypatch):
     assert res.restarts_used == steps - 1
 
 
-def test_shipped_product_ceiling_raises_before_any_product():
+def test_shipped_product_ceiling_raises_before_any_product(monkeypatch):
     # the ceiling at its shipped value, 10001 scaling steps of degree 55 or
     # 10001 * 55 = 550055 uniformized products: just past it both routes
     # raise before their first product, and the messages name the ceiling
     rng = np.random.default_rng(55)
     A = _non_metzler_generators()[0]
-    calls = _spy_products(A.taylor_form[0])
+    calls = _spy_products(monkeypatch, A.taylor_form[0])
     B = A.dense() - np.trace(A.dense()) / A.n_rows * np.eye(A.n_rows)
     dt = 10001 * 9.9 * 1.0001 / np.abs(B).sum(axis=0).max()   # 10003 steps
     assert A.uniformized_form is None
@@ -203,7 +203,7 @@ def test_shipped_product_ceiling_raises_before_any_product():
     M = _metzler(20, np.full(20, -1e6), 56, scale=1.0)
     P, beta, lam = M.uniformized_form
     assert lam == beta > 1e6
-    p_calls = _spy_products(P)
+    p_calls = _spy_products(monkeypatch, P)
     u = rng.standard_normal(20)
     for dt in ((550055 + 1) / beta, 1.0):     # dt * beta - 1 >= 550055
         with pytest.raises(KrylovConvergenceError,
@@ -257,7 +257,7 @@ def _ungated_action(B, mu, m, s, u, f, t):
     return u
 
 
-def test_gated_stop_test_changes_no_stop():
+def test_gated_stop_test_changes_no_stop(monkeypatch):
     # the library reads ||out||_inf only when a scalar bound says the series
     # could stop; every stop must still fall on the term the exact test
     # picks, so vectors agree bit for bit and products one for one (on
@@ -267,7 +267,8 @@ def test_gated_stop_test_changes_no_stop():
     for A in _non_metzler_generators():
         n = A.n_rows
         B, mu, norm = A.taylor_form
-        calls = []
+        taken = _spy_products(monkeypatch, B)
+        calls = []                           # products of the ungated copy
         product = B.matvec
         B.matvec = lambda x: calls.append(None) or product(x)
         for dt in (1e-6, 1.0 / 1280, 1.0 / 40, 0.5):
@@ -279,9 +280,9 @@ def test_gated_stop_test_changes_no_stop():
             for action, start, forcing, scale in cases:
                 m, s = _taylor_parameters(
                     dt * (norm if forcing is None else max(norm, abs(mu))))
-                calls.clear()
+                taken.clear()
                 got = action()
-                products = len(calls)
+                products = len(taken)
                 calls.clear()
                 want = _ungated_action(B, mu, m, s, start, forcing, dt) / scale
                 assert products == len(calls) <= m * s
@@ -379,11 +380,19 @@ def _metzler_generators():
     return _study_generators() + (streaks, negative, mixed, positive)
 
 
-def _spy_products(op):
-    """Count op.matvec calls in the returned list."""
+def _spy_products(monkeypatch, op=None):
+    """Count in the returned list the phi actions' products with op (with
+    any operator when op is None): their calls of the product helper
+    krylov._matvec_into."""
     calls = []
-    product = op.matvec
-    op.matvec = lambda x: calls.append(None) or product(x)
+    product = krylov._matvec_into
+
+    def counted(A, x, out):
+        if op is None or A is op:
+            calls.append(None)
+        return product(A, x, out)
+
+    monkeypatch.setattr(krylov, "_matvec_into", counted)
     return calls
 
 
@@ -477,7 +486,7 @@ def test_uniformized_actions_match_pade_expm(dt):
         assert "taylor_form" not in vars(A)  # the Taylor route never ran
 
 
-def test_uniformized_series_length_and_bound():
+def test_uniformized_series_length_and_bound(monkeypatch):
     # the series takes exactly K products with P, K the smallest k with
     # P(N >= k) <= 2^-53 for N ~ Poisson(dt * beta), recomputed with
     # scipy.stats; the bound is the documented Poisson tail bound
@@ -490,7 +499,7 @@ def test_uniformized_series_length_and_bound():
         D = (A.dense() + lam * np.eye(n)) / beta
         np.testing.assert_allclose(P.dense(), D, rtol=1e-15, atol=0)
         assert P.data.min() >= 0 and P.dense().sum(axis=1).max() <= 1 + 1e-15
-        calls = _spy_products(P)
+        calls = _spy_products(monkeypatch, P)
         for dt in (1e-6, 1.0 / 1280, 1.0 / 40, 0.5):
             x = dt * beta_d
             K = next(k for k in range(1, 10 ** 6)
@@ -508,7 +517,7 @@ def test_uniformized_series_length_and_bound():
                 assert 0 < res.est_error == pytest.approx(bound, rel=1e-6)
 
 
-def test_route_falls_back_to_taylor():
+def test_route_falls_back_to_taylor(monkeypatch):
     # not Metzler, or a growth factor e^{dt(beta - lam)} above e: the
     # Taylor form fills, P is never multiplied by, no Poisson weights are
     # built, and the result is the Taylor action's bit for bit
@@ -519,7 +528,7 @@ def test_route_falls_back_to_taylor():
     for A, dt in cases:
         assert "taylor_form" not in vars(A)
         form = A.uniformized_form
-        calls = None if form is None else _spy_products(form[0])
+        calls = None if form is None else _spy_products(monkeypatch, form[0])
         u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
         got = fused_action(A, u, f, dt).vector
         want = krylov._taylor_action(A, u, f, dt).vector
@@ -528,10 +537,58 @@ def test_route_falls_back_to_taylor():
         assert krylov._step_weights.cache_info().currsize == 0
         assert calls is None or calls == []
     # below the guard the same Metzler operator is uniformized
-    calls = _spy_products(growing.uniformized_form[0])
+    calls = _spy_products(monkeypatch, growing.uniformized_form[0])
     phi0_action(growing, rng.standard_normal(30), 0.25)
     assert calls and krylov._step_weights.cache_info().currsize == 1
     assert _weights_cached(growing.uniformized_form, 0.25)
+
+
+def test_products_count_every_sparse_product(monkeypatch):
+    # PhiResult.products is the number of sparse products the action took
+    # on either route, and 0 when it takes none (dt = 0, an empty operator)
+    rng = np.random.default_rng(57)
+    calls = _spy_products(monkeypatch)
+    for A in _study_generators() + _non_metzler_generators():
+        n = A.n_rows
+        u, f = rng.standard_normal(n), rng.standard_normal(n)
+        for dt in (0.0, 1.0 / 1280, 1.0 / 40, 0.5):
+            for action, args in ((phi0_action, (u,)), (phi1_action, (f,)),
+                                 (fused_action, (u, f))):
+                calls.clear()
+                res = action(A, *args, dt)
+                assert res.products == len(calls)
+                assert (res.products > 0) == (dt > 0)
+    empty = SparseOperator(sp.csr_matrix((5, 5)))
+    assert fused_action(empty, np.ones(5), np.ones(5), 0.5).products == 0
+
+
+def test_actions_leave_operands_alone_and_return_fresh_arrays(monkeypatch):
+    # the series read the caller's u and f and write only buffers each
+    # action owns: on both routes the operands keep their bytes, a strided
+    # operand gives the contiguous one's bits, and no two results share
+    # memory with each other or with an operand
+    rng = np.random.default_rng(58)
+    uniformized, taylor = _study_generators()[1], _non_metzler_generators()[0]
+    routes = ((uniformized, uniformized.uniformized_form[0]),
+              (taylor, taylor.taylor_form[0]))
+    for A, form in routes:
+        calls = _spy_products(monkeypatch, form)
+        n = A.n_rows
+        u, f = rng.standard_normal(n), rng.standard_normal(n)
+        u0, f0 = u.copy(), f.copy()
+        results = []
+        for dt in (1.0 / 40, 0.5):
+            for action, args in ((phi0_action, (u,)), (phi1_action, (f,)),
+                                 (fused_action, (u, f))):
+                res = action(A, *args, dt)
+                strided = [np.repeat(a, 2)[::2] for a in args]
+                assert action(A, *strided, dt).vector.tobytes() == res.vector.tobytes()
+                results.append(res.vector)
+        assert len(calls) > 0                # the products ran on this route
+        assert u.tobytes() == u0.tobytes() and f.tobytes() == f0.tobytes()
+        for i, a in enumerate(results):
+            for b in results[i + 1:] + [u, f]:
+                assert not np.shares_memory(a, b)
 
 
 def test_uniformized_product_ceiling_raises_with_estimate(monkeypatch):

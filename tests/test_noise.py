@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from setd.errors import InvalidArgumentError
 from setd.grid import build_grid
 from setd.noise import (
+    NoisePath,
     NoiseSpec,
     eigenfunction_nodal,
     laplacian_eigenvalues,
@@ -197,6 +198,15 @@ def test_path_validation():
     for seed in (-1, 2**64):
         with pytest.raises(InvalidArgumentError, match="seed"):
             make_path(spec, seed, 0, 0.5, 1)
+    # and the realization mod 2^64: realization 2^64 would draw realization
+    # 0's blocks, built through make_path or directly
+    for realization in (-1, 2**64):
+        with pytest.raises(InvalidArgumentError, match="realization"):
+            make_path(spec, 3, realization, 0.5, 1)
+        with pytest.raises(InvalidArgumentError, match="realization"):
+            NoisePath(spec, 3, realization, 0.5, 1)
+    last = make_path(spec, 3, 2**64 - 1, 0.5, 1).normal_modes(0)
+    assert last.tobytes() != make_path(spec, 3, 0, 0.5, 1).normal_modes(0).tobytes()
     path = make_path(spec, 0, 0, 0.5, 2)
     with pytest.raises(InvalidArgumentError):
         path.normal_modes(2)  # beyond horizon

@@ -17,7 +17,8 @@ from setd.operators import (
     dirichlet,
     quadrature_weights,
 )
-from setd.sparse import load_matrix_market, save_matrix_market
+from setd.sparse import (SparseOperator, _matvec_into, load_matrix_market,
+                         save_matrix_market)
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +226,43 @@ def test_matrix_market_round_trip(tmp_path):
                                prob.A.to_scipy().toarray(), rtol=0, atol=0)
 
 
+def _with_int64_indices(A):
+    """A copy of A whose CSR index arrays are int64 (the canonical
+    constructor keeps int32 while the indices fit)."""
+    B = SparseOperator(A.to_scipy())
+    csr = B.to_scipy()
+    csr.indptr, csr.indices = csr.indptr.astype(np.int64), csr.indices.astype(np.int64)
+    return B
+
+
 def test_matvec_bit_identical_to_numpy_kernel():
-    # SparseOperator.matvec goes through scipy's CSR product; it must give
-    # the same bits as the row-ordered numpy kernel on the study generators.
+    # SparseOperator.matvec and the phi actions' product helper run scipy's
+    # compiled CSR kernel; both must give the bits of scipy's own product
+    # and of the row-ordered numpy kernel on the study generators, with
+    # int32 and int64 index arrays, into a buffer holding stale values,
+    # and matvec on a strided operand too
     grid = build_grid(32, 32, 1.0, 1.0)
     fem = assemble_fem(grid, 1.0).A
     fv = assemble_fv(grid, np.array([1e-2, 1e-3]), q_faces=(1.0, 0.25),
                      bc={BoundaryTag.LEFT: dirichlet(1.0)}).A
     assert np.any(np.diff(fv.indptr) == 0)  # frozen Dirichlet rows are empty
     rng = np.random.default_rng(11)
-    for A in (fem, fv):
-        for scale in (1e-6, 1.0, 1e6):
-            x = scale * rng.standard_normal(A.n_cols)
-            got = A.matvec(x)
-            want = kernels.csr_matvec_numpy(A.indptr, A.indices, A.data, x)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    for A32 in (fem, fv):
+        A64 = _with_int64_indices(A32)
+        assert (A32.indices.dtype, A64.indices.dtype) == (np.int32, np.int64)
+        for A in (A32, A64):
+            for scale in (1e-6, 1.0, 1e6):
+                x = scale * rng.standard_normal(A.n_cols)
+                strided = np.repeat(x, 2)[::2]
+                assert not strided.flags.c_contiguous
+                want = kernels.csr_matvec_numpy(A.indptr, A.indices, A.data, x)
+                stale = rng.standard_normal(A.n_rows)
+                for got in (A.matvec(x), A.matvec(strided), A.to_scipy() @ x,
+                            _matvec_into(A, x, stale)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
         with pytest.raises(InvalidArgumentError):
-            A.matvec(np.zeros(A.n_cols + 1))
+            A32.matvec(np.zeros(A32.n_cols + 1))
 
 
 def test_assembly_validation():
