@@ -2,11 +2,10 @@
 
 Times the kernels and actions a study step runs: the numpy CSR matvec
 reference ``csr_matvec_numpy`` beside the scipy product
-``SparseOperator.matvec`` that the phi actions call, counter-based normal
-blocks (``normal_block``: one compiled numpy Philox4x64-10 draw per block,
-on the 65x65 lattice of the linear study and the 101x101 lattice of the
-advection studies), a truncated-Taylor phi0 action, and one full SETDM1
-step (one fused action).
+``SparseOperator.matvec``, counter-based normal blocks (``normal_block``:
+one compiled numpy Philox4x64-10 draw per block, on the 65x65 lattice of
+the linear study and the 101x101 lattice of the advection studies), and
+one full SETDM1 step (one fused action).
 
     python benchmarks/kernel_bench.py [--repeats N] [--nx NX]
 
@@ -18,10 +17,13 @@ helper ``sparse._matvec_into`` that the phi-action series call, the same
 compiled kernel without scipy's dispatch. The ratio helper / ``csr @ x``
 is the part of a product's time that remains without that dispatch.
 
-A third table times one fused SETDM1 action on the Darcy-streak and P1-FEM
-study operators along both routes of the phi-action core, the
-truncated-Taylor action and uniformization, with the sparse products each
-one takes (``PhiResult.products``).
+A third table times one fused SETDM1 action (``fused_action``) with the
+sparse products it takes (``PhiResult.products``) and its uniformization
+steps (``restarts_used + 1``): on the three study generators at study step
+lengths, where every action is one step, and on P1-FEM generators on the
+NX grid that no study builds (a consistent-mass shift c0 = 0.5, and
+advection with velocity (1, 0.5) and (50, 20)), whose large
+dt(beta - lam) takes several steps.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ import time
 
 import numpy as np
 
-from setd import kernels, krylov
+from setd import kernels
 from setd.grid import build_grid
 from setd.harness import advection_study, build_problem, linear_additive_study
 from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm1_step
-from setd.krylov import phi0_action
+from setd.krylov import fused_action
 from setd.noise import NoiseSpec, make_path, sample_increment
 from setd.operators import assemble_fem, assemble_fv
 from setd.sparse import _matvec_into
@@ -94,8 +96,6 @@ def build_cases(nx):
          lambda: kernels.normal_block(key0, key1, spec.n1 + 1, spec.n2 + 1, 3, 0)),
         ("normal_block 101x101 (advection lattice)",
          lambda: kernels.normal_block(key0, key1, 101, 101, 3, 0)),
-        (f"phi0_action, Taylor route ({fem.ndof} dof, dt=0.1)",
-         lambda: phi0_action(A, x, 0.1)),
         (f"setdm1_step ({fv.ndof} cells, multiplicative)",
          lambda: setdm1_step(problem, cfg, state, dW)),
     ]
@@ -116,22 +116,25 @@ def build_product_cases():
     return cases
 
 
-def build_route_cases():
-    """(name, taylor, uniformized) fused actions on the study operators."""
+def build_action_cases(nx):
+    """(name, fused action) on the study generators and on P1-FEM
+    generators off the studies' traffic."""
+    grid = build_grid(nx, nx, 1.0, 1.0)
+    operators = (
+        ("Darcy-streak FV", build_problem(advection_study(heterogeneous=True)).discrete.A,
+         (10, 160, 1600)),
+        ("homogeneous FV", build_problem(advection_study()).discrete.A, (160,)),
+        ("P1-FEM", build_problem(linear_additive_study()).discrete.A, (160, 1280)),
+        ("P1 c0=0.5", assemble_fem(grid, 1.0, c0=0.5).A, (10, 160)),
+        ("P1 advection (1, 0.5)", assemble_fem(grid, 1.0, velocity=(1.0, 0.5)).A, (160,)),
+        ("P1 advection (50, 20)", assemble_fem(grid, 1.0, velocity=(50.0, 20.0)).A, (160,)))
     rng = np.random.default_rng(1)
     cases = []
-    for label, study, dts in (
-            ("Darcy-streak FV", advection_study(heterogeneous=True), (10, 160, 1600)),
-            ("P1-FEM", linear_additive_study(), (160, 1280))):
-        A = build_problem(study).discrete.A
-        form = A.uniformized_form
+    for label, A, dts in operators:
         u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
         for d in dts:
-            args = (u, f, 1.0 / d)
-            cases.append((
-                f"fused action, {label} ({A.n_rows} dof, dt=1/{d})",
-                lambda A=A, args=args: krylov._taylor_action(A, *args),
-                lambda form=form, args=args: krylov._uniformized_action(form, *args)))
+            cases.append((f"fused action, {label} ({A.n_rows} dof, dt=1/{d})",
+                          lambda A=A, u=u, f=f, dt=1.0 / d: fused_action(A, u, f, dt)))
     return cases
 
 
@@ -161,17 +164,15 @@ def main(argv=None):
         ts, th = _time(scipy_product, args.repeats), _time(helper, args.repeats)
         print(f"{name:<{width}}  {_fmt(ts)}  {_fmt(th)}  {th / ts:5.2f}x")
 
-    routes = build_route_cases()
-    width = max(len(name) for name, _, _ in routes)
-    header = (f"\n{'phi-action route':<{width}}  {'Taylor':>12} {'products':>8}"
-              f"  {'uniformized':>12} {'products':>8}   ratio")
+    actions = build_action_cases(args.nx)
+    width = max(len(name) for name, _ in actions)
+    header = f"\n{'phi action':<{width}}  {'time':>12} {'products':>8} {'steps':>6}"
     print(header)
     print("-" * (len(header) - 1))
-    for name, taylor, uniformized in routes:
-        tt, tu = _time(taylor, args.repeats), _time(uniformized, args.repeats)
-        print(f"{name:<{width}}  {_fmt(tt)} {taylor().products:8d}"
-              f"  {_fmt(tu)} {uniformized().products:8d}  {tu / tt:5.2f}x")
-
+    for name, action in actions:
+        res = action()
+        print(f"{name:<{width}}  {_fmt(_time(action, args.repeats))} {res.products:8d}"
+              f" {res.restarts_used + 1:6d}")
 
 if __name__ == "__main__":
     main()

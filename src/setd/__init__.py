@@ -2,10 +2,10 @@
 
 The package assembles finite-element / finite-volume generators on
 rectangle grids, samples Q-Wiener increments from refinement-consistent
-Brownian paths, applies phi-function actions by uniformization or a
-truncated Taylor series, and integrates SPDE trajectories with exponential
-(SETDM0/SETDM1) or semi-implicit schemes. `harness` runs Monte-Carlo
-convergence studies; `cli` exposes everything as the `setd` command.
+Brownian paths, applies phi-function actions by uniformization, and
+integrates SPDE trajectories with exponential (SETDM0/SETDM1) or
+semi-implicit schemes. `harness` runs Monte-Carlo convergence studies;
+`cli` exposes everything as the `setd` command.
 """
 
 from .darcy import FaceVelocities, PermeabilityField, solve_darcy, solve_pressure

@@ -18,6 +18,7 @@ order, so reports are bit-identical for any worker count.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -85,9 +86,13 @@ class StudyConfig:
                 raise InvalidArgumentError(f"schemes must be Scheme members, got {s!r}")
         for name in ("realizations", "seed", "threads"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("c0", "expected_order"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidArgumentError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.realizations < 1:
@@ -115,6 +120,10 @@ class StudyConfig:
             raise InvalidArgumentError("finest_dt does not divide T")
         if self.noise is None:
             object.__setattr__(self, "noise", default_noise(self.problem, self.L1, self.L2))
+        elif (self.noise.L1, self.noise.L2) != (self.L1, self.L2):
+            raise InvalidArgumentError(
+                f"noise is on the domain {self.noise.L1} x {self.noise.L2}, "
+                f"the study on {self.L1} x {self.L2}")
 
     @property
     def fine_steps(self):

@@ -6,10 +6,9 @@ All schemes advance the spatially discrete system
 
 with A_h the assembled (Dirichlet-frozen) operator, F and B pointwise
 Nemytskii maps, and dW_h the nodal/cell increments of the truncated
-Q-Wiener path. Exponential steps apply phi-function actions, by
-uniformization or a truncated Taylor series (:mod:`setd.krylov`), and never
-form a matrix exponential: a SETDM0 step is one phi0 action, a SETDM1 step
-one fused phi0/phi1 action.
+Q-Wiener path. Exponential steps apply phi-function actions by
+uniformization (:mod:`setd.krylov`) and never form a matrix exponential: a
+SETDM0 step is one phi0 action, a SETDM1 step one fused phi0/phi1 action.
 The semi-implicit step factorizes (I - dt A_h) once per run.
 
 Frozen Dirichlet DOFs have zero rows in A_h, so every propagator acts as

@@ -9,63 +9,50 @@ actions are thin wrappers over one core, which computes the first block of
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2):488-511, 2011, Theorem 2.1;
 Niesen & Wright, ACM TOMS 38(3), 2012, use the same idea in Krylov form),
 so A is never inverted (it may be singular, e.g. a Neumann Laplacian) and a
-SETDM1 step costs one action. The core has two routes, chosen from the
-operator's sign pattern and the step alone; nothing else selects them.
+SETDM1 step costs one action.
 
-Uniformization (Jensen, Skand. Aktuarietidskr. 36, 1953) serves a Metzler
-A, one whose off-diagonal entries are >= 0. Upwind-FV generators are, and
-so is the P1 generator of diagonal diffusion on these right triangles with
-lumped mass, zero Dirichlet rows included; P1 advection and a c0 shift
-(consistent mass) are not. With lam = max(-min_i a_ii, 0) and
-beta = max(||A + lam I||_inf, lam), the matrix P = (A + lam I)/beta is
->= 0 with ||P||_inf <= 1 and 0 <= lam/beta <= 1
-(``SparseOperator.uniformized_form``), and with x = t*beta and w_k the
+The core is uniformization (Jensen, Skand. Aktuarietidskr. 36, 1953), for
+every square operator. With lam = max(-min_i a_ii, 0) and
+beta = max(|| |A + lam I| ||_inf, lam) (absolute row sums), the matrix
+P = (A + lam I)/beta has ||P||_inf <= 1 and 0 <= lam/beta <= 1
+(``SparseOperator.uniformized_form``), and with x = h*beta and w_k the
 Poisson(x) weights
 
-    exp(t [[A, f], [0, 0]]) [u; 1] = e^{t(beta - lam)} sum_k w_k y_k,
+    exp(h [[A, f], [0, 0]]) [u; 1] = e^{h(beta - lam)} sum_k w_k y_k,
     y_0 = u,  y_k = P y_{k-1} + (lam/beta)^{k-1} f/beta,
 
-the augmented matrix shifted by lam I and divided by beta. Every weight and
-every P^k is non-negative, so the series does not cancel, and the sum stops
-at the smallest K with P(N >= K) <= 2^-53, fixed before the first product:
-no term norms, no stop test, no restarts. The route is taken only when
-t(beta - lam) <= 1, i.e. the growth factor e^{t(beta - lam)} is at most e,
-and when A + lam I is not 0; its truncation bound is
-e^{t(beta - lam)} [P(N > K) ||u||_inf + t P(N >= K) ||f||_inf]. The
-weights, a pure function of t*beta and the growth factor, are cached for
-the last 64 such pairs (``_step_weights``).
+the augmented matrix shifted by lam I and divided by beta. Since
+||y_k||_inf <= ||u||_inf + k ||f||_inf / beta, the sum stops at the
+smallest K with P(N >= K) <= 2^-53, fixed before the first product: no
+term norms, no stop test. Its truncation bound is
+e^{h(beta - lam)} [P(N > K) ||u||_inf + h P(N >= K) ||f||_inf]. On a
+Metzler A (off-diagonal entries >= 0: the upwind-FV generators, and the
+P1 generator of diagonal diffusion on these right triangles with lumped
+mass, zero Dirichlet rows included) P >= 0, so the series does not
+cancel either; P1 advection and a c0 shift (consistent mass) are not
+Metzler, and their P has entries of both signs.
 
-Every other operator takes the truncated-Taylor exponential action of
-Al-Mohy & Higham. The operator is shifted by mu = trace/n, [0, t] is cut
-into s equal scaling steps, and each step applies a Taylor polynomial of
-degree at most m and multiplies back by exp(t*mu/s). (m, s) minimise the
-matvec count m*s subject to t*||B||_1/s <= theta_m, the double-precision
-bounds of their Table 3.1, so every action is accurate to unit roundoff; a
-series stops early once two consecutive terms fall below 2^-53 of the
-partial sum.
+An action over [0, t] takes s = max(1, ceil(t(beta - lam))) equal steps
+of h = t/s, one series each, so each step's growth factor
+e^{h(beta - lam)} is at most e; the last coordinate of [u; 1] stays 1
+from step to step. Every study generator has t(beta - lam) <= 1 at its
+step lengths and takes one step. Strongly advective, skew or growing
+operators take many: their beta - lam is large though ||exp(tA)|| may
+not be. All steps share one set of weights, a pure function of h*beta
+and the growth factor, cached for the last 64 such pairs
+(``_step_weights``). The action's bound is the sum over steps of each
+step's bound, taken with that step's ||u||_inf.
 
-Each term of either route costs one sparse product: one call of scipy's
-compiled CSR kernel through ``sparse._matvec_into``, without scipy's ``@``
+Each term costs one sparse product with P: one call of scipy's compiled
+CSR kernel through ``sparse._matvec_into``, without scipy's ``@``
 dispatch. It reads u or one of two buffers the action allocates and
 writes the other buffer, so no product allocates and the caller's u and f
-are never written. Each Taylor term multiplies by A - mu I, built once per
-operator on its first action (``SparseOperator.taylor_form``), and adds
-one scaling, one accumulation and one inf-norm of the new term. The stop
-test needs ||partial sum||_inf too, but that is taken only when the scalar
-bound b = ||u||_inf + sum of the term norms, which is at least the partial
-sum's norm, says the test could pass (terms <= 2 * 2^-53 * b); every stop
-decision is therefore the one the exact test makes at every term. On this
-route the last coordinate of [u; 1] is carried as a scalar and reset to its
-exact value 1 after every scaling step. Scaling the f column by eta and the
-last coordinate by 1/eta leaves the result unchanged (their Section 3), so
-||B||_1 is taken as eta -> 0, which leaves max(||A - mu I||_1, |mu|).
+are never written.
 
-Both routes share one fixed product ceiling of
-_MAX_SCALING_STEPS * 55 = 550 055 sparse products: the Taylor route caps
-its scaling steps at _MAX_SCALING_STEPS of degree at most 55, the
-uniformized route its series at that many terms. An action beyond it
-raises KrylovConvergenceError with its truncation bound before any
-product is taken; a study flags that cell. Nothing configures it.
+An action may take at most _MAX_PRODUCTS = 550 055 sparse products, s*K.
+One that would take more raises KrylovConvergenceError with an error
+estimate before any product; a study flags that cell. Nothing configures
+it.
 
 ``dense_phi`` is the independent dense oracle (n <= 256): Taylor
 scaling-and-squaring on the plain or augmented matrix. It shares no code
@@ -85,105 +72,21 @@ from .sparse import _matvec_into
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
-# theta_m for double precision (Al-Mohy & Higham 2011, Table 3.1): a degree-m
-# Taylor step of length h with h*||B||_1 <= theta_m has backward error at
-# most unit roundoff.
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
-    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
-    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
-    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.70, 40: 6.00,
-    45: 7.20, 50: 8.50, 55: 9.90,
-}
-_DEGREES = np.array(sorted(_THETA))
-_THETAS = np.array([_THETA[m] for m in _DEGREES])
-
-# Scaling steps of degree at most 55 a Taylor action may take; the
-# uniformized series gets the same product count, _MAX_SCALING_STEPS * 55.
-_MAX_SCALING_STEPS = 10001
+# Sparse products one action may take; past it the action raises before
+# its first product.
+_MAX_PRODUCTS = 550055
 
 
 @dataclass
 class PhiResult:
-    """An action's vector, its truncation bound (the sum over scaling steps
-    of the Taylor tail bound, or the Poisson tail bound of a uniformized
-    action), restarts_used = scaling steps - 1 (0 when uniformized) and the
-    sparse products it took (the series length K when uniformized, the
-    Taylor terms it ran otherwise)."""
+    """An action's vector, its truncation bound (the sum over its s steps of
+    each step's Poisson tail bound), restarts_used = s - 1 and the sparse
+    products it took, s*K."""
 
     vector: np.ndarray
     est_error: float
     restarts_used: int
     products: int
-
-
-def _taylor_parameters(x):
-    """(m, s) minimising m*s subject to x/s <= theta_m, for x = t*||B||_1."""
-    if x == 0.0:
-        return 0, 1
-    steps = np.ceil(x / _THETAS)
-    i = int(np.argmin(_DEGREES * steps))
-    return int(_DEGREES[i]), int(steps[i])
-
-
-def _taylor_tail(x, m):
-    """Lagrange bound x^(m+1) e^x / (m+1)! on sum_{k>m} x^k / k!."""
-    if x == 0.0:
-        return 0.0
-    try:
-        return math.exp((m + 1) * math.log(x) + x - math.lgamma(m + 2))
-    except OverflowError:
-        return math.inf
-
-
-def _taylor_action(A, u, f, t):
-    """First block of exp(t [[A, f], [0, 0]]) [u; 1] by the Taylor action;
-    f None (or all zero, dropped by the caller) means exp(tA) u."""
-    B, mu, norm = A.taylor_form
-    if f is not None:
-        norm = max(norm, abs(mu))
-    m, s = _taylor_parameters(t * norm)
-    needed = s
-    if needed > _MAX_SCALING_STEPS:
-        m, s = int(_DEGREES[-1]), _MAX_SCALING_STEPS
-    h = t / s
-    eta = np.exp(h * mu)
-    # tail bound of one step; the f terms lag the u terms by one degree
-    tail = eta * _taylor_tail(h * norm, m - (f is not None))
-    hf_norm = 0.0 if f is None else h * float(np.abs(f).sum())
-    if s < needed:
-        raise KrylovConvergenceError(
-            f"phi action needs {needed} scaling steps, more than the ceiling of {s}",
-            est_error=s * tail * (float(np.abs(u).sum()) + hf_norm),
-        )
-    est = 0.0
-    products = 0
-    buffers = np.empty_like(u), np.empty_like(u)
-    for _ in range(s):
-        est += tail * (float(np.abs(u).sum()) + hf_norm)
-        out = u.copy()
-        v, w = u, 1.0
-        c1 = bound = np.abs(v).max()
-        for k in range(1, m + 1):
-            # read u or one buffer, write the other buffer
-            v = _matvec_into(B, v, buffers[v is buffers[0]])
-            products += 1
-            if f is not None:
-                v += w * f
-                w *= -mu * h / k
-            v *= h / k
-            out += v
-            c2 = np.abs(v).max()
-            bound += c2
-            # bound >= ||out||_inf, so the exact test below can only pass
-            # when this one does; the factor 2 covers rounding in bound
-            if (c1 + c2 <= 2 * _UNIT_ROUNDOFF * bound
-                    and c1 + c2 <= _UNIT_ROUNDOFF * np.abs(out).max()):
-                break
-            c1 = c2
-        u = eta * out
-    return PhiResult(u, est, s - 1, products)
 
 
 def _poisson_weights(x):
@@ -214,63 +117,63 @@ def _poisson_weights(x):
 
 @lru_cache(maxsize=64)
 def _step_weights(x, growth):
-    """The uniformized route's coefficients growth * w_k (a list) and the
-    tails of the Poisson(x) weights: built once per (x, growth), which a
-    study repeats every step; 64 entries take about 2 MB for x <= 500."""
+    """The series coefficients growth * w_k (a list) and the tails of the
+    Poisson(x) weights: built once per (x, growth), which every step of an
+    action and of a study repeats; 64 entries take about 2 MB for
+    x <= 500."""
     w, tail = _poisson_weights(x)
     return (growth * w).tolist(), tail
-
-
-def _uniformized_action(form, u, f, t):
-    """First block of exp(t [[A, f], [0, 0]]) [u; 1] for a Metzler A whose
-    growth factor e^{t(beta - lam)} is at most e: one series of Poisson
-    weights times products with P >= 0, no stop test, no restarts."""
-    P, beta, lam = form
-    x = t * beta
-    growth = math.exp(t * (beta - lam))
-    u_norm = float(np.abs(u).max())
-    f_norm = 0.0 if f is None else float(np.abs(f).max())
-    cap = _MAX_SCALING_STEPS * int(_DEGREES[-1])
-    if x - 1.0 >= cap:      # K > x - 1 (N's median is >= x - ln 2): skip the weights
-        raise KrylovConvergenceError(
-            f"uniformized phi action needs more than the ceiling of {cap} products",
-            est_error=growth * (u_norm + t * f_norm))
-    coeffs, tail = _step_weights(x, growth)
-    K = len(coeffs) - 1
-    if K > cap:
-        raise KrylovConvergenceError(
-            f"uniformized phi action needs {K} products, more than the ceiling of {cap}",
-            est_error=growth * (tail[cap + 1] * u_norm + t * tail[cap] * f_norm))
-    out = coeffs[0] * u
-    term = np.empty_like(u)
-    buffers = np.empty_like(u), np.empty_like(u)
-    y = u
-    if f is not None:
-        g = f / beta
-        ratio, scale = lam / beta, 1.0
-    for k in range(1, K + 1):
-        # read u or one buffer, write the other buffer
-        y = _matvec_into(P, y, buffers[y is buffers[0]])
-        if f is not None:
-            y += np.multiply(g, scale, out=term)
-            scale *= ratio
-        out += np.multiply(y, coeffs[k], out=term)
-    est = growth * (tail[K + 1] * u_norm + t * tail[K] * f_norm)
-    return PhiResult(out, est, 0, K)
 
 
 def _action(A, u, f, t):
     """First block of exp(t [[A, f], [0, 0]]) [u; 1]; f None means exp(tA) u.
 
-    Uniformization when A is Metzler and the series cannot amplify by more
-    than e, the Taylor action otherwise.
+    s = max(1, ceil(t(beta - lam))) steps of length h = t/s, each one series
+    of Poisson weights times products with P, with no stop test.
     """
     if f is not None and not f.any():
         f = None
-    form = A.uniformized_form
-    if form is not None and t * (form[1] - form[2]) <= 1.0:
-        return _uniformized_action(form, u, f, t)
-    return _taylor_action(A, u, f, t)
+    P, beta, lam = A.uniformized_form
+    r = t * (beta - lam)
+    s = max(1, math.ceil(min(r, _MAX_PRODUCTS + 1)))
+    h = t / s
+    x = h * beta
+    u_norm = float(np.abs(u).max())
+    f_norm = 0.0 if f is None else float(np.abs(f).max())
+    # K > x - 1 (N's median is >= x - ln 2): past the ceiling, skip the weights
+    if s > _MAX_PRODUCTS or s * (x - 1.0) >= _MAX_PRODUCTS:
+        raise KrylovConvergenceError(
+            f"phi action needs more than the ceiling of {_MAX_PRODUCTS} products",
+            est_error=(math.exp(r) if r < 709.0 else math.inf) * (u_norm + t * f_norm))
+    growth = math.exp(h * (beta - lam))
+    coeffs, tail = _step_weights(x, growth)
+    K = len(coeffs) - 1
+    if s * K > _MAX_PRODUCTS:
+        k = _MAX_PRODUCTS // s
+        raise KrylovConvergenceError(
+            f"phi action needs {s * K} products, more than the ceiling of {_MAX_PRODUCTS}",
+            est_error=s * growth * (tail[k + 1] * u_norm + h * tail[k] * f_norm))
+    term = np.empty_like(u)
+    buffers = np.empty_like(u), np.empty_like(u)
+    if f is not None:
+        g = f / beta
+        ratio = lam / beta
+    est = 0.0
+    for step in range(s):
+        if step:
+            u_norm = float(np.abs(u).max())
+        est += growth * (tail[K + 1] * u_norm + h * tail[K] * f_norm)
+        out = coeffs[0] * u
+        y, scale = u, 1.0
+        for k in range(1, K + 1):
+            # read u or one buffer, write the other buffer
+            y = _matvec_into(P, y, buffers[y is buffers[0]])
+            if f is not None:
+                y += np.multiply(g, scale, out=term)
+                scale *= ratio
+            out += np.multiply(y, coeffs[k], out=term)
+        u = out
+    return PhiResult(u, est, s - 1, s * K)
 
 
 def _check_vector(A, v, name="vector"):
@@ -306,8 +209,8 @@ def phi0_action(A, v, dt):
     Returns
     -------
     PhiResult
-        vector, truncation bound, scaling steps beyond the first
-        (restarts_used).
+        vector, truncation bound, uniformization steps beyond the first
+        (restarts_used) and sparse products.
     """
     dt = _check_action_args(A, dt)
     v = _check_vector(A, v)

@@ -70,6 +70,10 @@ class NoiseSpec:
     r: float = 2.01
 
     def __post_init__(self):
+        for name in ("L1", "L2", "gamma", "b1", "b2", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
         if self.L1 <= 0 or self.L2 <= 0:
             raise InvalidArgumentError("domain lengths must be positive")
         for name in ("n1", "n2"):

@@ -18,15 +18,16 @@ left to right from 0, so every product equals ``csr @ x`` and
 ``kernels.csr_matvec_numpy`` bit for bit. The kernel is private scipy API:
 if scipy moves it, importing this module fails.
 
-The phi actions multiply by one of two forms of A, each built on the first
-action that needs it and cached on the operator, never at assembly: the
-shifted operator A - mu I of the Taylor route
-(:attr:`SparseOperator.taylor_form`) and, for a Metzler A (off-diagonal
-entries >= 0), the non-negative matrix P = (A + lam I) / beta of the
-uniformized route (:attr:`SparseOperator.uniformized_form`). Both forms are
-SparseOperators, so every product an action takes goes through
-:func:`_matvec_into`. Those caches are why the phi actions take this
-wrapper rather than a bare scipy matrix.
+The phi actions multiply by one form of A, built on the first action and
+cached on the operator, never at assembly: the matrix
+P = (A + lam I) / beta of the uniformized series
+(:attr:`SparseOperator.uniformized_form`), itself a SparseOperator, so
+every product an action takes goes through :func:`_matvec_into`. That
+cache is why the phi actions take this wrapper rather than a bare scipy
+matrix.
+
+Every entry is finite: the constructor rejects NaN and Inf, so an action's
+step count and series length are always defined.
 """
 
 from __future__ import annotations
@@ -42,14 +43,17 @@ from .errors import InvalidArgumentError
 
 
 class SparseOperator:
-    """Canonical CSR matrix and the lazily built forms the phi actions
-    multiply by (see the module docstring). The forms never touch the
-    matrix, and two threads building one at once build equal values."""
+    """Canonical CSR matrix and the lazily built form the phi actions
+    multiply by (see the module docstring). The form never touches the
+    matrix, and two threads building it at once build equal values."""
 
     def __init__(self, mat):
-        """Canonical float64 copy of a scipy sparse (or dense) matrix."""
+        """Canonical float64 copy of a scipy sparse (or dense) matrix with
+        finite entries."""
         self._csr = sp.csr_matrix(mat, dtype=np.float64, copy=True)
         self._csr.sum_duplicates()
+        if not np.isfinite(self._csr.data).all():
+            raise InvalidArgumentError("operator has NaN/Inf entries")
         self._csr.eliminate_zeros()
         self._csr.sort_indices()
         self.shape = self._csr.shape
@@ -97,43 +101,29 @@ class SparseOperator:
             sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape))
 
     @cached_property
-    def taylor_form(self):
-        """(A - mu I, mu, ||A - mu I||_1) with mu = trace / n: the operator
-        every Taylor term of the phi actions multiplies by, the shift, and
-        the norm their (m, s) is chosen from."""
-        mu = float(self._csr.diagonal().sum()) / self.n_rows
-        op = SparseOperator(self._csr - mu * sp.identity(self.n_rows, format="csr"))
-        return op, mu, float(abs(op._csr).sum(axis=0).max())
-
-    @cached_property
     def uniformized_form(self):
-        """(P, beta, lam) with P = (A + lam I) / beta >= 0, or None when A is
-        not Metzler (some off-diagonal entry < 0), not square, or
-        A + lam I = 0 (A a multiple of I with a non-positive factor).
+        """(P, beta, lam) with P = (A + lam I) / beta, for a square operator
+        with stored entries.
 
         lam = max(-min_i a_ii, 0) makes the diagonal of A + lam I
         non-negative without a negative shift, and
-        beta = max(||A + lam I||_inf, lam) is the uniformization rate of the
-        augmented generator [[A, f], [0, 0]], whose last row shifted by lam
-        is lam; so ||P||_inf <= 1, 0 <= lam / beta <= 1, and beta - lam is
-        A's largest row sum when that is >= 0, else 0. (A negative lam, for
-        an all-positive diagonal, would make lam / beta negative and, when
+        beta = max(|| |A + lam I| ||_inf, lam), from absolute row sums, is
+        the uniformization rate of the augmented generator
+        [[A, f], [0, 0]], whose last row shifted by lam is lam; so
+        ||P||_inf <= 1, 0 <= lam / beta <= 1 and beta > 0. On a Metzler A
+        (off-diagonal entries >= 0) P >= 0, and beta - lam is A's largest
+        row sum when that is >= 0, else 0. (A negative lam, for an
+        all-positive diagonal, would make lam / beta negative and, when
         |lam| > ||A + lam I||_inf, below -1, so the f terms would grow
         faster than the Poisson weights fall.)
         """
         if self.n_rows != self.n_cols or self.nnz == 0:
-            return None
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        if np.any(self.data[self.indices != rows] < 0):
-            return None
+            raise InvalidArgumentError(
+                "the uniformized form needs a square operator with stored entries")
         lam = max(-float(self._csr.diagonal().min()), 0.0)
         shifted = self._csr + lam * sp.identity(self.n_rows, format="csr")
-        norm = float(shifted.sum(axis=1).max())
-        if norm == 0.0:
-            return None
-        beta = max(norm, lam)
+        beta = max(float(abs(shifted).sum(axis=1).max()), lam)
         return SparseOperator(shifted / beta), beta, lam
-
 
 def _matvec_into(op, x, out):
     """out = A x for the SparseOperator op, and return out.

@@ -256,6 +256,18 @@ def test_cli_converge_rejects_out_of_range_seed(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_converge_rejects_non_finite_values(tmp_path, capsys):
+    # NaN in [noise] would flag every cell as diverged and write a NaN
+    # report; NaN in c0 would end in a singular factorisation
+    for section, key in (("noise", "gamma"), ("study", "c0")):
+        text = TINY_STUDY.replace(f"[{section}]\n", f"[{section}]\n{key} = nan\n")
+        cfg = _write(tmp_path, text)
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "o").exists()
+
+
 def test_cli_solve_writes_trajectory_snapshots_operator(tmp_path):
     cfg = _write(tmp_path, TINY_SOLVE)
     out = tmp_path / "traj.csv"

@@ -2,6 +2,7 @@
 thread-count invariance, and flagging of failed cells."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -100,7 +101,10 @@ def test_study_config_validation():
     # counts must be integers: a float count would reach range() or Philox
     # keys by truncation while the report records the float
     for name, bad in (("realizations", 1.5), ("realizations", "2"), ("seed", 1.5),
-                      ("seed", "1"), ("seed", None), ("threads", 2.0)):
+                      ("seed", "1"), ("seed", None), ("threads", 2.0),
+                      ("realizations", True), ("seed", False), ("threads", True),
+                      ("c0", math.nan), ("c0", math.inf), ("c0", "0.5"),
+                      ("expected_order", math.nan), ("expected_order", -math.inf)):
         with pytest.raises(InvalidArgumentError, match=name):
             StudyConfig(problem="linear_additive", schemes=(Scheme.SETDM1,),
                         dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4), **{name: bad})
@@ -116,6 +120,13 @@ def test_study_config_validation():
                       dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4),
                       realizations=np.int64(2), seed=np.int64(3))
     assert (type(cfg.realizations), type(cfg.seed)) == (int, int)
+    # the exact reference would use the noise's domain and the fields the
+    # grid's: errors near 1.5 and no flag
+    with pytest.raises(InvalidArgumentError, match="domain"):
+        linear_additive_study(nx=4, noise=NoiseSpec.exponential(n1=4, n2=4, L1=3.0, L2=3.0))
+    cfg = linear_additive_study(nx=4, L1=3.0, L2=2.0,
+                                noise=NoiseSpec.exponential(n1=4, n2=4, L1=3.0, L2=2.0))
+    assert (cfg.noise.L1, cfg.noise.L2) == (3.0, 2.0)
     cfg = _tiny_linear()
     assert cfg.fine_steps == 16
     assert cfg.noise.n1 == 12

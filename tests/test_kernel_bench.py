@@ -22,9 +22,12 @@ def test_kernel_bench_prints_every_table(capsys):
     for line in products:
         # csr @ x and the product helper both timed, with their ratio
         assert line.count(" us") + line.count(" ms") == 2 and line.endswith("x"), line
-    routes = [line for line in out.splitlines() if line.startswith("fused action")]
-    assert len(routes) == 5
-    for line in routes:
-        # Taylor and uniformized product counts are both positive
-        products = [int(tok) for tok in line.split(")", 1)[1].split() if tok.isdigit()]
-        assert len(products) == 2 and min(products) > 0, line
+    actions = [line for line in out.splitlines() if line.startswith("fused action")]
+    assert len(actions) == 10
+    for line in actions:
+        # a time, then positive product and step counts
+        assert line.count(" us") + line.count(" ms") == 1, line
+        products, steps = (int(tok) for tok in line.split()[-2:])
+        assert products >= steps >= 1, line
+    # the study generators take one step at their step lengths
+    assert all(line.split()[-1] == "1" for line in actions[:6])

@@ -1,6 +1,6 @@
-"""Phi-action tests: Taylor actions against the dense Taylor oracle and
-against scipy's Pade expm, the oracle against independent identities, and
-the documented edge cases."""
+"""Phi-action tests: uniformized actions against the dense Taylor oracle
+and against scipy's Pade expm, the oracle against independent identities,
+and the documented edge cases."""
 
 import math
 import sys
@@ -17,8 +17,7 @@ from setd.errors import InvalidArgumentError, KrylovConvergenceError
 from setd import krylov
 from setd.grid import BoundaryTag, build_grid
 from setd.harness import advection_study, build_problem
-from setd.krylov import (_THETA, PhiResult, _taylor_parameters, dense_phi, fused_action,
-                         phi0_action, phi1_action)
+from setd.krylov import dense_phi, fused_action, phi0_action, phi1_action
 from setd.operators import assemble_fem, assemble_fv, dirichlet
 from setd.sparse import SparseOperator
 
@@ -87,7 +86,7 @@ def test_dense_phi_validation():
 
 
 # ---------------------------------------------------------------------------
-# Taylor actions vs the oracle
+# actions vs the oracle
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(6))
@@ -153,148 +152,71 @@ def test_phi_validation_errors():
         phi0_action(rect, np.zeros(4), 1.0)
 
 
-def _scaling_steps(A, dt, fused=False):
-    """Scaling steps the documented rule picks, from a dense shifted 1-norm."""
-    D = A.dense()
-    mu = np.trace(D) / D.shape[0]
-    norm = np.abs(D - mu * np.eye(D.shape[0])).sum(axis=0).max()
-    if fused:
-        norm = max(norm, abs(mu))
-    m, s = _taylor_parameters(dt * norm)
-    # (m, s) is the cheapest admissible pair of the theta table
-    assert s == math.ceil(dt * norm / _THETA[m])
-    assert all(m * s <= k * math.ceil(dt * norm / th) for k, th in _THETA.items())
-    return s
-
-
 def test_restart_budget_exhaustion_raises_with_estimate(monkeypatch):
-    # the cap on scaling steps raises a typed error that still carries a
-    # positive truncation bound; at the cap the action runs
-    A = _random_operator(40, 50.0, 9)
+    # the product ceiling counts every step's products, s * K: below s * K
+    # the action raises a typed error that still carries a positive
+    # bound, below s it raises before building the weights, and at s * K
+    # it runs
+    A = _random_operator(40, 50.0, 9)        # not Metzler, beta - lam about 143
     v = np.random.default_rng(9).standard_normal(40)
-    steps = _scaling_steps(A, 10.0)
-    assert steps > 3
-    monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", 3)
+    s, K = _steps_and_length(A, 10.0)
+    assert s > 3
+    monkeypatch.setattr(krylov, "_MAX_PRODUCTS", 3)
+    krylov._step_weights.cache_clear()
     with pytest.raises(KrylovConvergenceError) as exc:
         phi0_action(A, v, 10.0)
     assert exc.value.est_error > 0
-    monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", steps - 1)
-    with pytest.raises(KrylovConvergenceError):
+    assert krylov._step_weights.cache_info().currsize == 0
+    monkeypatch.setattr(krylov, "_MAX_PRODUCTS", s * K - 1)
+    with pytest.raises(KrylovConvergenceError,
+                       match=rf"needs {s * K} products, more than the ceiling of {s * K - 1}$"
+                       ) as exc:
         fused_action(A, v, v, 10.0)
-    monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", steps)
+    assert exc.value.est_error > 0
+    monkeypatch.setattr(krylov, "_MAX_PRODUCTS", s * K)
     res = phi0_action(A, v, 10.0)
-    assert res.restarts_used == steps - 1
+    assert res.restarts_used == s - 1 and res.products == s * K
 
 
 def test_shipped_product_ceiling_raises_before_any_product(monkeypatch):
-    # the ceiling at its shipped value, 10001 scaling steps of degree 55 or
-    # 10001 * 55 = 550055 uniformized products: just past it both routes
-    # raise before their first product, and the messages name the ceiling
+    # the ceiling at its shipped value, 550055 products: just past it,
+    # through the step count s, the series length K or their product s * K,
+    # an action raises before its first product, and the message names the
+    # ceiling
+    assert krylov._MAX_PRODUCTS == 550055
     rng = np.random.default_rng(55)
-    A = _non_metzler_generators()[0]
-    calls = _spy_products(monkeypatch, A.taylor_form[0])
-    B = A.dense() - np.trace(A.dense()) / A.n_rows * np.eye(A.n_rows)
-    dt = 10001 * 9.9 * 1.0001 / np.abs(B).sum(axis=0).max()   # 10003 steps
-    assert A.uniformized_form is None
+    calls = _spy_products(monkeypatch)
+    # the P1 advection generator is not Metzler: dt(beta - lam) just past
+    # the ceiling takes 550056 steps
+    A = _non_metzler_generators()[1]
+    P, beta, lam = A.uniformized_form
     with pytest.raises(KrylovConvergenceError,
-                       match=r"needs 10003 scaling steps, more than the ceiling of 10001$"):
-        phi0_action(A, rng.standard_normal(A.n_rows), dt)
+                       match=r"needs more than the ceiling of 550055 products$"):
+        phi0_action(A, rng.standard_normal(A.n_rows), 550055.5 / (beta - lam))
+    # row sums 3: 8000 steps of about 100 products each
+    G = _growing()
+    dt = 8000.0 / 3.0
+    s, K = _steps_and_length(G, dt)
+    assert s * (dt / s * G.uniformized_form[1] - 1.0) < 550055 < s * K
+    with pytest.raises(KrylovConvergenceError,
+                       match=rf"needs {s * K} products, more than the ceiling of 550055$"):
+        fused_action(G, rng.standard_normal(30), rng.standard_normal(30), dt)
     # row sums -1e6: lam = beta, about 1e6, and no growth
     M = _metzler(20, np.full(20, -1e6), 56, scale=1.0)
     P, beta, lam = M.uniformized_form
     assert lam == beta > 1e6
-    p_calls = _spy_products(monkeypatch, P)
     u = rng.standard_normal(20)
     for dt in ((550055 + 1) / beta, 1.0):     # dt * beta - 1 >= 550055
         with pytest.raises(KrylovConvergenceError,
                            match=r"needs more than the ceiling of 550055 products$"):
             fused_action(M, u, u, dt)
-    assert calls == p_calls == []
-
-
-def test_result_reports_substeps():
-    A = _random_operator(40, 20.0, 13)
-    v = np.random.default_rng(13).standard_normal(40)
-    assert "taylor_form" not in vars(A)      # filled by the first action only
-    res = phi0_action(A, v, 1.0)
-    assert isinstance(res, PhiResult)
-    assert "taylor_form" in vars(A)
-    shifted = A.taylor_form[0]
-    assert A.taylor_form[0] is shifted       # built once, then reused
-    D = A.dense()
-    mu = np.trace(D) / 40
-    S = D - mu * np.eye(40)
-    assert A.taylor_form[1:] == pytest.approx((mu, np.abs(S).sum(0).max()), rel=1e-14)
-    np.testing.assert_allclose(shifted.dense(), S, rtol=0, atol=1e-15 * abs(mu))
-    steps = _scaling_steps(A, 1.0)
-    assert res.restarts_used == steps - 1 >= 1   # stiff enough to need scaling steps
-    assert np.isfinite(res.est_error) and res.est_error >= 0
-    fused = fused_action(A, v, v, 1.0)
-    assert fused.restarts_used == _scaling_steps(A, 1.0, fused=True) - 1
-
-
-def _ungated_action(B, mu, m, s, u, f, t):
-    """The library's Taylor loop with the exact stop test taken at every
-    term: same arithmetic, same shifted operator B = A - mu I."""
-    h = t / s
-    eta = np.exp(h * mu)
-    for _ in range(s):
-        out = u.copy()
-        v, w = u, 1.0
-        c1 = np.abs(v).max()
-        for k in range(1, m + 1):
-            v = B.matvec(v)
-            if f is not None:
-                v += w * f
-                w *= -mu * h / k
-            v *= h / k
-            out += v
-            c2 = np.abs(v).max()
-            if c1 + c2 <= 2.0 ** -53 * np.abs(out).max():
-                break
-            c1 = c2
-        u = eta * out
-    return u
-
-
-def test_gated_stop_test_changes_no_stop(monkeypatch):
-    # the library reads ||out||_inf only when a scalar bound says the series
-    # could stop; every stop must still fall on the term the exact test
-    # picks, so vectors agree bit for bit and products one for one (on
-    # operators that are not Metzler, which take the Taylor route)
-    rng = np.random.default_rng(31)
-    ran_to_cap = 0
-    for A in _non_metzler_generators():
-        n = A.n_rows
-        B, mu, norm = A.taylor_form
-        taken = _spy_products(monkeypatch, B)
-        calls = []                           # products of the ungated copy
-        product = B.matvec
-        B.matvec = lambda x: calls.append(None) or product(x)
-        for dt in (1e-6, 1.0 / 1280, 1.0 / 40, 0.5):
-            u, f = rng.standard_normal(n), rng.standard_normal(n)
-            zero = np.zeros(n)
-            cases = ((lambda: phi0_action(A, u, dt).vector, u, None, 1.0),
-                     (lambda: phi1_action(A, f, dt).vector, zero, f, dt),
-                     (lambda: fused_action(A, u, f, dt).vector, u, f, 1.0))
-            for action, start, forcing, scale in cases:
-                m, s = _taylor_parameters(
-                    dt * (norm if forcing is None else max(norm, abs(mu))))
-                taken.clear()
-                got = action()
-                products = len(taken)
-                calls.clear()
-                want = _ungated_action(B, mu, m, s, start, forcing, dt) / scale
-                assert products == len(calls) <= m * s
-                assert got.tobytes() == want.tobytes()
-                ran_to_cap += products == m * s
-    assert ran_to_cap > 0                    # some series run to degree m
+    assert calls == []
 
 
 def test_shifted_cache_under_threads():
-    # threads that race to fill a fresh operator's Taylor form, or its
-    # uniformized form and the Poisson weights, get the serial results bit
-    # for bit and leave A's arrays alone
+    # threads that race to fill a fresh operator's uniformized form and the
+    # Poisson weights get the serial results bit for bit, build one weight
+    # entry for all of an action's steps and leave A's arrays alone
     rng = np.random.default_rng(41)
     fresh = lambda: _study_generators() + _non_metzler_generators()
     for A, serial in zip(fresh(), fresh()):
@@ -315,25 +237,20 @@ def test_shifted_cache_under_threads():
                 threaded = list(pool.map(work, fs, timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        # the route's own cache is the one filled
         form = A.uniformized_form
-        if form is None:
-            assert "taylor_form" in vars(A)
-            assert krylov._step_weights.cache_info().currsize == 0
-        else:
-            assert "taylor_form" not in vars(A)
-            assert krylov._step_weights.cache_info().currsize == 1
-            assert _weights_cached(form, 0.5)
-            threaded_weights = _weights(form, 0.5)
-            krylov._step_weights.cache_clear()    # the serial actions rebuild them
+        assert krylov._step_weights.cache_info().currsize == 1
+        assert _weights_cached(form, 0.5)
+        threaded_weights = _weights(form, 0.5)
+        krylov._step_weights.cache_clear()    # the serial actions rebuild them
         for f, got in zip(fs, threaded):
             assert got.tobytes() == fused_action(serial, u, f, 0.5).vector.tobytes()
         for before, after in zip(arrays, (A.data, A.indices, A.indptr)):
             assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
-        if form is not None:
-            assert form[0].data.tobytes() == serial.uniformized_form[0].data.tobytes()
-            assert _weights_cached(form, 0.5)
-            assert _weights(form, 0.5)[0] == threaded_weights[0]
+        assert form[0].data.tobytes() == serial.uniformized_form[0].data.tobytes()
+        assert _weights_cached(form, 0.5)
+        assert _weights(form, 0.5)[0] == threaded_weights[0]
+    # the P1 advection generator at dt = 0.5 takes several steps
+    assert _steps_and_length(serial, 0.5)[0] > 1
 
 
 def _study_generators():
@@ -346,7 +263,8 @@ def _study_generators():
 
 
 def _non_metzler_generators():
-    """P1-FEM generators with negative off-diagonal entries: the Taylor route."""
+    """P1-FEM generators with negative off-diagonal entries, so P has
+    entries of both signs."""
     grid = build_grid(8, 8, 1.0, 1.0)
     return (assemble_fem(grid, 1.0, c0=0.5).A,                 # consistent-mass shift
             assemble_fem(grid, 1.0, velocity=(1.0, 0.5)).A)    # advection
@@ -396,10 +314,17 @@ def _spy_products(monkeypatch, op=None):
     return calls
 
 
-def _weights(form, dt):
-    """The uniformized route's cached coefficients and tails for step dt."""
+def _steps(form, dt):
+    """The documented step count s = max(1, ceil(dt (beta - lam)))."""
     _, beta, lam = form
-    return krylov._step_weights(dt * beta, math.exp(dt * (beta - lam)))
+    return max(1, math.ceil(dt * (beta - lam)))
+
+
+def _weights(form, dt):
+    """The cached coefficients and tails of one step of an action over dt."""
+    _, beta, lam = form
+    h = dt / _steps(form, dt)
+    return krylov._step_weights(h * beta, math.exp(h * (beta - lam)))
 
 
 def _weights_cached(form, dt):
@@ -407,6 +332,16 @@ def _weights_cached(form, dt):
     misses = krylov._step_weights.cache_info().misses
     _weights(form, dt)
     return krylov._step_weights.cache_info().misses == misses
+
+
+def _steps_and_length(A, dt):
+    """(s, K) of an action over dt: the documented step count and the
+    smallest K with P(N >= K) <= 2^-53 for N ~ Poisson(dt beta / s),
+    recomputed with scipy.stats."""
+    s = _steps(A.uniformized_form, dt)
+    x = dt / s * A.uniformized_form[1]
+    K = next(k for k in range(1, 10 ** 6) if scipy.stats.poisson.sf(k - 1, x) <= 2.0 ** -53)
+    return s, K
 
 
 def _dense_uniformization(A, dt):
@@ -420,7 +355,7 @@ def _dense_uniformization(A, dt):
 @pytest.mark.parametrize("dt", [1.0 / 1280, 1.0 / 40, 0.5])
 def test_fused_action_matches_pade_expm(dt):
     # exp([[dt A, dt I], [0, 0]]) = [[exp(dt A), dt phi1(dt A)], [0, I]];
-    # scipy's Pade expm shares no code with either Taylor route
+    # scipy's Pade expm shares no code with uniformization
     rng = np.random.default_rng(21)
     for A in _study_generators():
         n = A.n_rows
@@ -467,12 +402,18 @@ def test_actions_leave_global_random_state_alone():
     assert before[2:] == after[2:]
 
 
+def _growing():
+    """A Metzler operator with row sums 3: e^{dt(beta - lam)} = e^{3 dt}, so
+    an action over dt = 0.5 takes two steps."""
+    return _metzler(30, np.full(30, 3.0), 6)
+
+
 @pytest.mark.parametrize("dt", [1.0 / 1280, 1.0 / 40, 0.5])
 def test_uniformized_actions_match_pade_expm(dt):
     # exp([[dt A, dt f], [0, 0]]) [u; 1] = phi0(dt A) u + dt phi1(dt A) f;
     # scipy's Pade expm shares no code with uniformization
     rng = np.random.default_rng(51)
-    for A in _metzler_generators():
+    for A in _metzler_generators() + _non_metzler_generators() + (_growing(),):
         n = A.n_rows
         u, f = rng.standard_normal(n), rng.standard_normal(n)
         M = np.zeros((n + 1, n + 1))
@@ -483,69 +424,59 @@ def test_uniformized_actions_match_pade_expm(dt):
         assert rel(fused_action(A, u, f, dt).vector, E[:n, :n] @ u + E[:n, n]) <= 1e-12
         assert rel(phi0_action(A, u, dt).vector, E[:n, :n] @ u) <= 1e-12
         assert rel(dt * phi1_action(A, f, dt).vector, E[:n, n]) <= 1e-12
-        assert "taylor_form" not in vars(A)  # the Taylor route never ran
 
 
 def test_uniformized_series_length_and_bound(monkeypatch):
-    # the series takes exactly K products with P, K the smallest k with
-    # P(N >= k) <= 2^-53 for N ~ Poisson(dt * beta), recomputed with
-    # scipy.stats; the bound is the documented Poisson tail bound
+    # an action over dt takes s = max(1, ceil(dt (beta - lam))) steps of
+    # h = dt / s, each exactly K products with P, K the smallest k with
+    # P(N >= k) <= 2^-53 for N ~ Poisson(h * beta), recomputed with
+    # scipy.stats; the bound is the sum of the documented Poisson tail
+    # bounds of its steps, each with that step's ||u||_inf (from expm)
     rng = np.random.default_rng(52)
-    for A in _metzler_generators():
+    several = 0
+    for A in _metzler_generators() + _non_metzler_generators() + (_growing(),):
         n = A.n_rows
         P, beta, lam = A.uniformized_form
         x1, lam_d, beta_d = _dense_uniformization(A, 1.0)
         assert (lam, beta) == pytest.approx((lam_d, beta_d), rel=1e-14)
         D = (A.dense() + lam * np.eye(n)) / beta
         np.testing.assert_allclose(P.dense(), D, rtol=1e-15, atol=0)
-        assert P.data.min() >= 0 and P.dense().sum(axis=1).max() <= 1 + 1e-15
+        assert np.abs(P.dense()).sum(axis=1).max() <= 1 + 1e-15 and 0 <= lam / beta <= 1
+        metzler = (A.dense() - np.diag(A.dense().diagonal())).min() >= 0
+        assert (P.data.min() >= 0) == metzler
         calls = _spy_products(monkeypatch, P)
         for dt in (1e-6, 1.0 / 1280, 1.0 / 40, 0.5):
-            x = dt * beta_d
+            s = max(1, math.ceil(dt * (beta_d - lam_d)))
+            h = dt / s
+            x = h * beta_d
             K = next(k for k in range(1, 10 ** 6)
                      if scipy.stats.poisson.sf(k - 1, x) <= 2.0 ** -53)
             u, f = rng.standard_normal(n), rng.standard_normal(n)
-            for action, forcing in ((lambda: phi0_action(A, u, dt), None),
+            for action, forcing in ((lambda: phi0_action(A, u, dt), np.zeros(n)),
                                     (lambda: fused_action(A, u, f, dt), f)):
                 calls.clear()
                 res = action()
-                assert len(calls) == K and res.restarts_used == 0
-                f_norm = 0.0 if forcing is None else np.abs(forcing).max()
-                bound = math.exp(dt * (beta - lam)) * (
-                    scipy.stats.poisson.sf(K, x) * np.abs(u).max()
-                    + dt * scipy.stats.poisson.sf(K - 1, x) * f_norm)
-                assert 0 < res.est_error == pytest.approx(bound, rel=1e-6)
-
-
-def test_route_falls_back_to_taylor(monkeypatch):
-    # not Metzler, or a growth factor e^{dt(beta - lam)} above e: the
-    # Taylor form fills, P is never multiplied by, no Poisson weights are
-    # built, and the result is the Taylor action's bit for bit
-    rng = np.random.default_rng(53)
-    growing = _metzler(30, np.full(30, 3.0), 6)     # row sums 3
-    cases = [(A, 0.5) for A in _non_metzler_generators()] + [(growing, 0.5)]
-    krylov._step_weights.cache_clear()
-    for A, dt in cases:
-        assert "taylor_form" not in vars(A)
-        form = A.uniformized_form
-        calls = None if form is None else _spy_products(monkeypatch, form[0])
-        u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
-        got = fused_action(A, u, f, dt).vector
-        want = krylov._taylor_action(A, u, f, dt).vector
-        assert got.tobytes() == want.tobytes()
-        assert "taylor_form" in vars(A)
-        assert krylov._step_weights.cache_info().currsize == 0
-        assert calls is None or calls == []
-    # below the guard the same Metzler operator is uniformized
-    calls = _spy_products(monkeypatch, growing.uniformized_form[0])
-    phi0_action(growing, rng.standard_normal(30), 0.25)
-    assert calls and krylov._step_weights.cache_info().currsize == 1
-    assert _weights_cached(growing.uniformized_form, 0.25)
+                assert len(calls) == res.products == s * K
+                assert res.restarts_used == s - 1
+                M = np.zeros((n + 1, n + 1))
+                M[:n, :n] = h * A.dense()
+                M[:n, n] = h * forcing
+                E = scipy.linalg.expm(M)
+                bound, v = 0.0, u
+                for _ in range(s):
+                    bound += math.exp(h * (beta - lam)) * (
+                        scipy.stats.poisson.sf(K, x) * np.abs(v).max()
+                        + h * scipy.stats.poisson.sf(K - 1, x) * np.abs(forcing).max())
+                    v = E[:n, :n] @ v + E[:n, n]
+                assert 0 < res.est_error == pytest.approx(bound, rel=1e-6, abs=0)
+            several += s > 1
+    assert several == 2                      # the advection and growing ones at 0.5
 
 
 def test_products_count_every_sparse_product(monkeypatch):
-    # PhiResult.products is the number of sparse products the action took
-    # on either route, and 0 when it takes none (dt = 0, an empty operator)
+    # PhiResult.products is the number of sparse products the action took,
+    # over all its steps, and 0 when it takes none (dt = 0, an empty
+    # operator)
     rng = np.random.default_rng(57)
     calls = _spy_products(monkeypatch)
     for A in _study_generators() + _non_metzler_generators():
@@ -564,15 +495,12 @@ def test_products_count_every_sparse_product(monkeypatch):
 
 def test_actions_leave_operands_alone_and_return_fresh_arrays(monkeypatch):
     # the series read the caller's u and f and write only buffers each
-    # action owns: on both routes the operands keep their bytes, a strided
-    # operand gives the contiguous one's bits, and no two results share
-    # memory with each other or with an operand
+    # action owns: in one step or several, the operands keep their bytes, a
+    # strided operand gives the contiguous one's bits, and no two results
+    # share memory with each other or with an operand
     rng = np.random.default_rng(58)
-    uniformized, taylor = _study_generators()[1], _non_metzler_generators()[0]
-    routes = ((uniformized, uniformized.uniformized_form[0]),
-              (taylor, taylor.taylor_form[0]))
-    for A, form in routes:
-        calls = _spy_products(monkeypatch, form)
+    for A in (_study_generators()[1], _non_metzler_generators()[1]):
+        calls = _spy_products(monkeypatch, A.uniformized_form[0])
         n = A.n_rows
         u, f = rng.standard_normal(n), rng.standard_normal(n)
         u0, f0 = u.copy(), f.copy()
@@ -584,33 +512,33 @@ def test_actions_leave_operands_alone_and_return_fresh_arrays(monkeypatch):
                 strided = [np.repeat(a, 2)[::2] for a in args]
                 assert action(A, *strided, dt).vector.tobytes() == res.vector.tobytes()
                 results.append(res.vector)
-        assert len(calls) > 0                # the products ran on this route
+        assert len(calls) > 0                # the products were taken with P
         assert u.tobytes() == u0.tobytes() and f.tobytes() == f0.tobytes()
         for i, a in enumerate(results):
             for b in results[i + 1:] + [u, f]:
                 assert not np.shares_memory(a, b)
+    assert res.restarts_used > 0             # the advection generator takes steps
 
 
 def test_uniformized_product_ceiling_raises_with_estimate(monkeypatch):
-    # the ceiling _MAX_SCALING_STEPS * 55 holds on the uniformized route:
-    # K just above it and K far above it both raise with a positive bound
+    # on one step: K just above the ceiling and the ceiling at most x - 1
+    # (raised before the weights are built) both raise with a positive
+    # bound; at K the action runs
     A = build_problem(advection_study(heterogeneous=True, nx=8)).discrete.A
     v = np.random.default_rng(54).standard_normal(A.n_rows)
+    s, K = _steps_and_length(A, 0.5)
     x, _, _ = _dense_uniformization(A, 0.5)
-    K = next(k for k in range(1, 10 ** 6) if scipy.stats.poisson.sf(k - 1, x) <= 2.0 ** -53)
-    near = K // 55                           # ceiling 55 * near < K
-    assert x - 1 < 55 * near < K
-    for steps in (near, 1):
-        monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", steps)
+    assert s == 1 and x - 1 > 1
+    for cap in (K - 1, 1):
+        monkeypatch.setattr(krylov, "_MAX_PRODUCTS", cap)
         with pytest.raises(KrylovConvergenceError) as exc:
             fused_action(A, v, v, 0.5)
         assert exc.value.est_error > 0
         with pytest.raises(KrylovConvergenceError):
             phi0_action(A, v, 0.5)
-    assert "taylor_form" not in vars(A)
-    monkeypatch.setattr(krylov, "_MAX_SCALING_STEPS", K // 55 + 1)
+    monkeypatch.setattr(krylov, "_MAX_PRODUCTS", K)
     res = fused_action(A, v, v, 0.5)
-    assert res.restarts_used == 0
+    assert res.restarts_used == 0 and res.products == K
 
 
 def test_poisson_weights_to_a_few_ulps():

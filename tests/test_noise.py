@@ -53,6 +53,15 @@ def test_powerlaw_spectrum_values():
     assert np.isfinite(trace(spec))
     with pytest.raises(InvalidArgumentError):
         NoiseSpec.powerlaw(r=2.0)  # not trace class
+    # NaN passes every ordered comparison's "else" and Inf every lower
+    # bound; either would reach the spectrum and a study's report
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("gamma", "b1", "b2", "L1", "L2"):
+            with pytest.raises(InvalidArgumentError, match=name):
+                NoiseSpec.exponential(**{name: bad})
+        for name in ("r", "L1", "L2"):
+            with pytest.raises(InvalidArgumentError, match=name):
+                NoiseSpec.powerlaw(**{name: bad})
 
 
 def test_laplacian_eigenvalues():

@@ -3,6 +3,7 @@ hand stencils, boundary freezing, and the L2 quadrature weights."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy as sy
 
 from setd import kernels
@@ -296,3 +297,25 @@ def test_rows_scaled_by_zero_come_out_empty():
     assert np.all(counts[mask] == 0) and np.all(counts[~mask] == np.diff(K.indptr)[~mask])
     assert np.all(A.data != 0)
     np.testing.assert_array_equal(A.dense(), factors[:, None] * K.dense())
+
+
+def test_operator_rejects_non_finite_entries(tmp_path):
+    # a NaN or Inf entry would reach the phi actions' step count and series
+    # length as a bare ValueError or OverflowError; the constructor, and so
+    # every entry point, raises the typed error instead
+    nan_diagonal = np.diag([-1.0, np.nan, -1.0])
+    inf_entry = np.array([[-1.0, np.inf], [0.0, -1.0]])
+    for mat in (nan_diagonal, inf_entry, sp.csr_matrix(inf_entry)):
+        with pytest.raises(InvalidArgumentError, match="NaN/Inf"):
+            SparseOperator(mat)
+    with pytest.raises(InvalidArgumentError, match="NaN/Inf"):   # inf + -inf = nan
+        SparseOperator.from_coo(2, 2, [0, 0], [1, 1], [np.inf, -np.inf])
+    path = tmp_path / "nan.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 2\n1 1 -1.0\n2 2 nan\n")
+    with pytest.raises(InvalidArgumentError, match="NaN/Inf"):
+        load_matrix_market(path)
+    # scale_rows builds through the constructor too
+    A = SparseOperator(np.array([[-1.0, 1e300], [0.0, -1.0]]))
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError, match="NaN/Inf"):
+        A.scale_rows(np.array([1e10, 1.0]))
