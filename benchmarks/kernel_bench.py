@@ -12,18 +12,20 @@ one full SETDM1 step (one fused action).
 A second table times one product with the uniformized form P of each study
 generator (the P1-FEM generator of the linear study and the upwind FV
 generators of the homogeneous and Darcy-streak advection studies, all on
-the presets' 1/32 grid) two ways: scipy's ``csr @ x`` and the private
-helper ``sparse._matvec_into`` that the phi-action series call, the same
-compiled kernel without scipy's dispatch. The ratio helper / ``csr @ x``
-is the part of a product's time that remains without that dispatch.
+the presets' 1/32 grid) three ways: scipy's ``csr @ x``, and the two
+accumulate kernels ``out += P x`` an operator's product form may bind
+(``sparse._csr_kernel``: scipy's compiled ``csr_matvec``;
+``sparse._dia_kernel``: its ``dia_matvec`` on P stored by diagonals), both
+without scipy's dispatch. Every study P is a 5-diagonal stencil and takes
+the diagonal kernel.
 
-A third table times one fused SETDM1 action (``fused_action``) with the
-sparse products it takes (``PhiResult.products``) and its uniformization
-steps (``restarts_used + 1``): on the three study generators at study step
-lengths, where every action is one step, and on P1-FEM generators on the
-NX grid that no study builds (a consistent-mass shift c0 = 0.5, and
-advection with velocity (1, 0.5) and (50, 20)), whose large
-dt(beta - lam) takes several steps.
+A third table times one fused SETDM1 action (``fused_action``), per action
+and per sparse product, with the products it takes (``PhiResult.products``)
+and its uniformization steps (``restarts_used + 1``): on the three study
+generators at study step lengths, where every action is one step, and on
+P1-FEM generators on the NX grid that no study builds (a consistent-mass
+shift c0 = 0.5, and advection with velocity (1, 0.5) and (50, 20)), whose
+large dt(beta - lam) takes several steps.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm1_step
 from setd.krylov import fused_action
 from setd.noise import NoiseSpec, make_path, sample_increment
 from setd.operators import assemble_fem, assemble_fv
-from setd.sparse import _matvec_into
+from setd.sparse import _csr_kernel, _dia_kernel
 
 
 def _time(fn, repeats):
@@ -102,17 +104,19 @@ def build_cases(nx):
 
 
 def build_product_cases():
-    """(name, csr @ x, helper) products with each study generator's P."""
+    """(name, [csr @ x, CSR kernel, diagonal kernel]) products with each
+    study generator's P."""
     rng = np.random.default_rng(2)
     cases = []
     for label, study in (("P1-FEM", linear_additive_study()),
                          ("homogeneous FV", advection_study()),
                          ("Darcy-streak FV", advection_study(heterogeneous=True))):
-        P = build_problem(study).discrete.A.uniformized_form[0]
-        x, out = rng.standard_normal(P.n_cols), np.empty(P.n_rows)
-        cases.append((f"P of {label} ({P.n_rows} dof, {P.nnz} nnz)",
-                      lambda P=P, x=x: P.to_scipy() @ x,
-                      lambda P=P, x=x, out=out: _matvec_into(P, x, out)))
+        csr = build_problem(study).discrete.A.uniformized_form[0].to_scipy()
+        x, out = rng.standard_normal(csr.shape[1]), np.zeros(csr.shape[0])
+        cases.append((f"P of {label} ({csr.shape[0]} dof, {csr.nnz} nnz)",
+                      [lambda csr=csr, x=x: csr @ x,
+                       lambda kernel=_csr_kernel(csr), x=x, out=out: kernel(x, out),
+                       lambda kernel=_dia_kernel(csr), x=x, out=out: kernel(x, out)]))
     return cases
 
 
@@ -155,24 +159,25 @@ def main(argv=None):
         print(f"{name:<{width}}  {_fmt(_time(fn, args.repeats))}")
 
     products = build_product_cases()
-    width = max(len(name) for name, _, _ in products)
+    width = max(len(name) for name, _ in products)
     header = (f"\n{'sparse product':<{width}}  {'csr @ x':>12}"
-              f"  {'_matvec_into':>12}   ratio")
+              f"  {'csr_matvec':>12}  {'dia_matvec':>12}")
     print(header)
     print("-" * (len(header) - 1))
-    for name, scipy_product, helper in products:
-        ts, th = _time(scipy_product, args.repeats), _time(helper, args.repeats)
-        print(f"{name:<{width}}  {_fmt(ts)}  {_fmt(th)}  {th / ts:5.2f}x")
+    for name, fns in products:
+        print(f"{name:<{width}}" + "".join(f"  {_fmt(_time(fn, args.repeats))}" for fn in fns))
 
     actions = build_action_cases(args.nx)
     width = max(len(name) for name, _ in actions)
-    header = f"\n{'phi action':<{width}}  {'time':>12} {'products':>8} {'steps':>6}"
+    header = (f"\n{'phi action':<{width}}  {'time':>12}  {'per product':>12}"
+              f" {'products':>8} {'steps':>6}")
     print(header)
     print("-" * (len(header) - 1))
     for name, action in actions:
         res = action()
-        print(f"{name:<{width}}  {_fmt(_time(action, args.repeats))} {res.products:8d}"
-              f" {res.restarts_used + 1:6d}")
+        seconds = _time(action, args.repeats)
+        print(f"{name:<{width}}  {_fmt(seconds)}  {_fmt(seconds / res.products)}"
+              f" {res.products:8d} {res.restarts_used + 1:6d}")
 
 if __name__ == "__main__":
     main()

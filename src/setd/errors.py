@@ -14,10 +14,12 @@ class ConfigError(SETDError, ValueError):
 
 
 class KrylovConvergenceError(SETDError, RuntimeError):
-    """A phi action needs more sparse products than the fixed product ceiling.
+    """A phi action needs more sparse products than the fixed product
+    ceiling, or its value overflows float64.
 
-    Raised before any product is taken; carries the action's truncation
-    bound at the ceiling so callers can report how far off it would be.
+    The ceiling is checked before any product is taken; the error carries
+    the action's truncation bound at the ceiling so callers can report how
+    far off it would be. An overflowing action carries an infinite bound.
     """
 
     def __init__(self, message, est_error):

@@ -38,21 +38,32 @@ e^{h(beta - lam)} is at most e; the last coordinate of [u; 1] stays 1
 from step to step. Every study generator has t(beta - lam) <= 1 at its
 step lengths and takes one step. Strongly advective, skew or growing
 operators take many: their beta - lam is large though ||exp(tA)|| may
-not be. All steps share one set of weights, a pure function of h*beta
-and the growth factor, cached for the last 64 such pairs
-(``_step_weights``). The action's bound is the sum over steps of each
-step's bound, taken with that step's ||u||_inf.
+not be. The action's bound is the sum over steps of each step's bound,
+taken with that step's ||u||_inf.
 
-Each term costs one sparse product with P: one call of scipy's compiled
-CSR kernel through ``sparse._matvec_into``, without scipy's ``@``
-dispatch. It reads u or one of two buffers the action allocates and
-writes the other buffer, so no product allocates and the caller's u and f
-are never written.
+Each step evaluates its truncated series in Horner form. With
+c_k = e^{h(beta - lam)} w_k, r = lam/beta and g = f/beta,
+sum_k c_k y_k = sum_m P^m (c_m u + d_m g) with d_K = 0 and
+d_m = c_{m+1} + r d_{m+1}, so
+
+    b_K = c_K u,  b_m = c_m u + d_m g + P b_{m+1},  result b_0.
+
+All steps share one set of coefficients and tails, a pure function of
+h*beta, the growth factor and r, cached for the last 64 such triples
+(``_step_weights``). Each term writes c_m u + d_m g into a buffer the
+action owns and then adds P b_{m+1}, read from another, with one call of
+P's compiled product kernel (``SparseOperator.add_product``, out += P x:
+scipy's diagonal kernel on the study operators' banded P, its CSR kernel
+otherwise). Three buffers keep a step's u, b_{m+1} and b_m apart, so no
+product allocates and the caller's u and f are never written.
 
 An action may take at most _MAX_PRODUCTS = 550 055 sparse products, s*K.
 One that would take more raises KrylovConvergenceError with an error
 estimate before any product; a study flags that cell. Nothing configures
-it.
+it. An action whose result overflows float64 raises the same error,
+with an infinite bound, after the first step whose result is not finite;
+the series run with numpy's overflow and invalid warnings off, so the
+error is the one signal.
 
 ``dense_phi`` is the independent dense oracle (n <= 256): Taylor
 scaling-and-squaring on the plain or augmented matrix. It shares no code
@@ -68,7 +79,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, KrylovConvergenceError
-from .sparse import _matvec_into
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -116,20 +126,25 @@ def _poisson_weights(x):
 
 
 @lru_cache(maxsize=64)
-def _step_weights(x, growth):
-    """The series coefficients growth * w_k (a list) and the tails of the
-    Poisson(x) weights: built once per (x, growth), which every step of an
-    action and of a study repeats; 64 entries take about 2 MB for
+def _step_weights(x, growth, ratio):
+    """One step's Horner coefficients c_k = growth * w_k and
+    d_k = c_{k+1} + ratio * d_{k+1}, d_K = 0 (lists), and the tails of the
+    Poisson(x) weights: built once per (x, growth, ratio), which every step
+    of an action and of a study repeats; 64 entries take about 3 MB for
     x <= 500."""
     w, tail = _poisson_weights(x)
-    return (growth * w).tolist(), tail
+    c = (growth * w).tolist()
+    d = [0.0] * len(c)
+    for k in range(len(c) - 2, -1, -1):
+        d[k] = c[k + 1] + ratio * d[k + 1]
+    return c, d, tail
 
 
 def _action(A, u, f, t):
     """First block of exp(t [[A, f], [0, 0]]) [u; 1]; f None means exp(tA) u.
 
-    s = max(1, ceil(t(beta - lam))) steps of length h = t/s, each one series
-    of Poisson weights times products with P, with no stop test.
+    s = max(1, ceil(t(beta - lam))) steps of length h = t/s, each one
+    polynomial in P of degree K evaluated in Horner form, with no stop test.
     """
     if f is not None and not f.any():
         f = None
@@ -146,33 +161,39 @@ def _action(A, u, f, t):
             f"phi action needs more than the ceiling of {_MAX_PRODUCTS} products",
             est_error=(math.exp(r) if r < 709.0 else math.inf) * (u_norm + t * f_norm))
     growth = math.exp(h * (beta - lam))
-    coeffs, tail = _step_weights(x, growth)
-    K = len(coeffs) - 1
+    c, d, tail = _step_weights(x, growth, lam / beta)
+    K = len(c) - 1
     if s * K > _MAX_PRODUCTS:
         k = _MAX_PRODUCTS // s
         raise KrylovConvergenceError(
             f"phi action needs {s * K} products, more than the ceiling of {_MAX_PRODUCTS}",
             est_error=s * growth * (tail[k + 1] * u_norm + h * tail[k] * f_norm))
-    term = np.empty_like(u)
-    buffers = np.empty_like(u), np.empty_like(u)
+    add_product = P.add_product
+    buffers = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     if f is not None:
         g = f / beta
-        ratio = lam / beta
+        forcing = np.empty_like(u)
     est = 0.0
-    for step in range(s):
-        if step:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(s):
+            est += growth * (tail[K + 1] * u_norm + h * tail[K] * f_norm)
+            # b_K = c_K u, b_m = c_m u + d_m g + P b_{m+1}, each in one of the
+            # two buffers that do not hold u; the step's result is b_0
+            # (ufunc outputs passed by position: the out= keyword costs
+            # about 0.2 us a call, a tenth of a term's numpy work)
+            work = [buffer for buffer in buffers if buffer is not u]
+            b = np.multiply(u, c[K], work[0])
+            for m in range(K - 1, -1, -1):
+                term = np.multiply(u, c[m], work[b is work[0]])
+                if f is not None:
+                    np.add(term, np.multiply(g, d[m], forcing), term)
+                add_product(b, term)
+                b = term
+            u = b
             u_norm = float(np.abs(u).max())
-        est += growth * (tail[K + 1] * u_norm + h * tail[K] * f_norm)
-        out = coeffs[0] * u
-        y, scale = u, 1.0
-        for k in range(1, K + 1):
-            # read u or one buffer, write the other buffer
-            y = _matvec_into(P, y, buffers[y is buffers[0]])
-            if f is not None:
-                y += np.multiply(g, scale, out=term)
-                scale *= ratio
-            out += np.multiply(y, coeffs[k], out=term)
-        u = out
+            if not math.isfinite(u_norm):
+                raise KrylovConvergenceError(
+                    f"phi action overflowed in step {step + 1} of {s}", est_error=math.inf)
     return PhiResult(u, est, s - 1, s * K)
 
 

@@ -348,7 +348,7 @@ def assemble_fv(grid, D, q_faces=None, bc=None, c0=0.0):
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
     )
     # K in stiffness convention (A_h = -M^{-1} K), M = vol * I
-    K = SparseOperator.from_scipy(
+    K = SparseOperator(
         -N.to_scipy() + c0 * vol * sp.identity(grid.cell_count, format="csr"))
     mask, values = _dirichlet_arrays(grid, bc, grid.cell_count, boundary_cells)
     masses = np.full(grid.cell_count, vol)

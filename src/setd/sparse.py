@@ -1,30 +1,39 @@
-"""CSR sparse-operator container.
+"""Sparse-operator container and its compiled product.
 
 A :class:`SparseOperator` holds one canonical scipy CSR matrix: duplicates
 summed, explicit zeros dropped, column indices strictly increasing within
 each row. Its one constructor makes that form; :meth:`SparseOperator.from_coo`
-and :meth:`SparseOperator.from_scipy` are entry points into it, and
-``indptr``, ``indices`` and ``data`` are the matrix's own arrays.
+is an entry point into it, and ``indptr``, ``indices`` and ``data`` are the
+matrix's own arrays.
 
-Every product is one call of scipy's compiled CSR kernel
-(``scipy.sparse._sparsetools.csr_matvec``, the routine ``csr @ x`` ends in)
-through one private helper, :func:`_matvec_into`, which zero-fills a
-caller-owned float64 buffer and runs the kernel into it.
-:meth:`SparseOperator.matvec` validates its operand and passes a fresh
-buffer; the phi-action series of :mod:`setd.krylov` call the helper
-directly, into two buffers each action owns, and so skip scipy's ``@``
-dispatch, which costs about as much as the product itself. Rows accumulate
-left to right from 0, so every product equals ``csr @ x`` and
-``kernels.csr_matvec_numpy`` bit for bit. The kernel is private scipy API:
-if scipy moves it, importing this module fails.
+Every product goes through one accumulate kernel, ``out += A x``
+(:attr:`SparseOperator.add_product`), bound to the operator's arrays on its
+first product and cached on the operator, never at assembly. It is one call
+of a compiled scipy kernel, the routines ``dia @ x`` and ``csr @ x`` end in,
+without scipy's ``@`` dispatch, which costs about as much as the product
+itself:
+
+* ``scipy.sparse._sparsetools.dia_matvec`` on the matrix stored by
+  diagonals, when its d distinct diagonals (counted from the CSR arrays)
+  hold d * n_cols <= 2 * nnz slots. Every study operator is a 5- or
+  7-diagonal stencil and takes it; diagonal storage of an unstructured
+  matrix grows towards n^2, so
+* ``scipy.sparse._sparsetools.csr_matvec`` serves every other matrix.
+
+The diagonals are kept in ascending offset order, so both kernels add each
+row's products to ``out[i]`` in column order, as ``csr @ x`` does, and give
+its bits for finite operands (the padding zeros of the diagonal storage add
++-0). :meth:`SparseOperator.matvec` validates its operand and accumulates
+into a fresh zero array; the phi-action series of :mod:`setd.krylov`
+accumulate into buffers each action owns. The kernels are private scipy
+API: if scipy moves them, importing this module fails.
 
 The phi actions multiply by one form of A, built on the first action and
 cached on the operator, never at assembly: the matrix
 P = (A + lam I) / beta of the uniformized series
-(:attr:`SparseOperator.uniformized_form`), itself a SparseOperator, so
-every product an action takes goes through :func:`_matvec_into`. That
-cache is why the phi actions take this wrapper rather than a bare scipy
-matrix.
+(:attr:`SparseOperator.uniformized_form`), itself a SparseOperator with its
+own product kernel. That cache is why the phi actions take this wrapper
+rather than a bare scipy matrix.
 
 Every entry is finite: the constructor rejects NaN and Inf, so an action's
 step count and series length are always defined.
@@ -32,20 +41,22 @@ step count and series length are always defined.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import dia_matvec as _dia_matvec
 
 from .errors import InvalidArgumentError
 
 
 class SparseOperator:
-    """Canonical CSR matrix and the lazily built form the phi actions
-    multiply by (see the module docstring). The form never touches the
-    matrix, and two threads building it at once build equal values."""
+    """Canonical CSR matrix, its product kernel and the form the phi actions
+    multiply by, both built lazily (see the module docstring). Neither
+    touches the matrix, and two threads building one at once build equal
+    values."""
 
     def __init__(self, mat):
         """Canonical float64 copy of a scipy sparse (or dense) matrix with
@@ -64,10 +75,6 @@ class SparseOperator:
         """Build from COO triplets; duplicates are summed, zeros dropped."""
         return cls(sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)))
 
-    @classmethod
-    def from_scipy(cls, mat):
-        return cls(mat)
-
     nnz = property(lambda self: int(self._csr.nnz))
     indptr = property(lambda self: self._csr.indptr)
     indices = property(lambda self: self._csr.indices)
@@ -79,7 +86,9 @@ class SparseOperator:
             raise InvalidArgumentError(
                 f"operand has shape {x.shape}, operator expects ({self.n_cols},)"
             )
-        return _matvec_into(self, np.ascontiguousarray(x), np.empty(self.n_rows))
+        out = np.zeros(self.n_rows)
+        self.add_product(np.ascontiguousarray(x), out)
+        return out
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -125,18 +134,45 @@ class SparseOperator:
         beta = max(float(abs(shifted).sum(axis=1).max()), lam)
         return SparseOperator(shifted / beta), beta, lam
 
-def _matvec_into(op, x, out):
-    """out = A x for the SparseOperator op, and return out.
+    @cached_property
+    def add_product(self):
+        """The compiled kernel ``add_product(x, out)``: out += A x.
 
-    Unchecked: x is a C-contiguous float64 array of op.n_cols entries, out a
-    C-contiguous float64 buffer of op.n_rows entries that does not overlap
-    x. out is zero-filled and the kernel adds each row's products to it left
-    to right, as ``csr @ x`` does.
-    """
-    out.fill(0.0)
-    csr = op._csr
-    _csr_matvec(op.n_rows, op.n_cols, csr.indptr, csr.indices, csr.data, x, out)
-    return out
+        Unchecked: x is a C-contiguous float64 array of n_cols entries, out
+        a C-contiguous float64 buffer of n_rows entries that does not
+        overlap x. Built on the first product (module docstring).
+        """
+        return _product_kernel(self._csr)
+
+
+def _product_kernel(csr):
+    """out += csr x: the diagonal kernel when the d distinct diagonals fill
+    d * n_cols <= 2 * nnz slots, else the CSR kernel."""
+    if len(np.unique(_entry_offsets(csr))) * csr.shape[1] <= 2 * csr.nnz:
+        return _dia_kernel(csr)
+    return _csr_kernel(csr)
+
+
+def _entry_offsets(csr):
+    """The diagonal offset, column - row, of each stored entry."""
+    rows = np.arange(csr.shape[0], dtype=csr.indices.dtype)
+    return csr.indices - np.repeat(rows, np.diff(csr.indptr))
+
+
+def _csr_kernel(csr):
+    """out += csr x as one call of scipy's compiled CSR kernel."""
+    return partial(_csr_matvec, *csr.shape, csr.indptr, csr.indices, csr.data)
+
+
+def _dia_kernel(csr):
+    """out += csr x as one call of scipy's compiled diagonal kernel, over the
+    matrix stored by its diagonals in ascending offset order."""
+    entry_offsets = _entry_offsets(csr)
+    offsets = np.unique(entry_offsets)
+    n_cols = csr.shape[1]
+    diagonals = np.zeros((len(offsets), n_cols))
+    diagonals[np.searchsorted(offsets, entry_offsets), csr.indices] = csr.data
+    return partial(_dia_matvec, *csr.shape, len(offsets), n_cols, offsets, diagonals)
 
 
 def save_matrix_market(op, path, comment=""):
@@ -145,4 +181,4 @@ def save_matrix_market(op, path, comment=""):
 
 
 def load_matrix_market(path):
-    return SparseOperator.from_scipy(scipy.io.mmread(str(path)))
+    return SparseOperator(scipy.io.mmread(str(path)))

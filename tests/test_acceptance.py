@@ -38,7 +38,7 @@ def _random_operator(n, rho, seed, density=0.1):
     M = sp.random(n, n, density=density, random_state=rng, format="csr")
     M = M - sp.diags(np.full(n, 0.5))
     lam = np.max(np.abs(np.linalg.eigvals(M.toarray())))
-    return SparseOperator.from_scipy((M * (rho / lam)).tocsr())
+    return SparseOperator((M * (rho / lam)).tocsr())
 
 
 def test_criterion_1_phi_actions_match_dense_oracle():

@@ -66,7 +66,7 @@ def test_semi_implicit_scalar_resolvent():
     grid = build_grid(2, 1, 1.0, 1.0)  # placeholder discrete problem container
     discrete = assemble_fem(grid, 1.0)
     lam = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-    discrete.A = SparseOperator.from_scipy(sp.diags(-lam).tocsr())
+    discrete.A = SparseOperator(sp.diags(-lam).tocsr())
     discrete.dirichlet_mask = np.zeros(6, dtype=bool)
     discrete.dirichlet_values = np.zeros(6)
     problem = ProblemDef(discrete=discrete, noise=NoiseSpec.exponential(n1=2, n2=2),

@@ -20,13 +20,14 @@ def test_kernel_bench_prints_every_table(capsys):
     products = [line for line in out.splitlines() if line.startswith("P of ")]
     assert len(products) == 3
     for line in products:
-        # csr @ x and the product helper both timed, with their ratio
-        assert line.count(" us") + line.count(" ms") == 2 and line.endswith("x"), line
+        # csr @ x, the CSR kernel and the diagonal kernel all timed
+        assert line.count(" us") + line.count(" ms") == 3, line
     actions = [line for line in out.splitlines() if line.startswith("fused action")]
     assert len(actions) == 10
     for line in actions:
-        # a time, then positive product and step counts
-        assert line.count(" us") + line.count(" ms") == 1, line
+        # a time per action and per product, then positive product and
+        # step counts
+        assert line.count(" us") + line.count(" ms") == 2, line
         products, steps = (int(tok) for tok in line.split()[-2:])
         assert products >= steps >= 1, line
     # the study generators take one step at their step lengths

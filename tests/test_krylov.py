@@ -5,6 +5,7 @@ and the documented edge cases."""
 import math
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 import scipy.stats
 
 from setd.errors import InvalidArgumentError, KrylovConvergenceError
-from setd import krylov
+from setd import krylov, sparse
 from setd.grid import BoundaryTag, build_grid
 from setd.harness import advection_study, build_problem
 from setd.krylov import dense_phi, fused_action, phi0_action, phi1_action
@@ -29,7 +30,7 @@ def _random_operator(n, rho, seed, density=0.1):
     M = M - sp.diags(np.full(n, 0.5))  # push mass off the positive axis
     lam = np.max(np.abs(np.linalg.eigvals(M.toarray())))
     M = M * (rho / lam)
-    return SparseOperator.from_scipy(M.tocsr())
+    return SparseOperator(M.tocsr())
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_phi_edge_cases():
     assert out.est_error == 0.0 and out.restarts_used == 0
     np.testing.assert_array_equal(phi1_action(A, v, 0.0).vector, v)
     # A = 0 (no stored entries): exact copy for both actions
-    Z = SparseOperator.from_scipy(sp.csr_matrix((16, 16)))
+    Z = SparseOperator(sp.csr_matrix((16, 16)))
     np.testing.assert_array_equal(phi0_action(Z, v, 3.0).vector, v)
     np.testing.assert_array_equal(phi1_action(Z, v, 3.0).vector, v)
     # v = 0: zero comes back
@@ -147,7 +148,7 @@ def test_phi_validation_errors():
         phi0_action(A, np.full(10, np.nan), 1.0)
     with pytest.raises(InvalidArgumentError):
         phi0_action(A, np.zeros(10), -0.5)
-    rect = SparseOperator.from_scipy(sp.csr_matrix(np.ones((3, 4))))
+    rect = SparseOperator(sp.csr_matrix(np.ones((3, 4))))
     with pytest.raises(InvalidArgumentError):
         phi0_action(rect, np.zeros(4), 1.0)
 
@@ -278,7 +279,7 @@ def _metzler(n, row_sums, seed, scale=30.0):
     M.setdiag(0.0)
     M = M.tocsr()
     M = M + sp.diags(np.asarray(row_sums) - np.asarray(M.sum(axis=1)).ravel())
-    return SparseOperator.from_scipy(M)
+    return SparseOperator(M)
 
 
 def _metzler_generators():
@@ -300,17 +301,21 @@ def _metzler_generators():
 
 def _spy_products(monkeypatch, op=None):
     """Count in the returned list the phi actions' products with op (with
-    any operator when op is None): their calls of the product helper
-    krylov._matvec_into."""
+    any operator when op is None): their calls of the operator's product
+    kernel, SparseOperator.add_product."""
     calls = []
-    product = krylov._matvec_into
 
-    def counted(A, x, out):
-        if op is None or A is op:
+    def kernel(A):
+        add_product = sparse._product_kernel(A.to_scipy())
+        if op is not None and A is not op:
+            return add_product
+
+        def counted(x, out):
             calls.append(None)
-        return product(A, x, out)
+            return add_product(x, out)
+        return counted
 
-    monkeypatch.setattr(krylov, "_matvec_into", counted)
+    monkeypatch.setattr(SparseOperator, "add_product", property(kernel))
     return calls
 
 
@@ -324,7 +329,7 @@ def _weights(form, dt):
     """The cached coefficients and tails of one step of an action over dt."""
     _, beta, lam = form
     h = dt / _steps(form, dt)
-    return krylov._step_weights(h * beta, math.exp(h * (beta - lam)))
+    return krylov._step_weights(h * beta, math.exp(h * (beta - lam)), lam / beta)
 
 
 def _weights_cached(form, dt):
@@ -379,7 +384,7 @@ def test_fused_action_edge_cases():
     rng = np.random.default_rng(6)
     u, f = rng.standard_normal(16), rng.standard_normal(16)
     np.testing.assert_array_equal(fused_action(A, u, f, 0.0).vector, u)
-    Z = SparseOperator.from_scipy(sp.csr_matrix((16, 16)))
+    Z = SparseOperator(sp.csr_matrix((16, 16)))
     np.testing.assert_array_equal(fused_action(Z, u, f, 2.0).vector, u + 2.0 * f)
     # zero forcing is the plain semigroup action, bit for bit
     assert (fused_action(A, u, np.zeros(16), 0.7).vector.tobytes()
@@ -539,6 +544,36 @@ def test_uniformized_product_ceiling_raises_with_estimate(monkeypatch):
     monkeypatch.setattr(krylov, "_MAX_PRODUCTS", K)
     res = fused_action(A, v, v, 0.5)
     assert res.restarts_used == 0 and res.products == K
+
+
+def test_overflowing_action_raises_typed_error():
+    # exp(10 A) of this strongly advective P1 generator overflows float64
+    # (7999 steps, each with growth factor up to e): each action raises
+    # the typed error with an infinite bound once a step's result is not
+    # finite, and numpy warns nothing
+    A = assemble_fem(build_grid(8, 8, 1.0, 1.0), 1e-3, velocity=(50.0, 20.0)).A
+    rng = np.random.default_rng(59)
+    u, f = rng.standard_normal(A.n_rows), rng.standard_normal(A.n_rows)
+    assert _steps(A.uniformized_form, 10.0) == 7999
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for action, args in ((phi0_action, (u,)), (phi1_action, (f,)),
+                             (fused_action, (u, f))):
+            with pytest.raises(KrylovConvergenceError,
+                               match=r"overflowed in step \d+ of 7999$") as exc:
+                action(A, *args, 10.0)
+            assert exc.value.est_error == math.inf
+
+
+def test_horner_coefficients_sum_the_forcing_terms():
+    # d_m = sum_{k > m} c_k r^(k - m - 1): the weight of P^m g in the
+    # forward series y_k = P y_{k-1} + r^(k-1) g, out = sum c_k y_k
+    for x, growth, ratio in ((0.3, 1.0, 1.0), (12.5, 2.2, 0.4), (40.0, 1.1, 0.0)):
+        c, d, _ = krylov._step_weights(x, growth, ratio)
+        K = len(c) - 1
+        for m in range(K + 1):
+            want = math.fsum(c[k] * ratio ** (k - m - 1) for k in range(m + 1, K + 1))
+            assert d[m] == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 def test_poisson_weights_to_a_few_ulps():

@@ -6,9 +6,10 @@ import pytest
 import scipy.sparse as sp
 import sympy as sy
 
-from setd import kernels
+from setd import kernels, sparse
 from setd.errors import InvalidArgumentError
 from setd.grid import BoundaryTag, boundary_cells, boundary_nodes, build_grid
+from setd.harness import advection_study, build_problem, linear_additive_study
 from setd.operators import (
     FaceVelocities,
     NEUMANN,
@@ -18,8 +19,7 @@ from setd.operators import (
     dirichlet,
     quadrature_weights,
 )
-from setd.sparse import (SparseOperator, _matvec_into, load_matrix_market,
-                         save_matrix_market)
+from setd.sparse import SparseOperator, load_matrix_market, save_matrix_market
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +237,10 @@ def _with_int64_indices(A):
 
 
 def test_matvec_bit_identical_to_numpy_kernel():
-    # SparseOperator.matvec and the phi actions' product helper run scipy's
-    # compiled CSR kernel; both must give the bits of scipy's own product
+    # SparseOperator.matvec accumulates into zeros with the operator's
+    # compiled product kernel; it must give the bits of scipy's own product
     # and of the row-ordered numpy kernel on the study generators, with
-    # int32 and int64 index arrays, into a buffer holding stale values,
-    # and matvec on a strided operand too
+    # int32 and int64 index arrays, and on a strided operand too
     grid = build_grid(32, 32, 1.0, 1.0)
     fem = assemble_fem(grid, 1.0).A
     fv = assemble_fv(grid, np.array([1e-2, 1e-3]), q_faces=(1.0, 0.25),
@@ -257,13 +256,59 @@ def test_matvec_bit_identical_to_numpy_kernel():
                 strided = np.repeat(x, 2)[::2]
                 assert not strided.flags.c_contiguous
                 want = kernels.csr_matvec_numpy(A.indptr, A.indices, A.data, x)
-                stale = rng.standard_normal(A.n_rows)
-                for got in (A.matvec(x), A.matvec(strided), A.to_scipy() @ x,
-                            _matvec_into(A, x, stale)):
+                for got in (A.matvec(x), A.matvec(strided), A.to_scipy() @ x):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
         with pytest.raises(InvalidArgumentError):
             A32.matvec(np.zeros(A32.n_cols + 1))
+
+
+def _banded_forms():
+    """The uniformized form P of each study generator and of the P1
+    generators with a consistent-mass shift and with advection: 5 and 7
+    diagonals."""
+    grid = build_grid(32, 32, 1.0, 1.0)
+    generators = [build_problem(study).discrete.A for study in (
+        linear_additive_study(), advection_study(), advection_study(heterogeneous=True))]
+    generators += [assemble_fem(grid, 1.0, c0=0.5).A,
+                   assemble_fem(grid, 1.0, velocity=(50.0, 20.0)).A]
+    return [A.uniformized_form[0] for A in generators]
+
+
+def test_product_kernels_give_the_csr_product_bits():
+    # banded operators (d diagonals with d * n <= 2 nnz) take scipy's
+    # diagonal kernel, unstructured ones its CSR kernel; either kernel gives
+    # the bits of csr @ x accumulated from zero, and both kernels give the
+    # same bits accumulated into a buffer holding stale values, with int32
+    # and int64 index arrays
+    rng = np.random.default_rng(12)
+    unstructured = SparseOperator(
+        sp.random(200, 200, density=0.1, random_state=rng) - sp.identity(200))
+    for A, diagonals in zip(_banded_forms() + [unstructured], (5, 5, 5, 7, 7, None)):
+        coo = A.to_scipy().tocoo()
+        count = np.unique(coo.col - coo.row).size
+        banded = diagonals is not None
+        assert count == diagonals if banded else count * A.n_cols > 2 * A.nnz
+        assert A.add_product.func is (sparse._dia_matvec if banded else sparse._csr_matvec)
+        for B in (A, _with_int64_indices(A)):
+            csr = B.to_scipy()
+            candidates = (sparse._csr_kernel(csr), sparse._dia_kernel(csr), B.add_product)
+            x = rng.standard_normal(B.n_cols)
+            want = (csr @ x).tobytes()
+            stale = rng.standard_normal(B.n_rows)
+            accumulated = []
+            for kernel in candidates:
+                out = np.zeros(B.n_rows)
+                kernel(x, out)
+                assert out.tobytes() == want
+                out = stale.copy()
+                kernel(x, out)
+                accumulated.append(out.tobytes())
+            assert len(set(accumulated)) == 1
+            np.testing.assert_allclose(np.frombuffer(accumulated[0]), stale + csr @ x,
+                                       rtol=1e-14, atol=1e-14)
+    empty = SparseOperator(sp.csr_matrix((4, 4)))
+    assert empty.matvec(np.ones(4)).tobytes() == np.zeros(4).tobytes()
 
 
 def test_assembly_validation():
