@@ -1,7 +1,6 @@
 """Timings of the numerical hot paths.
 
-Times the kernels and actions a study step runs: the numpy CSR matvec
-reference ``csr_matvec_numpy`` beside the scipy product
+Times the kernels and actions a study step runs: the sparse product
 ``SparseOperator.matvec``, counter-based normal blocks (``normal_block``:
 one compiled numpy Philox4x64-10 draw per block, on the 65x65 lattice of
 the linear study and the 101x101 lattice of the advection studies), and
@@ -90,8 +89,6 @@ def build_cases(nx):
     state = 0.1 * rng.standard_normal(fv.ndof)
 
     return [
-        (f"csr_matvec_numpy ({fem.ndof} dof, {A.nnz} nnz)",
-         lambda: kernels.csr_matvec_numpy(A.indptr, A.indices, A.data, x)),
         (f"SparseOperator.matvec ({fem.ndof} dof, {A.nnz} nnz)",
          lambda: A.matvec(x)),
         ("normal_block 65x65",

@@ -95,6 +95,9 @@ def solve_pressure(perm, p_left=1.0, p_right=0.0):
     ndarray, shape (cell_count,)
         Pressures in flat x-fastest cell order.
     """
+    if not (math.isfinite(p_left) and math.isfinite(p_right)):
+        raise InvalidArgumentError(
+            f"boundary pressures must be finite, got p_left={p_left}, p_right={p_right}")
     g = perm.grid
     nx, ny = g.nx, g.ny
     tx, ty = _face_transmissibilities(perm)
@@ -138,7 +141,7 @@ def solve_pressure(perm, p_left=1.0, p_right=0.0):
     p = spla.spsolve(A, b)
     scale = max(float(np.linalg.norm(b)), 1e-300)
     residual = float(np.linalg.norm(A @ p - b)) / scale
-    if residual > 1e-12:
+    if not residual <= 1e-12:  # a NaN residual fails too
         raise SolverError(f"pressure solve residual {residual:.3e} exceeds 1e-12")
     return p
 

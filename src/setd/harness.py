@@ -32,8 +32,7 @@ from .errors import DegenerateFitError, InvalidArgumentError, SETDError
 from .grid import BoundaryTag, build_grid
 from .integrators import ProblemDef, Scheme, SchemeConfig, run
 from .noise import NoiseSpec, make_path
-from .operators import (FaceVelocities, assemble_fem, assemble_fv, dirichlet,
-                        quadrature_weights)
+from .operators import FaceVelocities, assemble_fem, assemble_fv, quadrature_weights
 from .reference import (evolve_exact, finest_reference, linear_state,
                         spectral_to_nodal)
 
@@ -178,10 +177,13 @@ def build_problem(cfg):
     if unknown:
         raise InvalidArgumentError(f"unknown problem parameters: {sorted(unknown)}")
     pp = {key: float(cfg.problem_params.get(key, value)) for key, value in defaults.items()}
+    non_finite = sorted(key for key, value in pp.items() if not math.isfinite(value))
+    if non_finite:
+        raise InvalidArgumentError(f"problem parameters must be finite: {non_finite}")
     c0 = cfg.c0
     if cfg.problem == "linear_additive":
         diffusion, reaction = pp["diffusion"], pp["reaction"]
-        discrete = assemble_fem(grid, diffusion, bc=None, c0=c0)
+        discrete = assemble_fem(grid, diffusion, c0=c0)
         if c0 == 0.0:
             def drift(u, _r=reaction):
                 return -_r * u
@@ -197,9 +199,8 @@ def build_problem(cfg):
     else:
         flow = {key: cfg.problem_params[key] for key in flow_keys if key in cfg.problem_params}
         _, faces = darcy.solve_streaks(grid, **flow)
-    bc = {BoundaryTag.LEFT: dirichlet(pp["inflow"])}
     discrete = assemble_fv(grid, (pp["diffusion_x"], pp["diffusion_y"]), q_faces=faces,
-                           bc=bc, c0=c0)
+                           dirichlet={BoundaryTag.LEFT: pp["inflow"]}, c0=c0)
 
     if c0 == 0.0:
         def drift(u):

@@ -1,16 +1,13 @@
-"""Low-level numerical kernels in plain numpy.
+"""Counter-based noise kernels.
 
-Two families live here:
-
-* a CSR matrix-vector product (the benchmark and test reference for
-  scipy's CSR product, which every sparse product of a phi action uses),
-* counter-based normal blocks (numpy's compiled Philox4x64-10), which make
-  every noise block a pure function of ``(seed, realization, step, stream)``
-  and its shape. That keying is what guarantees bit-exact path refinement
-  and makes results independent of how realizations are scheduled across
-  workers. Within a block a draw is fixed by its position in the lattice,
-  so changing the truncation redraws every mode. The tests pin the first
-  bits of one block, so a change to numpy's normal sampler fails loudly.
+Normal blocks come from numpy's compiled Philox4x64-10, keyed by SplitMix64
+from ``(seed, realization)``, which makes every noise block a pure function
+of ``(seed, realization, step, stream)`` and its shape. That keying is what
+guarantees bit-exact path refinement and makes results independent of how
+realizations are scheduled across workers. Within a block a draw is fixed
+by its position in the lattice, so changing the truncation redraws every
+mode. The tests pin the first bits of one block, so a change to numpy's
+normal sampler fails loudly.
 """
 
 from __future__ import annotations
@@ -73,9 +70,3 @@ def normal_block(k0, k1, n1, n2, step, stream):
     counter = (int(stream) << 128) | (int(step) << 64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal((n1, n2))
 
-
-def csr_matvec_numpy(indptr, indices, data, x):
-    """y = A @ x for CSR arrays; row entries accumulate left-to-right."""
-    n = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    return np.bincount(rows, weights=data * x[indices], minlength=n)

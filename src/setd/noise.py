@@ -170,6 +170,13 @@ def _basis_matrices(grid, n1, n2, where):
     return _eigen_1d(x, grid.L1, n1), _eigen_1d(y, grid.L2, n2)
 
 
+def modes_at_sites(coeff, grid, where):
+    """The cosine series with (n1+1, n2+1) coefficients ``coeff`` at grid
+    nodes (or cell centers), x-fastest flat order."""
+    ex, ey = _basis_matrices(grid, coeff.shape[0] - 1, coeff.shape[1] - 1, where)
+    return (ex.T @ coeff @ ey).T.ravel()
+
+
 def eigenfunction_nodal(grid, i, j, where="nodes"):
     """Samples of e_{i,j} at grid nodes (or cell centers), x-fastest flat order."""
     i = int(i)
@@ -303,12 +310,11 @@ class NoisePath:
             entry = None
         if entry is not None and step in entry:
             return entry[step]
-        ex, ey = _basis_matrices(grid, self.spec.n1, self.spec.n2, where)
         blk = self._kept.pop(step, None)
         if blk is None:
             blk = self.normal_modes(step)
         coeff = _sqrt_q(self.spec) * (math.sqrt(self.finest_dt) * blk)
-        fld = (ex.T @ coeff @ ey).T.ravel()
+        fld = modes_at_sites(coeff, grid, where)
         if entry is not None:
             entry[step] = fld
         return fld

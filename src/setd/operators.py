@@ -20,8 +20,9 @@ DOFs are the cells adjacent to Dirichlet-tagged faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,24 +32,6 @@ from .grid import BoundaryTag, boundary_cells, boundary_nodes, cell_xy, node_xy
 from .sparse import SparseOperator
 
 _TAG_ORDER = (BoundaryTag.LEFT, BoundaryTag.RIGHT, BoundaryTag.BOTTOM, BoundaryTag.TOP)
-
-
-class BCKind(Enum):
-    NEUMANN_ZERO = "neumann_zero"
-    DIRICHLET = "dirichlet"
-
-
-@dataclass(frozen=True)
-class BoundaryCondition:
-    kind: BCKind
-    value: float = 0.0
-
-
-NEUMANN = BoundaryCondition(BCKind.NEUMANN_ZERO)
-
-
-def dirichlet(value):
-    return BoundaryCondition(BCKind.DIRICHLET, float(value))
 
 
 @dataclass
@@ -95,8 +78,6 @@ class DiscreteProblem:
     mass: np.ndarray
     dirichlet_mask: np.ndarray
     dirichlet_values: np.ndarray
-    bc: dict = field(default_factory=dict)
-    c0: float = 0.0
 
     @property
     def ndof(self):
@@ -130,27 +111,21 @@ def _as_tensor(D, diagonal_only):
     return D
 
 
-def _normalize_bc(bc):
-    out = {tag: NEUMANN for tag in _TAG_ORDER}
-    if bc:
-        for tag, cond in bc.items():
-            if tag not in out:
-                raise InvalidArgumentError(f"unknown boundary tag {tag!r}")
-            if not isinstance(cond, BoundaryCondition):
-                raise InvalidArgumentError("boundary conditions must be BoundaryCondition instances")
-            out[tag] = cond
-    return out
-
-
-def _dirichlet_arrays(grid, bc, ndof, select):
+def _dirichlet_arrays(grid, dirichlet, ndof, select):
+    """Mask and values of the DOFs that ``dirichlet`` ({BoundaryTag: value}) freezes."""
+    dirichlet = dict(dirichlet or {})
     mask = np.zeros(ndof, dtype=bool)
     values = np.zeros(ndof)
     for tag in _TAG_ORDER:  # fixed order: later tags win at shared corners
-        cond = bc[tag]
-        if cond.kind is BCKind.DIRICHLET:
+        if tag in dirichlet:
+            value = dirichlet.pop(tag)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidArgumentError(f"Dirichlet value on {tag} must be a finite number, got {value!r}")
             idx = select(grid, tag)
             mask[idx] = True
-            values[idx] = cond.value
+            values[idx] = value
+    if dirichlet:
+        raise InvalidArgumentError(f"unknown boundary tags {list(dirichlet)!r}")
     return mask, values
 
 
@@ -180,7 +155,7 @@ def _p1_gradients(dx, dy):
     return g1, g2
 
 
-def assemble_fem(grid, D, velocity=None, bc=None, c0=0.0):
+def assemble_fem(grid, D, velocity=None, dirichlet=None, c0=0.0):
     """Assemble the P1 FEM generator on the diagonally split rectangle mesh.
 
     Parameters
@@ -188,10 +163,11 @@ def assemble_fem(grid, D, velocity=None, bc=None, c0=0.0):
     grid : Grid
     D : scalar, length-2, or SPD 2x2 array
         Diffusion tensor.
-    velocity : None, (qx, qy) pair, or callable (x, y) -> (qx, qy)
-        Advection velocity; callables are evaluated at triangle centroids.
-    bc : dict {BoundaryTag: BoundaryCondition}, optional
-        Missing tags default to zero Neumann (natural).
+    velocity : None or a constant (qx, qy) pair
+        Advection velocity.
+    dirichlet : dict {BoundaryTag: value}, optional
+        Finite values held on the tagged edges; the other edges are zero
+        Neumann (natural).
     c0 : float
         Zero-order shift added as c0 * (consistent mass); compensate in the
         reaction term F when using a nonzero shift.
@@ -201,7 +177,13 @@ def assemble_fem(grid, D, velocity=None, bc=None, c0=0.0):
     DiscreteProblem
     """
     D = _as_tensor(D, diagonal_only=False)
-    bc = _normalize_bc(bc)
+    if velocity is None:
+        velocity = (0.0, 0.0)
+    if (not isinstance(velocity, (tuple, list, np.ndarray)) or len(velocity) != 2
+            or not all(isinstance(q, numbers.Real) and math.isfinite(q) for q in velocity)):
+        raise InvalidArgumentError(f"velocity must be None or a finite (qx, qy) pair, got {velocity!r}")
+    qx, qy = float(velocity[0]), float(velocity[1])
+    mask, values = _dirichlet_arrays(grid, dirichlet, grid.node_count, boundary_nodes)
     dx, dy = grid.dx, grid.dy
     area = 0.5 * dx * dy
     tri1, tri2 = _triangle_connectivity(grid)
@@ -215,31 +197,13 @@ def assemble_fem(grid, D, velocity=None, bc=None, c0=0.0):
         stiff = area * (g @ D @ g.T)  # 3x3, same for every triangle of this orientation
         mass = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
         local = stiff + c0 * mass
-
-        if velocity is not None:
-            if callable(velocity):
-                x, y = node_xy(grid)
-                cx = x[conn].mean(axis=1)
-                cy = y[conn].mean(axis=1)
-                qx, qy = velocity(cx, cy)
-                qx = np.broadcast_to(np.asarray(qx, dtype=np.float64), (ntri,))
-                qy = np.broadcast_to(np.asarray(qy, dtype=np.float64), (ntri,))
-            else:
-                qx = np.full(ntri, float(velocity[0]))
-                qy = np.full(ntri, float(velocity[1]))
-            # int_T (q . grad phi_b) phi_a dx = (q . grad phi_b) * area / 3 for all a
-            adv_b = (np.outer(qx, g[:, 0]) + np.outer(qy, g[:, 1])) * (area / 3.0)  # (ntri, 3)
-            for a in range(3):
-                for b in range(3):
-                    rows.append(conn[:, a])
-                    cols.append(conn[:, b])
-                    vals.append(np.full(ntri, local[a, b]) + adv_b[:, b])
-        else:
-            for a in range(3):
-                for b in range(3):
-                    rows.append(conn[:, a])
-                    cols.append(conn[:, b])
-                    vals.append(np.full(ntri, local[a, b]))
+        # int_T (q . grad phi_b) phi_a dx = (q . grad phi_b) * area / 3 for all a
+        adv = (qx * g[:, 0] + qy * g[:, 1]) * (area / 3.0)
+        for a in range(3):
+            for b in range(3):
+                rows.append(conn[:, a])
+                cols.append(conn[:, b])
+                vals.append(np.full(ntri, local[a, b] + adv[b]))
 
         np.add.at(lumped, conn.ravel(), area / 3.0)
 
@@ -250,16 +214,15 @@ def assemble_fem(grid, D, velocity=None, bc=None, c0=0.0):
         np.concatenate(cols),
         np.concatenate(vals),
     )
-    mask, values = _dirichlet_arrays(grid, bc, grid.node_count, boundary_nodes)
     A = K.scale_rows(np.where(mask, 0.0, -1.0 / lumped))
-    return DiscreteProblem(grid, "fem", A, K, lumped, mask, values, bc, float(c0))
+    return DiscreteProblem(grid, "fem", A, K, lumped, mask, values)
 
 
 # ---------------------------------------------------------------------------
 # Cell-centered finite volumes
 # ---------------------------------------------------------------------------
 
-def assemble_fv(grid, D, q_faces=None, bc=None, c0=0.0):
+def assemble_fv(grid, D, q_faces=None, dirichlet=None, c0=0.0):
     """Assemble the FV generator: TPFA diffusion + first-order upwind advection.
 
     Parameters
@@ -267,24 +230,25 @@ def assemble_fv(grid, D, q_faces=None, bc=None, c0=0.0):
     grid : Grid
     D : scalar, length-2, or diagonal 2x2 array
         Diffusion coefficients (Dx, Dy).
-    q_faces : FaceVelocities, (qx, qy) pair, or None
-        Face-normal velocities; a pair is expanded to constant fields.
-    bc, c0 : as for assemble_fem.
+    q_faces : FaceVelocities or None
+        Face-normal velocities (``FaceVelocities.constant`` for a constant
+        field); None is no advection.
+    dirichlet, c0 : as for assemble_fem.
 
     Notes
     -----
-    Neumann-tagged faces carry zero diffusive flux; advective flux through
+    Faces without a Dirichlet value carry zero diffusive flux; advective flux through
     boundary faces upwinds from the interior cell (free outflow) and
     assumes zero outside concentration on inflow. Dirichlet-tagged faces
     are enforced by freezing the adjacent cell layer.
     """
     D = _as_tensor(D, diagonal_only=True)
-    bc = _normalize_bc(bc)
     if q_faces is None:
         q_faces = FaceVelocities.constant(grid, 0.0, 0.0)
     elif not isinstance(q_faces, FaceVelocities):
-        q_faces = FaceVelocities.constant(grid, q_faces[0], q_faces[1])
+        raise InvalidArgumentError(f"q_faces must be None or FaceVelocities, got {q_faces!r}")
     q_faces.validate(grid)
+    mask, values = _dirichlet_arrays(grid, dirichlet, grid.cell_count, boundary_cells)
 
     nx, ny = grid.nx, grid.ny
     dx, dy = grid.dx, grid.dy
@@ -350,10 +314,9 @@ def assemble_fv(grid, D, q_faces=None, bc=None, c0=0.0):
     # K in stiffness convention (A_h = -M^{-1} K), M = vol * I
     K = SparseOperator(
         -N.to_scipy() + c0 * vol * sp.identity(grid.cell_count, format="csr"))
-    mask, values = _dirichlet_arrays(grid, bc, grid.cell_count, boundary_cells)
     masses = np.full(grid.cell_count, vol)
     A = K.scale_rows(np.where(mask, 0.0, -1.0 / masses))
-    return DiscreteProblem(grid, "fv", A, K, masses, mask, values, bc, float(c0))
+    return DiscreteProblem(grid, "fv", A, K, masses, mask, values)
 
 
 # ---------------------------------------------------------------------------

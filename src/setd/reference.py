@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .noise import _basis_matrices, laplacian_eigenvalues, spectrum_matrix
+from .noise import laplacian_eigenvalues, modes_at_sites, spectrum_matrix
 
 
 @dataclass
@@ -144,8 +144,7 @@ def evolve_exact(state, path, steps=None, coarsening=1):
 
 def spectral_to_nodal(state, grid, where="nodes"):
     """Evaluate the spectral field at grid nodes/cell centers (x-fastest flat)."""
-    ex, ey = _basis_matrices(grid, state.spec.n1, state.spec.n2, where)
-    return (ex.T @ state.c @ ey).T.ravel()
+    return modes_at_sites(state.c, grid, where)
 
 
 def finest_reference(problem, path):

@@ -23,9 +23,9 @@ itself:
 The diagonals are kept in ascending offset order, so both kernels add each
 row's products to ``out[i]`` in column order, as ``csr @ x`` does, and give
 its bits for finite operands (the padding zeros of the diagonal storage add
-+-0). :meth:`SparseOperator.matvec` validates its operand and accumulates
-into a fresh zero array; the phi-action series of :mod:`setd.krylov`
-accumulate into buffers each action owns. The kernels are private scipy
++-0). :meth:`SparseOperator.matvec` validates its operand (shape, finite
+entries) and accumulates into a fresh zero array; the phi-action series of
+:mod:`setd.krylov` accumulate into buffers each action owns. The kernels are private scipy
 API: if scipy moves them, importing this module fails.
 
 The phi actions multiply by one form of A, built on the first action and
@@ -86,6 +86,10 @@ class SparseOperator:
             raise InvalidArgumentError(
                 f"operand has shape {x.shape}, operator expects ({self.n_cols},)"
             )
+        # the diagonal kernel multiplies its padding zeros by every operand
+        # entry, so an Inf operand would give NaN where csr @ x does not
+        if not np.isfinite(x).all():
+            raise InvalidArgumentError("operand contains NaN/Inf")
         out = np.zeros(self.n_rows)
         self.add_product(np.ascontiguousarray(x), out)
         return out

@@ -257,15 +257,23 @@ def test_cli_converge_rejects_out_of_range_seed(tmp_path, capsys):
 
 
 def test_cli_converge_rejects_non_finite_values(tmp_path, capsys):
-    # NaN in [noise] would flag every cell as diverged and write a NaN
-    # report; NaN in c0 would end in a singular factorisation
-    for section, key in (("noise", "gamma"), ("study", "c0")):
-        text = TINY_STUDY.replace(f"[{section}]\n", f"[{section}]\n{key} = nan\n")
-        cfg = _write(tmp_path, text)
-        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and key in err
-        assert not (tmp_path / "o").exists()
+    # NaN in [noise] or [problem] would flag every cell as diverged and
+    # write a NaN report; NaN in c0 would end in a singular factorisation;
+    # a NaN Darcy pressure would give NaN face velocities
+    heterogeneous = TINY_STUDY.replace("linear_additive", "advection_heterogeneous")
+    for base, section, key in ((TINY_STUDY, "noise", "gamma"), (TINY_STUDY, "study", "c0"),
+                               (TINY_STUDY, "problem", "reaction"),
+                               (heterogeneous, "problem", "inflow"),
+                               (heterogeneous, "darcy", "p_left"),
+                               (heterogeneous, "darcy", "p_right")):
+        for value in ("nan", "inf", "-inf"):
+            text = base if f"[{section}]\n" in base else f"{base}\n[{section}]\n"
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+            cfg = _write(tmp_path, text)
+            assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err, (section, key, value, err)
+            assert not (tmp_path / "o").exists()
 
 
 def test_cli_solve_writes_trajectory_snapshots_operator(tmp_path):

@@ -12,7 +12,8 @@ from setd.darcy import (
     solve_pressure,
     velocity_from_pressure,
 )
-from setd.errors import InvalidArgumentError
+from setd import darcy
+from setd.errors import InvalidArgumentError, SolverError
 from setd.grid import build_grid, cell_xy
 
 
@@ -114,3 +115,19 @@ def test_permeability_validation():
         PermeabilityField(grid, np.ones((4, 4)), 0.0)
     with pytest.raises(InvalidArgumentError):
         PermeabilityField.streaks(grid, width_cells=0)
+
+
+def test_non_finite_pressures_fail_typed(monkeypatch):
+    # a NaN or Inf boundary pressure would give NaN pressures and face
+    # velocities; it raises before any arithmetic, and a NaN residual fails
+    # the residual guard
+    perm = PermeabilityField.streaks(build_grid(8, 8, 1.0, 1.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        for kwargs in ({"p_left": bad}, {"p_right": bad}):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                solve_darcy(perm, **kwargs)
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                solve_pressure(perm, **kwargs)
+    monkeypatch.setattr(darcy.spla, "spsolve", lambda A, b: np.full(b.shape, np.nan))
+    with pytest.raises(SolverError, match="residual"):
+        solve_pressure(perm)

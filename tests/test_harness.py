@@ -158,6 +158,22 @@ def test_build_problem_shapes_and_rejects_unknown_params():
     assert hprob.discrete.method == "fv"
 
 
+def test_non_finite_problem_params_fail_before_the_study():
+    # a NaN or Inf [problem] value used to run the whole study and report
+    # NaN rows with every cell flagged
+    tiny = dict(realizations=1, dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4))
+    for bad in (math.nan, math.inf, -math.inf):
+        for cfg, key in (
+                (linear_additive_study(nx=4, problem_params={"reaction": bad}, **tiny), "reaction"),
+                (linear_additive_study(nx=4, problem_params={"diffusion": bad}, **tiny), "diffusion"),
+                (advection_study(nx=4, problem_params={"inflow": bad},
+                                 noise=NoiseSpec.powerlaw(n1=4, n2=4), **tiny), "inflow"),
+                (advection_study(nx=4, problem_params={"velocity_y": bad},
+                                 noise=NoiseSpec.powerlaw(n1=4, n2=4), **tiny), "velocity_y")):
+            with pytest.raises(InvalidArgumentError, match=key):
+                run_study(cfg)
+
+
 def test_linear_study_report_structure_and_monotone_errors():
     report = run_study(_tiny_linear())
     assert len(report.rows) == 3 * 3  # 3 schemes x 3 dt levels

@@ -20,7 +20,7 @@ from setd.integrators import (
 )
 from setd.krylov import dense_phi
 from setd.noise import NoiseSpec, make_path, sample_increment
-from setd.operators import assemble_fem, assemble_fv, dirichlet
+from setd.operators import FaceVelocities, assemble_fem, assemble_fv
 
 def _linear_problem(nx=6, c0=0.5, drift=None, dispersion=None, X0=None):
     grid = build_grid(nx, nx, 1.0, 1.0)
@@ -133,8 +133,9 @@ def test_divergence_guard():
 
 def test_dirichlet_dofs_pinned_through_run():
     grid = build_grid(6, 6, 1.0, 1.0)
-    discrete = assemble_fv(grid, np.array([1e-2, 1e-3]), q_faces=(1.0, 0.0),
-                           bc={BoundaryTag.LEFT: dirichlet(1.0)})
+    discrete = assemble_fv(grid, np.array([1e-2, 1e-3]),
+                           q_faces=FaceVelocities.constant(grid, 1.0, 0.0),
+                           dirichlet={BoundaryTag.LEFT: 1.0})
     spec = NoiseSpec.powerlaw(n1=8, n2=8)
     problem = ProblemDef(discrete=discrete, noise=spec, X0=np.zeros(discrete.ndof),
                          drift=lambda u: -u / (np.abs(u) + 1.0), dispersion=lambda u: u)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from setd import kernels
+from setd import kernels, sparse
+from setd.sparse import SparseOperator
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -141,11 +142,14 @@ def test_normal_block_pinned_bits(shape):
 
 
 def test_csr_matvec_matches_scipy():
+    # an unstructured operator takes scipy's compiled CSR kernel, which
+    # gives the bits of scipy's own product
     rng = np.random.default_rng(3)
     A = sp.random(120, 120, density=0.05, random_state=rng, format="csr")
     x = rng.standard_normal(120)
-    y = kernels.csr_matvec_numpy(A.indptr, A.indices, A.data, x)
-    np.testing.assert_allclose(y, A @ x, rtol=1e-13, atol=1e-15)
+    op = SparseOperator(A)
+    assert op.add_product.func is sparse._csr_matvec
+    assert op.matvec(x).tobytes() == (op.to_scipy() @ x).tobytes()
 
 
 def _splitmix64_plain(x):

@@ -19,7 +19,7 @@ from setd import krylov, sparse
 from setd.grid import BoundaryTag, build_grid
 from setd.harness import advection_study, build_problem
 from setd.krylov import dense_phi, fused_action, phi0_action, phi1_action
-from setd.operators import assemble_fem, assemble_fv, dirichlet
+from setd.operators import FaceVelocities, assemble_fem, assemble_fv
 from setd.sparse import SparseOperator
 
 
@@ -257,8 +257,9 @@ def test_shifted_cache_under_threads():
 def _study_generators():
     grid = build_grid(8, 8, 1.0, 1.0)
     fem = assemble_fem(grid, 1.0).A   # Neumann, c0 = 0: singular
-    fv = assemble_fv(grid, np.array([1e-2, 1e-3]), q_faces=(1.0, 0.25),
-                     bc={BoundaryTag.LEFT: dirichlet(1.0)}).A
+    fv = assemble_fv(grid, np.array([1e-2, 1e-3]),
+                     q_faces=FaceVelocities.constant(grid, 1.0, 0.25),
+                     dirichlet={BoundaryTag.LEFT: 1.0}).A
     assert np.any(np.diff(fv.indptr) == 0)  # frozen Dirichlet rows are empty
     return fem, fv
 

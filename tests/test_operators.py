@@ -6,17 +6,15 @@ import pytest
 import scipy.sparse as sp
 import sympy as sy
 
-from setd import kernels, sparse
+from setd import sparse
 from setd.errors import InvalidArgumentError
 from setd.grid import BoundaryTag, boundary_cells, boundary_nodes, build_grid
 from setd.harness import advection_study, build_problem, linear_additive_study
 from setd.operators import (
     FaceVelocities,
-    NEUMANN,
     apply_dirichlet,
     assemble_fem,
     assemble_fv,
-    dirichlet,
     quadrature_weights,
 )
 from setd.sparse import SparseOperator, load_matrix_market, save_matrix_market
@@ -112,20 +110,12 @@ def test_fem_lumped_mass():
     assert prob.mass[interior] == pytest.approx(6 * 0.5 * grid.dx * grid.dy / 3, rel=1e-14)
 
 
-def test_fem_callable_velocity_matches_constant():
-    grid = build_grid(3, 3, 1.0, 1.0)
-    a = assemble_fem(grid, 1.0, velocity=(0.7, -0.2))
-    b = assemble_fem(grid, 1.0, velocity=lambda x, y: (0.7 + 0.0 * x, -0.2 + 0.0 * y))
-    np.testing.assert_allclose(a.K.to_scipy().toarray(), b.K.to_scipy().toarray(),
-                               rtol=1e-15, atol=1e-15)
-
-
 def test_fv_interior_stencil():
     # interior cell of a 4x4 grid: classic 5-point TPFA plus upwind advection
     grid = build_grid(4, 4, 1.0, 1.0)
     Dx, Dy = 1e-2, 1e-3
     qx, qy = 1.0, 0.0
-    prob = assemble_fv(grid, np.array([Dx, Dy]), q_faces=(qx, qy))
+    prob = assemble_fv(grid, np.array([Dx, Dy]), q_faces=FaceVelocities.constant(grid, qx, qy))
     A = prob.A.to_scipy().toarray()
     h = grid.dx
     c = 1 * grid.nx + 1  # cell (1, 1)
@@ -147,7 +137,8 @@ def test_fv_conservation_and_outflow():
     # with advection, a constant field is transported without net change
     # everywhere except the inflow column, whose boundary face carries zero
     # outside concentration: the left column drains at rate qx/dx
-    prob = assemble_fv(grid, np.array([1e-2, 1e-3]), q_faces=(1.0, 0.0))
+    prob = assemble_fv(grid, np.array([1e-2, 1e-3]),
+                       q_faces=FaceVelocities.constant(grid, 1.0, 0.0))
     A = prob.A.to_scipy().toarray()
     rowsum = A.sum(axis=1)
     left = boundary_cells(grid, BoundaryTag.LEFT)
@@ -162,9 +153,10 @@ def test_generator_spectrum_nonpositive_real_part():
     fem = assemble_fem(grid, 1.0, c0=0.5)
     lam = np.linalg.eigvals(fem.A.to_scipy().toarray())
     assert lam.real.max() <= 1e-10
+    grid = build_grid(8, 8, 1.0, 1.0)
     fv = assemble_fv(
-        build_grid(8, 8, 1.0, 1.0), np.array([1e-2, 1e-3]), q_faces=(1.0, 0.0),
-        bc={BoundaryTag.LEFT: dirichlet(1.0)}, c0=0.5,
+        grid, np.array([1e-2, 1e-3]), q_faces=FaceVelocities.constant(grid, 1.0, 0.0),
+        dirichlet={BoundaryTag.LEFT: 1.0}, c0=0.5,
     )
     lam = np.linalg.eigvals(fv.A.to_scipy().toarray())
     assert lam.real.max() <= 1e-10
@@ -172,9 +164,9 @@ def test_generator_spectrum_nonpositive_real_part():
 
 def test_dirichlet_rows_frozen():
     grid = build_grid(4, 3, 1.0, 1.0)
-    bc = {BoundaryTag.LEFT: dirichlet(1.0), BoundaryTag.TOP: dirichlet(0.25)}
-    for prob, select in ((assemble_fem(grid, 1.0, bc=bc), boundary_nodes),
-                         (assemble_fv(grid, 1.0, bc=bc), boundary_cells)):
+    edges = {BoundaryTag.LEFT: 1.0, BoundaryTag.TOP: 0.25}
+    for prob, select in ((assemble_fem(grid, 1.0, dirichlet=edges), boundary_nodes),
+                         (assemble_fv(grid, 1.0, dirichlet=edges), boundary_cells)):
         A = prob.A.to_scipy().toarray()
         frozen = np.where(prob.dirichlet_mask)[0]
         np.testing.assert_array_equal(A[frozen, :], 0.0)
@@ -191,7 +183,7 @@ def test_dirichlet_rows_frozen():
 
 def test_apply_dirichlet_idempotent():
     grid = build_grid(4, 4, 1.0, 1.0)
-    prob = assemble_fv(grid, 1.0, bc={BoundaryTag.LEFT: dirichlet(2.0)})
+    prob = assemble_fv(grid, 1.0, dirichlet={BoundaryTag.LEFT: 2.0})
     state = np.arange(prob.ndof, dtype=float)
     once = apply_dirichlet(prob, state)
     np.testing.assert_array_equal(once, apply_dirichlet(prob, once))
@@ -218,8 +210,9 @@ def test_quadrature_weights():
 
 def test_matrix_market_round_trip(tmp_path):
     grid = build_grid(5, 5, 1.0, 1.0)
-    prob = assemble_fv(grid, np.array([1e-2, 1e-3]), q_faces=(1.0, 0.25),
-                       bc={BoundaryTag.LEFT: dirichlet(1.0)})
+    prob = assemble_fv(grid, np.array([1e-2, 1e-3]),
+                       q_faces=FaceVelocities.constant(grid, 1.0, 0.25),
+                       dirichlet={BoundaryTag.LEFT: 1.0})
     path = tmp_path / "A.mtx"
     save_matrix_market(prob.A, path, comment="generator")
     loaded = load_matrix_market(path)
@@ -236,15 +229,16 @@ def _with_int64_indices(A):
     return B
 
 
-def test_matvec_bit_identical_to_numpy_kernel():
+def test_matvec_bit_identical_to_csr_product():
     # SparseOperator.matvec accumulates into zeros with the operator's
     # compiled product kernel; it must give the bits of scipy's own product
-    # and of the row-ordered numpy kernel on the study generators, with
-    # int32 and int64 index arrays, and on a strided operand too
+    # csr @ x on the study generators, with int32 and int64 index arrays,
+    # and on a strided operand too
     grid = build_grid(32, 32, 1.0, 1.0)
     fem = assemble_fem(grid, 1.0).A
-    fv = assemble_fv(grid, np.array([1e-2, 1e-3]), q_faces=(1.0, 0.25),
-                     bc={BoundaryTag.LEFT: dirichlet(1.0)}).A
+    fv = assemble_fv(grid, np.array([1e-2, 1e-3]),
+                     q_faces=FaceVelocities.constant(grid, 1.0, 0.25),
+                     dirichlet={BoundaryTag.LEFT: 1.0}).A
     assert np.any(np.diff(fv.indptr) == 0)  # frozen Dirichlet rows are empty
     rng = np.random.default_rng(11)
     for A32 in (fem, fv):
@@ -255,12 +249,26 @@ def test_matvec_bit_identical_to_numpy_kernel():
                 x = scale * rng.standard_normal(A.n_cols)
                 strided = np.repeat(x, 2)[::2]
                 assert not strided.flags.c_contiguous
-                want = kernels.csr_matvec_numpy(A.indptr, A.indices, A.data, x)
-                for got in (A.matvec(x), A.matvec(strided), A.to_scipy() @ x):
+                want = A.to_scipy() @ x
+                for got in (A.matvec(x), A.matvec(strided)):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
         with pytest.raises(InvalidArgumentError):
             A32.matvec(np.zeros(A32.n_cols + 1))
+
+
+def test_matvec_rejects_non_finite_operands():
+    # the diagonal kernel multiplies its padding zeros by every operand
+    # entry: on the 8x8 P1 generator an Inf at entry 8 would give a NaN row
+    # that csr @ x does not, so matvec rejects the operand as the phi
+    # actions do
+    A = assemble_fem(build_grid(8, 8, 1.0, 1.0), 1.0).A
+    assert A.add_product.func is sparse._dia_matvec
+    for bad in (np.inf, -np.inf, np.nan):
+        x = np.ones(A.n_cols)
+        x[8] = bad
+        with pytest.raises(InvalidArgumentError, match="NaN/Inf"):
+            A.matvec(x)
 
 
 def _banded_forms():
@@ -322,11 +330,44 @@ def test_assembly_validation():
     with pytest.raises(InvalidArgumentError):
         assemble_fv(grid, np.array([1.0, -1.0]))                # negative Dy
     with pytest.raises(InvalidArgumentError):
-        assemble_fem(grid, 1.0, bc={"left": NEUMANN})           # bad tag key
-    with pytest.raises(InvalidArgumentError):
-        assemble_fem(grid, 1.0, bc={BoundaryTag.LEFT: "dirichlet"})
-    with pytest.raises(InvalidArgumentError):
         FaceVelocities(np.zeros((3, 3)), np.zeros((3, 3))).validate(grid)
+
+
+def test_dirichlet_takes_finite_values_on_known_tags():
+    # Dirichlet values come as {BoundaryTag: value}; any other key, and a
+    # value that is not a finite number, raises before assembly
+    grid = build_grid(3, 3, 1.0, 1.0)
+    for assemble in (assemble_fem, assemble_fv):
+        for edges in ({"left": 1.0},                          # not a BoundaryTag
+                      {BoundaryTag.LEFT: 1.0, 3: 0.0},
+                      {BoundaryTag.LEFT: "dirichlet"},
+                      {BoundaryTag.LEFT: None},
+                      {BoundaryTag.TOP: np.nan},
+                      {BoundaryTag.RIGHT: np.inf},
+                      {BoundaryTag.LEFT: 1.0, BoundaryTag.BOTTOM: -np.inf}):
+            with pytest.raises(InvalidArgumentError):
+                assemble(grid, 1.0, dirichlet=edges)
+        # integers and numpy scalars are numbers; an empty mapping freezes nothing
+        prob = assemble(grid, 1.0, dirichlet={BoundaryTag.LEFT: 2, BoundaryTag.TOP: np.float64(0.5)})
+        assert set(prob.dirichlet_values[prob.dirichlet_mask]) == {2.0, 0.5}
+        assert not assemble(grid, 1.0, dirichlet={}).dirichlet_mask.any()
+
+
+def test_velocity_is_one_constant_pair():
+    # assemble_fem takes None or one finite (qx, qy) pair, assemble_fv None
+    # or FaceVelocities; every other form raises
+    grid = build_grid(3, 3, 1.0, 1.0)
+    for velocity in (lambda x, y: (0.7 + 0.0 * x, -0.2 + 0.0 * y), (1.0,), (1.0, 0.5, 0.0),
+                     "ab", 1.0, np.ones((2, 2)), (np.nan, 0.0), (0.0, np.inf), ("1", "2")):
+        with pytest.raises(InvalidArgumentError):
+            assemble_fem(grid, 1.0, velocity=velocity)
+    for q_faces in ((1.0, 0.0), [1.0, 0.0], 1.0):
+        with pytest.raises(InvalidArgumentError):
+            assemble_fv(grid, 1.0, q_faces=q_faces)
+    # a list, an array and numpy scalars give the tuple's bits
+    want = assemble_fem(grid, 1.0, velocity=(0.7, -0.2)).K.data.tobytes()
+    for velocity in ([0.7, -0.2], np.array([0.7, -0.2]), (np.float64(0.7), np.float64(-0.2))):
+        assert assemble_fem(grid, 1.0, velocity=velocity).K.data.tobytes() == want
 
 
 def test_rows_scaled_by_zero_come_out_empty():
