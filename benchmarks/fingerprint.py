@@ -1,0 +1,65 @@
+"""SHA-256 digests of what setd computes, one line per output: each study
+preset's operator arrays, FEM and FV operators (advection, Dirichlet values,
+c0) on small and odd grids, the Darcy-streaks pressure and face velocities,
+one noise path's increments at nodes and at cells, and the report rows of
+small linear and advection studies. A refactor that must keep every output's
+bytes diffs this script's output at its parent and at the change:
+
+    python benchmarks/fingerprint.py > after.txt
+"""
+
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+
+from setd import darcy
+from setd.grid import BoundaryTag, build_grid
+from setd.harness import advection_study, build_problem, linear_additive_study, run_study
+from setd.noise import NoiseSpec, make_path, sample_increment
+from setd.operators import FaceVelocities, assemble_fem, assemble_fv
+
+
+def digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()
+
+
+def operator(d):
+    return digest(*(arr for op in (d.A, d.K) for arr in (op.indptr, op.indices, op.data)),
+                  d.mass, d.dirichlet_mask, d.dirichlet_values)
+
+
+def lines():
+    for cfg in (linear_additive_study(), advection_study(), advection_study(True)):
+        yield f"preset {cfg.problem}", operator(build_problem(cfg).discrete)
+    edges = {BoundaryTag.LEFT: 1.0, BoundaryTag.TOP: -0.5}
+    for nx, ny in ((1, 1), (1, 4), (5, 1), (6, 9), (32, 32)):
+        grid = build_grid(nx, ny, 1.0, 2.0)
+        yield f"fem {nx}x{ny}", operator(assemble_fem(grid, [[1.0, 0.2], [0.2, 0.5]], (3.0, -1.0),
+                                                      edges, c0=0.5))
+        q = FaceVelocities.constant(grid, -2.0, 1.5)
+        yield f"fv {nx}x{ny}", operator(assemble_fv(grid, (1.0, 0.1), q, edges, c0=0.5))
+    p, vel = darcy.solve_streaks(build_grid(32, 32, 1.0, 1.0), contrast=100.0)
+    yield "darcy streaks", digest(p, vel.qx, vel.qy)
+    grid = build_grid(7, 5, 1.0, 1.0)
+    path = make_path(NoiseSpec.exponential(n1=9, n2=6), 1, 0, 0.01, 4)
+    for where in ("nodes", "cells"):
+        yield f"noise {where}", digest(*(sample_increment(path, grid, m, 2, where) for m in (0, 1)))
+    short = tuple(Fraction(1, n) for n in (10, 20))
+    for cfg in (linear_additive_study(nx=8, realizations=2, dt_list=short),
+                advection_study(True, nx=8, realizations=1, dt_list=short, seed=2)):
+        yield f"study {cfg.problem}", digest([(r.scheme, str(r.dt), r.rms_error.hex(),
+                                               r.realizations, r.flagged_count)
+                                              for r in run_study(cfg).rows])
+
+
+def main():
+    for label, value in lines():
+        print(f"{label:32s} {value}")
+
+
+if __name__ == "__main__":
+    main()

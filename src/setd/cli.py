@@ -21,10 +21,12 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import config as cfgmod
 from .darcy import divergence, flux_balance, solve_streaks
 from .errors import SETDError
-from .grid import build_grid, cell_xy
+from .grid import build_grid, site_axes, site_index, site_xy
 from .harness import advection_study, build_problem, run_study
 from .integrators import SchemeConfig, run
 from .noise import make_path
@@ -105,7 +107,7 @@ def cmd_solve(args):
     traj = run(problem, scheme_cfg, path, coarsening=coarsening,
                snapshot_every=solve["snapshot_every"])
 
-    xy = problem.discrete.dof_xy()
+    xy = site_xy(problem.discrete.grid, problem.discrete.where)
     _write_trajectory_csv(args.out, xy, traj.final)
     print(f"wrote {args.out} ({solve['scheme'].value}, dt={dt}, "
           f"realization {solve['realization']})")
@@ -129,18 +131,15 @@ def cmd_darcy(args):
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "i", "j", "x", "y", "value"])
-        cx, cy = cell_xy(grid)
-        for k in range(grid.cell_count):
-            writer.writerow(["pressure", k % nx, k // nx,
-                             repr(float(cx[k])), repr(float(cy[k])), repr(float(p[k]))])
-        for i in range(nx + 1):
-            for j in range(ny):
-                writer.writerow(["qx", i, j, repr(i * grid.dx), repr((j + 0.5) * grid.dy),
-                                 repr(float(vel.qx[i, j]))])
-        for i in range(nx):
-            for j in range(ny + 1):
-                writer.writerow(["qy", i, j, repr((i + 0.5) * grid.dx), repr(j * grid.dy),
-                                 repr(float(vel.qy[i, j]))])
+        xn, yn = site_axes(grid, "nodes")
+        xc, yc = site_axes(grid, "cells")
+        P = p[site_index(grid, "cells")]
+        rows = [("pressure", i, j, xc[i], yc[j], P[i, j])  # flat cell order, x fastest
+                for j, i in np.ndindex(ny, nx)]
+        for kind, xs, ys, q in (("qx", xn, yc, vel.qx), ("qy", xc, yn, vel.qy)):
+            rows += [(kind, i, j, xs[i], ys[j], q[i, j]) for i, j in np.ndindex(q.shape)]
+        for kind, i, j, *values in rows:  # x, y, value
+            writer.writerow([kind, i, j, *(repr(float(v)) for v in values)])
 
     print(f"wrote {args.out}")
     print(f"  max |divergence| = {abs(div).max():.3e}")

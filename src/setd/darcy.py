@@ -6,11 +6,14 @@ x=0 and p_right at x=L1 (half-cell transmissibility), no-flow top/bottom.
 The reconstructed face-normal velocities q = -(k/mu) grad p are exactly
 divergence-free cell by cell (up to the linear-solve residual) and slot
 straight into :func:`setd.operators.assemble_fv` as the advection field.
+The cell order, the left/right boundary cells and the cell pairs across
+each interior face come from :mod:`setd.grid`, as in FV assembly.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidArgumentError, SolverError
+from .grid import BoundaryTag, boundary_sites, interior_faces, site_index
 from .operators import FaceVelocities
 
 
@@ -49,18 +53,24 @@ class PermeabilityField:
         """Horizontal high-permeability streaks on a uniform background.
 
         Each streak is ``width_cells`` rows (default ceil(ny/20)) centered
-        at the given fractions of L2, with permeability base*contrast.
+        at the given fractions of L2 in [0, 1], with permeability
+        base*contrast. The center row is clamped into the grid, so centers 0
+        and 1 give streaks along the bottom and top edges.
         """
         if contrast <= 0:
             raise InvalidArgumentError("contrast must be positive")
         if width_cells is None:
             width_cells = math.ceil(grid.ny / 20)
+        if not (isinstance(width_cells, numbers.Real) and float(width_cells).is_integer()
+                and width_cells >= 1):
+            raise InvalidArgumentError(f"streak width must be a whole number of cells >= 1, got {width_cells!r}")
+        centers = tuple(centers)
+        if not all(isinstance(frac, numbers.Real) and 0.0 <= frac <= 1.0 for frac in centers):
+            raise InvalidArgumentError(f"streak centers must be fractions of L2 in [0, 1], got {centers!r}")
         width_cells = int(width_cells)
-        if width_cells < 1:
-            raise InvalidArgumentError("streak width must be >= 1 cell")
         k = np.full((grid.nx, grid.ny), float(base))
         for frac in centers:
-            jc = int(round(frac * grid.ny - 0.5))
+            jc = min(max(int(round(frac * grid.ny - 0.5)), 0), grid.ny - 1)
             j0 = max(0, jc - (width_cells - 1) // 2)
             j1 = min(grid.ny, j0 + width_cells)
             k[:, j0:j1] = base * contrast
@@ -99,40 +109,21 @@ def solve_pressure(perm, p_left=1.0, p_right=0.0):
         raise InvalidArgumentError(
             f"boundary pressures must be finite, got p_left={p_left}, p_right={p_right}")
     g = perm.grid
-    nx, ny = g.nx, g.ny
     tx, ty = _face_transmissibilities(perm)
-
-    def cell(i, j):
-        return j * nx + i
-
     rows, cols, vals = [], [], []
-    b = np.zeros(g.cell_count)
-
-    i, j = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-    if nx > 1:
-        L = cell(i - 1, j).ravel()
-        R = cell(i, j).ravel()
-        t = tx[1:nx, :].ravel()
-        rows += [L, L, R, R]
-        cols += [L, R, R, L]
+    for (lo, hi, face), t in zip(interior_faces(g), (tx, ty)):
+        lo, hi, t = lo.ravel(), hi.ravel(), t[face].ravel()
+        rows += [lo, lo, hi, hi]
+        cols += [lo, hi, hi, lo]
         vals += [t, -t, t, -t]
-    i, j = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-    if ny > 1:
-        B = cell(i, j - 1).ravel()
-        T = cell(i, j).ravel()
-        t = ty[:, 1:ny].ravel()
-        rows += [B, B, T, T]
-        cols += [B, T, T, B]
-        vals += [t, -t, t, -t]
-
-    jj = np.arange(ny)
-    left = cell(0, jj)
-    right = cell(nx - 1, jj)
+    left = boundary_sites(g, BoundaryTag.LEFT, "cells")
+    right = boundary_sites(g, BoundaryTag.RIGHT, "cells")
     rows += [left, right]
     cols += [left, right]
-    vals += [tx[0, :], tx[nx, :]]
+    vals += [tx[0, :], tx[-1, :]]
+    b = np.zeros(g.cell_count)
     b[left] += tx[0, :] * p_left
-    b[right] += tx[nx, :] * p_right
+    b[right] += tx[-1, :] * p_right
 
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -152,20 +143,18 @@ def velocity_from_pressure(perm, p, p_left, p_right):
     p_left and p_right must be the boundary pressures p was solved for.
     """
     g = perm.grid
-    nx, ny = g.nx, g.ny
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (g.cell_count,):
         raise InvalidArgumentError(f"pressure has shape {p.shape}, expected ({g.cell_count},)")
-    P = p.reshape(ny, nx).T  # P[i, j]
+    P = p[site_index(g, "cells")]  # P[i, j]
     tx, ty = _face_transmissibilities(perm)
-    qx = np.zeros((nx + 1, ny))
-    qy = np.zeros((nx, ny + 1))
+    vel = FaceVelocities.constant(g, 0.0, 0.0)
     # q * face_area = T * (p_upstream - p_downstream); divide the area out
-    qx[1:nx, :] = tx[1:nx, :] * (P[:-1, :] - P[1:, :]) / g.dy
-    qx[0, :] = tx[0, :] * (p_left - P[0, :]) / g.dy
-    qx[nx, :] = tx[nx, :] * (P[-1, :] - p_right) / g.dy
-    qy[:, 1:ny] = ty[:, 1:ny] * (P[:, :-1] - P[:, 1:]) / g.dx
-    return FaceVelocities(qx, qy)
+    for (lo, hi, face), t, q, area in zip(interior_faces(g), (tx, ty), (vel.qx, vel.qy), (g.dy, g.dx)):
+        q[face] = t[face] * (p[lo] - p[hi]) / area
+    vel.qx[0, :] = tx[0, :] * (p_left - P[0, :]) / g.dy
+    vel.qx[-1, :] = tx[-1, :] * (P[-1, :] - p_right) / g.dy
+    return vel
 
 
 def divergence(grid, vel):

@@ -1,9 +1,15 @@
-"""Structured rectangular grids on [0, L1] x [0, L2].
+"""Structured rectangular grids on [0, L1] x [0, L2] and their site lattices.
 
-Nodes and cells are ordered lexicographically with x running fastest, so
-``node k = (i, j)`` with ``i = k % (nx + 1)`` and ``j = k // (nx + 1)``.
-FEM state lives on nodes, FV state on cell centers; both index maps are
-defined here so every other module agrees on DOF layout.
+Two site families live on a grid: ``"nodes"`` ((nx+1) x (ny+1), FEM state)
+and ``"cells"`` (nx x ny cell centers, FV and Darcy state). This module is
+the one place that states their conventions, and every other module
+(assembly, Darcy, the noise basis, the CLI) asks it:
+
+* :func:`site_index` -- the flat DOF index of each site as an [i, j] array,
+  x running fastest (site (i, j) is flat ``j * mx + i``, mx sites per row);
+* :func:`site_axes` and :func:`site_xy` -- site coordinates;
+* :func:`boundary_sites` -- the sites along a tagged edge;
+* :func:`interior_faces` -- the cell pairs across each interior face.
 """
 
 from __future__ import annotations
@@ -76,61 +82,51 @@ def build_grid(nx, ny, L1, L2):
     return Grid(int(nx), int(ny), L1, L2)
 
 
-def node_coords(grid, k):
-    """Coordinates (x, y) of node k in lexicographic (x fastest) order."""
-    k = int(k)
-    if k < 0 or k >= grid.node_count:
-        raise IndexError(f"node index {k} out of range [0, {grid.node_count})")
-    i = k % (grid.nx + 1)
-    j = k // (grid.nx + 1)
-    return (i * grid.dx, j * grid.dy)
+def _lattice_shape(grid, where):
+    if where == "nodes":
+        return grid.nx + 1, grid.ny + 1
+    if where == "cells":
+        return grid.nx, grid.ny
+    raise InvalidArgumentError(f"unknown site family {where!r}; expected 'nodes' or 'cells'")
 
 
-def cell_coords(grid, k):
-    """Center coordinates (x, y) of cell k in lexicographic order."""
-    k = int(k)
-    if k < 0 or k >= grid.cell_count:
-        raise IndexError(f"cell index {k} out of range [0, {grid.cell_count})")
-    i = k % grid.nx
-    j = k // grid.nx
-    return ((i + 0.5) * grid.dx, (j + 0.5) * grid.dy)
+def site_index(grid, where):
+    """Flat index of each site as an [i, j] array, x fastest: the DOF order."""
+    mx, my = _lattice_shape(grid, where)
+    return np.arange(mx * my).reshape(my, mx).T
 
 
-def node_xy(grid):
-    """Arrays (x, y) of all node coordinates, shape (node_count,) each."""
-    x = np.tile(np.arange(grid.nx + 1) * grid.dx, grid.ny + 1)
-    y = np.repeat(np.arange(grid.ny + 1) * grid.dy, grid.nx + 1)
-    return x, y
-
-def cell_xy(grid):
-    """Arrays (x, y) of all cell-center coordinates, shape (cell_count,)."""
-    x = np.tile((np.arange(grid.nx) + 0.5) * grid.dx, grid.ny)
-    y = np.repeat((np.arange(grid.ny) + 0.5) * grid.dy, grid.nx)
-    return x, y
+def site_axes(grid, where):
+    """1-D x and y coordinates of the site lattice (nodes or cell centers)."""
+    mx, my = _lattice_shape(grid, where)
+    shift = 0.0 if where == "nodes" else 0.5
+    return (np.arange(mx) + shift) * grid.dx, (np.arange(my) + shift) * grid.dy
 
 
-def boundary_nodes(grid, tag):
-    """Node indices lying on the tagged boundary edge (corners included)."""
-    nxp = grid.nx + 1
-    if tag is BoundaryTag.LEFT:
-        return np.arange(grid.ny + 1) * nxp
-    if tag is BoundaryTag.RIGHT:
-        return np.arange(grid.ny + 1) * nxp + grid.nx
-    if tag is BoundaryTag.BOTTOM:
-        return np.arange(nxp)
-    if tag is BoundaryTag.TOP:
-        return grid.ny * nxp + np.arange(nxp)
-    raise InvalidArgumentError(f"unknown boundary tag {tag!r}")
+def site_xy(grid, where):
+    """Arrays (x, y) of every site's coordinates in flat DOF order."""
+    x, y = site_axes(grid, where)
+    return np.tile(x, y.size), np.repeat(y, x.size)
 
 
-def boundary_cells(grid, tag):
-    """Indices of cells adjacent to the tagged boundary edge."""
-    if tag is BoundaryTag.LEFT:
-        return np.arange(grid.ny) * grid.nx
-    if tag is BoundaryTag.RIGHT:
-        return np.arange(grid.ny) * grid.nx + (grid.nx - 1)
-    if tag is BoundaryTag.BOTTOM:
-        return np.arange(grid.nx)
-    if tag is BoundaryTag.TOP:
-        return (grid.ny - 1) * grid.nx + np.arange(grid.nx)
-    raise InvalidArgumentError(f"unknown boundary tag {tag!r}")
+def boundary_sites(grid, tag, where):
+    """Flat indices of the sites along the tagged edge, corner nodes included."""
+    idx = site_index(grid, where)
+    edges = {BoundaryTag.LEFT: idx[0], BoundaryTag.RIGHT: idx[-1],
+             BoundaryTag.BOTTOM: idx[:, 0], BoundaryTag.TOP: idx[:, -1]}
+    if tag not in edges:
+        raise InvalidArgumentError(f"unknown boundary tag {tag!r}")
+    return edges[tag]
+
+
+def interior_faces(grid):
+    """Per axis, x first: (lower, upper, select) for the faces between cells.
+
+    ``lower`` and ``upper`` are [i, j] arrays of the flat indices of the
+    cells on either side of each interior face; ``select`` picks those faces
+    from an array in :class:`setd.operators.FaceVelocities` layout (qx or
+    qy). A grid one cell wide along an axis has no faces there: empty arrays.
+    """
+    idx = site_index(grid, "cells")
+    return ((idx[:-1, :], idx[1:, :], np.s_[1:-1, :]),
+            (idx[:, :-1], idx[:, 1:], np.s_[:, 1:-1]))

@@ -312,7 +312,7 @@ def _realization_worker(cfg, problem, r):
         if problem.linear_reference is not None:
             diffusion, reaction = problem.linear_reference
             state = evolve_exact(linear_state(cfg.noise, diffusion, reaction), path)
-            ref = spectral_to_nodal(state, problem.discrete.grid, problem.where)
+            ref = spectral_to_nodal(state, problem.discrete.grid, problem.discrete.where)
         else:
             ref = finest_reference(problem, path)
     except SETDError:

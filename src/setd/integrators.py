@@ -90,11 +90,6 @@ class ProblemDef:
         if not np.all(np.isfinite(self.X0)):
             raise InvalidArgumentError("X0 contains non-finite values")
 
-    @property
-    def where(self):
-        """Sampling sites of the noise increments for this discretization."""
-        return "nodes" if self.discrete.method == "fem" else "cells"
-
 
 @dataclass
 class Trajectory:
@@ -116,7 +111,7 @@ def _masked_drift(problem, x):
         if f.shape != x.shape:
             raise InvalidArgumentError("drift must return a vector of the same shape")
     mask = problem.discrete.dirichlet_mask
-    if mask is not None and mask.any():
+    if mask.any():
         f = np.where(mask, 0.0, f)
     return f
 
@@ -131,7 +126,7 @@ def _masked_noise(problem, x, dW):
             raise InvalidArgumentError("dispersion must return a vector of the same shape")
         g = b * dW
     mask = problem.discrete.dirichlet_mask
-    if mask is not None and mask.any():
+    if mask.any():
         g = np.where(mask, 0.0, g)
     return g
 
@@ -216,7 +211,6 @@ def run(problem, config, path, coarsening=1, snapshot_every=None):
 
     discrete = problem.discrete
     grid = discrete.grid
-    where = problem.where
     x = apply_dirichlet(discrete, problem.X0)
 
     if config.scheme is Scheme.SEMI_IMPLICIT_EULER:
@@ -229,7 +223,7 @@ def run(problem, config, path, coarsening=1, snapshot_every=None):
     if snapshot_every is not None and snapshot_every > 0:
         snapshots.append((0, x.copy()))
     for m in range(config.steps):
-        dW = sample_increment(path, grid, m, coarsening, where=where)
+        dW = sample_increment(path, grid, m, coarsening, where=discrete.where)
         x = step_func(problem, config, x, dW)
         x = apply_dirichlet(discrete, x)
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _DIVERGENCE_LIMIT:

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidArgumentError
+from .grid import site_axes, site_index
 
 _MAX_CACHED_FLOATS = 8_000_000  # per-path budget of each (grid, site) field cache and of kept blocks
 
@@ -159,14 +160,7 @@ def _eigen_1d(coords, length, nmax):
 
 @lru_cache(maxsize=32)
 def _basis_matrices(grid, n1, n2, where):
-    if where == "nodes":
-        x = np.arange(grid.nx + 1) * grid.dx
-        y = np.arange(grid.ny + 1) * grid.dy
-    elif where == "cells":
-        x = (np.arange(grid.nx) + 0.5) * grid.dx
-        y = (np.arange(grid.ny) + 0.5) * grid.dy
-    else:
-        raise InvalidArgumentError(f"unknown sample site family {where!r}")
+    x, y = site_axes(grid, where)
     return _eigen_1d(x, grid.L1, n1), _eigen_1d(y, grid.L2, n2)
 
 
@@ -302,7 +296,7 @@ class NoisePath:
         cache_key = (grid, where)
         entry = self._cache.get(cache_key)
         if entry is None:
-            ndof = grid.node_count if where == "nodes" else grid.cell_count
+            ndof = site_index(grid, where).size
             cachable = self.steps * ndof <= _MAX_CACHED_FLOATS
             entry = {} if cachable else None
             self._cache[cache_key] = entry if cachable else False
@@ -345,8 +339,6 @@ def sample_increment(path, grid, step_index, coarsening=1, where="nodes"):
     fields, so refinement consistency (coarse == sum of fine) is bit-exact
     at every node, matching the mode-level law.
     """
-    if where not in ("nodes", "cells"):
-        raise InvalidArgumentError(f"unknown sample site family {where!r}")
     lo, hi = path._check_window(step_index, coarsening)
     acc = path._fine_field(grid, where, lo).copy()
     for s in range(lo + 1, hi):

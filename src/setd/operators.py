@@ -9,6 +9,10 @@ Both assemblers produce a :class:`DiscreteProblem` holding the generator
 * FV: two-point flux diffusion (diagonal D) plus first-order upwind
   advection on face velocities; M is the diagonal of cell volumes.
 
+``DiscreteProblem.where`` names the DOF sites, ``"nodes"`` (FEM) or
+``"cells"`` (FV); their order, coordinates and boundary edges come from
+:mod:`setd.grid`.
+
 Dirichlet handling freezes the boundary DOFs: their rows of A_h are zero
 (so exp(dt*A_h) and phi1(dt*A_h) act as the identity there and the implicit
 matrix I - dt*A_h has identity rows), while interior rows keep their
@@ -28,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
-from .grid import BoundaryTag, boundary_cells, boundary_nodes, cell_xy, node_xy
+from .grid import BoundaryTag, boundary_sites, interior_faces, site_index
 from .sparse import SparseOperator
 
 _TAG_ORDER = (BoundaryTag.LEFT, BoundaryTag.RIGHT, BoundaryTag.BOTTOM, BoundaryTag.TOP)
@@ -72,7 +76,7 @@ class DiscreteProblem:
     """
 
     grid: object
-    method: str  # "fem" | "fv"
+    where: str  # DOF sites: "nodes" (FEM) | "cells" (FV)
     A: SparseOperator
     K: SparseOperator
     mass: np.ndarray
@@ -82,10 +86,6 @@ class DiscreteProblem:
     @property
     def ndof(self):
         return self.A.n_rows
-
-    def dof_xy(self):
-        """Coordinate arrays of the DOF sites (nodes for FEM, centers for FV)."""
-        return node_xy(self.grid) if self.method == "fem" else cell_xy(self.grid)
 
 
 def _as_tensor(D, diagonal_only):
@@ -111,9 +111,10 @@ def _as_tensor(D, diagonal_only):
     return D
 
 
-def _dirichlet_arrays(grid, dirichlet, ndof, select):
-    """Mask and values of the DOFs that ``dirichlet`` ({BoundaryTag: value}) freezes."""
+def _dirichlet_arrays(grid, dirichlet, where):
+    """Mask and values of the ``where`` sites that ``dirichlet`` ({BoundaryTag: value}) freezes."""
     dirichlet = dict(dirichlet or {})
+    ndof = site_index(grid, where).size
     mask = np.zeros(ndof, dtype=bool)
     values = np.zeros(ndof)
     for tag in _TAG_ORDER:  # fixed order: later tags win at shared corners
@@ -121,7 +122,7 @@ def _dirichlet_arrays(grid, dirichlet, ndof, select):
             value = dirichlet.pop(tag)
             if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise InvalidArgumentError(f"Dirichlet value on {tag} must be a finite number, got {value!r}")
-            idx = select(grid, tag)
+            idx = boundary_sites(grid, tag, where)
             mask[idx] = True
             values[idx] = value
     if dirichlet:
@@ -135,14 +136,11 @@ def _dirichlet_arrays(grid, dirichlet, ndof, select):
 
 def _triangle_connectivity(grid):
     """Connectivity (ntri, 3) for the fixed-diagonal split, both orientations."""
-    nxp = grid.nx + 1
-    i, j = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
-    i = i.ravel()
-    j = j.ravel()
-    n00 = j * nxp + i
-    n10 = j * nxp + i + 1
-    n01 = (j + 1) * nxp + i
-    n11 = (j + 1) * nxp + i + 1
+    idx = site_index(grid, "nodes")
+    n00 = idx[:-1, :-1].ravel()
+    n10 = idx[1:, :-1].ravel()
+    n01 = idx[:-1, 1:].ravel()
+    n11 = idx[1:, 1:].ravel()
     tri1 = np.column_stack([n00, n10, n11])  # lower-right triangle
     tri2 = np.column_stack([n00, n11, n01])  # upper-left triangle
     return tri1, tri2
@@ -183,7 +181,7 @@ def assemble_fem(grid, D, velocity=None, dirichlet=None, c0=0.0):
             or not all(isinstance(q, numbers.Real) and math.isfinite(q) for q in velocity)):
         raise InvalidArgumentError(f"velocity must be None or a finite (qx, qy) pair, got {velocity!r}")
     qx, qy = float(velocity[0]), float(velocity[1])
-    mask, values = _dirichlet_arrays(grid, dirichlet, grid.node_count, boundary_nodes)
+    mask, values = _dirichlet_arrays(grid, dirichlet, "nodes")
     dx, dy = grid.dx, grid.dy
     area = 0.5 * dx * dy
     tri1, tri2 = _triangle_connectivity(grid)
@@ -215,7 +213,7 @@ def assemble_fem(grid, D, velocity=None, dirichlet=None, c0=0.0):
         np.concatenate(vals),
     )
     A = K.scale_rows(np.where(mask, 0.0, -1.0 / lumped))
-    return DiscreteProblem(grid, "fem", A, K, lumped, mask, values)
+    return DiscreteProblem(grid, "nodes", A, K, lumped, mask, values)
 
 
 # ---------------------------------------------------------------------------
@@ -248,64 +246,36 @@ def assemble_fv(grid, D, q_faces=None, dirichlet=None, c0=0.0):
     elif not isinstance(q_faces, FaceVelocities):
         raise InvalidArgumentError(f"q_faces must be None or FaceVelocities, got {q_faces!r}")
     q_faces.validate(grid)
-    mask, values = _dirichlet_arrays(grid, dirichlet, grid.cell_count, boundary_cells)
+    mask, values = _dirichlet_arrays(grid, dirichlet, "cells")
 
-    nx, ny = grid.nx, grid.ny
     dx, dy = grid.dx, grid.dy
     vol = dx * dy
-    Dx, Dy = D[0, 0], D[1, 1]
-
-    def cell(i, j):
-        return j * nx + i
-
     rows, cols, vals = [], [], []
 
     def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v, dtype=np.float64).ravel())
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(v.ravel())
 
-    # interior x-faces: between (i-1, j) and (i, j), i = 1..nx-1
-    if nx > 1:
-        i, j = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-        L = cell(i - 1, j)
-        R = cell(i, j)
-        T = Dx * dy / dx
-        add(L, R, np.full(L.size, T)); add(L, L, np.full(L.size, -T))
-        add(R, L, np.full(L.size, T)); add(R, R, np.full(L.size, -T))
-        u = q_faces.qx[1:nx, :] * dy  # volumetric advective rate, positive toward +x
-        up = np.where(u >= 0, L, R)
-        add(L, up, -u)
-        add(R, up, u)
-    # interior y-faces
-    if ny > 1:
-        i, j = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-        B = cell(i, j - 1)
-        Tc = cell(i, j)
-        T = Dy * dx / dy
-        add(B, Tc, np.full(B.size, T)); add(B, B, np.full(B.size, -T))
-        add(Tc, B, np.full(B.size, T)); add(Tc, Tc, np.full(B.size, -T))
-        u = q_faces.qy[:, 1:ny] * dx
-        up = np.where(u >= 0, B, Tc)
-        add(B, up, -u)
-        add(Tc, up, u)
+    # interior faces, x then y: lo = cell below/left, hi = cell above/right
+    for (lo, hi, face), q, T, area in zip(interior_faces(grid), (q_faces.qx, q_faces.qy),
+                                          (D[0, 0] * dy / dx, D[1, 1] * dx / dy), (dy, dx)):
+        n = lo.size
+        add(lo, hi, np.full(n, T)); add(lo, lo, np.full(n, -T))
+        add(hi, lo, np.full(n, T)); add(hi, hi, np.full(n, -T))
+        u = q[face] * area  # volumetric advective rate, positive toward hi
+        up = np.where(u >= 0, lo, hi)
+        add(lo, up, -u)
+        add(hi, up, u)
 
-    # boundary faces: advective outflow only (zero inflow concentration);
-    # zero diffusive flux on Neumann faces; Dirichlet cells get frozen below.
-    j = np.arange(ny)
-    u = q_faces.qx[0, :] * dy  # left boundary, outward normal -x: outflow when u < 0
-    c = cell(0, j)
-    add(c, c, np.where(u < 0, u, 0.0))
-    u = q_faces.qx[nx, :] * dy  # right boundary, outward normal +x: outflow when u > 0
-    c = cell(nx - 1, j)
-    add(c, c, np.where(u > 0, -u, 0.0))
-    i = np.arange(nx)
-    u = q_faces.qy[:, 0] * dx  # bottom
-    c = cell(i, 0)
-    add(c, c, np.where(u < 0, u, 0.0))
-    u = q_faces.qy[:, ny] * dx  # top
-    c = cell(i, ny - 1)
-    add(c, c, np.where(u > 0, -u, 0.0))
+    # boundary faces, in tag order, with rates along the outward normal:
+    # advective outflow only (zero inflow concentration); zero diffusive flux
+    # on Neumann faces; Dirichlet cells get frozen below.
+    outflow = (-q_faces.qx[0, :] * dy, q_faces.qx[-1, :] * dy,
+               -q_faces.qy[:, 0] * dx, q_faces.qy[:, -1] * dx)
+    for tag, out in zip(_TAG_ORDER, outflow):
+        c = boundary_sites(grid, tag, "cells")
+        add(c, c, np.where(out > 0, -out, 0.0))
 
     N = SparseOperator.from_coo(
         grid.cell_count, grid.cell_count,
@@ -316,7 +286,7 @@ def assemble_fv(grid, D, q_faces=None, dirichlet=None, c0=0.0):
         -N.to_scipy() + c0 * vol * sp.identity(grid.cell_count, format="csr"))
     masses = np.full(grid.cell_count, vol)
     A = K.scale_rows(np.where(mask, 0.0, -1.0 / masses))
-    return DiscreteProblem(grid, "fv", A, K, masses, mask, values)
+    return DiscreteProblem(grid, "cells", A, K, masses, mask, values)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from setd.darcy import PermeabilityField, divergence, flux_balance, solve_darcy
-from setd.grid import build_grid, cell_xy
+from setd.grid import build_grid, site_xy
 from setd.harness import advection_study, linear_additive_study, run_study
 from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm1_step
 from setd.krylov import dense_phi, phi0_action, phi1_action
@@ -150,7 +150,7 @@ def test_criterion_5_darcy_pressure_and_flux():
     t0 = time.perf_counter()
     grid = build_grid(32, 32, 1.0, 1.0)
     p, vel = solve_darcy(PermeabilityField.homogeneous(grid, 1.0), p_left=1.0, p_right=0.0)
-    cx, _ = cell_xy(grid)
+    cx, _ = site_xy(grid, "cells")
     p_err = float(np.abs(p - (1.0 - cx)).max())
     q_err = float(max(np.abs(vel.qx - 1.0).max(), np.abs(vel.qy).max()))
 

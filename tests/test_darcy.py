@@ -13,8 +13,9 @@ from setd.darcy import (
     velocity_from_pressure,
 )
 from setd import darcy
+from setd.cli import main
 from setd.errors import InvalidArgumentError, SolverError
-from setd.grid import build_grid, cell_xy
+from setd.grid import build_grid, site_xy
 
 
 def test_constant_permeability_uniform_flow():
@@ -22,7 +23,7 @@ def test_constant_permeability_uniform_flow():
     grid = build_grid(20, 20, 1.0, 1.0)
     perm = PermeabilityField.homogeneous(grid, 1.0)
     p, vel = solve_darcy(perm, p_left=1.0, p_right=0.0)
-    x, _ = cell_xy(grid)
+    x, _ = site_xy(grid, "cells")
     np.testing.assert_allclose(p, 1.0 - x, rtol=0, atol=1e-10)
     np.testing.assert_allclose(vel.qx, 1.0, rtol=0, atol=1e-10)
     np.testing.assert_allclose(vel.qy, 0.0, rtol=0, atol=1e-10)
@@ -38,7 +39,7 @@ def test_constant_permeability_scaling():
     np.testing.assert_allclose(half_mu.qx, 0.5 * base.qx, rtol=1e-12, atol=1e-12)
     p, vel = solve_darcy(PermeabilityField.homogeneous(grid, 1.0), p_left=3.0, p_right=1.0)
     np.testing.assert_allclose(vel.qx, 2.0, rtol=0, atol=1e-10)
-    x, _ = cell_xy(grid)
+    x, _ = site_xy(grid, "cells")
     np.testing.assert_allclose(p, 3.0 - 2.0 * x, rtol=0, atol=1e-10)
 
 
@@ -131,3 +132,40 @@ def test_non_finite_pressures_fail_typed(monkeypatch):
     monkeypatch.setattr(darcy.spla, "spsolve", lambda A, b: np.full(b.shape, np.nan))
     with pytest.raises(SolverError, match="residual"):
         solve_pressure(perm)
+
+
+def test_streak_arguments_fail_typed():
+    # a non-finite or out-of-range center, or a non-finite or fractional
+    # width, raises the typed error before any rounding to rows
+    grid = build_grid(32, 32, 1.0, 1.0)
+    for centers in ((0.25, np.nan), (np.inf,), (0.25, 7.0), (-0.5,), (1.0 + 1e-12,)):
+        with pytest.raises(InvalidArgumentError, match="centers"):
+            PermeabilityField.streaks(grid, centers=centers)
+    for width in (np.nan, np.inf, 2.5, 0, -1):
+        with pytest.raises(InvalidArgumentError, match="width"):
+            PermeabilityField.streaks(grid, width_cells=width)
+    # a whole-number float width is the same width
+    assert np.array_equal(PermeabilityField.streaks(grid, width_cells=3.0).k,
+                          PermeabilityField.streaks(grid, width_cells=3).k)
+
+
+def test_streak_centers_at_the_edges():
+    # the center row is clamped into the grid, so 0 and 1 give edge streaks;
+    # a streak that meets the top edge is cut there
+    grid = build_grid(8, 32, 1.0, 1.0)
+    for center, rows in ((0.0, [0, 1]), (1.0, [31]), (1.0 - 1e-9, [31])):
+        k = PermeabilityField.streaks(grid, 10.0, centers=(center,), width_cells=2).k
+        assert np.flatnonzero(k[0, :] == 10.0).tolist() == rows
+        assert np.all(k[:, rows] == 10.0)
+    # the preset centers keep their rows: 8-9, 16-17, 24-25 at the default width 2
+    k = PermeabilityField.streaks(grid, 100.0).k
+    assert np.flatnonzero(k[0, :] == 100.0).tolist() == [8, 9, 16, 17, 24, 25]
+
+
+def test_cli_rejects_a_nan_streak_center(tmp_path, capsys):
+    cfg = tmp_path / "darcy.ini"
+    cfg.write_text("[grid]\nnx = 8\n\n[darcy]\ncenters = 0.25, nan\n", encoding="utf-8")
+    rc = main(["darcy", "--config", str(cfg), "--out", str(tmp_path / "d.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "centers" in err

@@ -135,7 +135,7 @@ def test_study_config_validation():
 def test_build_problem_shapes_and_rejects_unknown_params():
     cfg = _tiny_linear()
     problem = build_problem(cfg)
-    assert problem.discrete.method == "fem"
+    assert problem.discrete.where == "nodes"
     assert problem.linear_reference == (1.0, 0.5)
     assert problem.dispersion is None          # additive noise
     bad = StudyConfig(problem="linear_additive", schemes=(Scheme.SETDM1,),
@@ -147,7 +147,7 @@ def test_build_problem_shapes_and_rejects_unknown_params():
                           dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 8),
                           noise=NoiseSpec.powerlaw(n1=6, n2=6))
     aprob = build_problem(adv)
-    assert aprob.discrete.method == "fv"
+    assert aprob.discrete.where == "cells"
     assert aprob.dispersion is not None        # multiplicative noise
     assert aprob.discrete.dirichlet_mask.sum() == 6  # inflow column frozen
     het = advection_study(heterogeneous=True, nx=8, realizations=2,
@@ -155,7 +155,7 @@ def test_build_problem_shapes_and_rejects_unknown_params():
                           noise=NoiseSpec.powerlaw(n1=6, n2=6),
                           problem_params={"contrast": 10.0})
     hprob = build_problem(het)
-    assert hprob.discrete.method == "fv"
+    assert hprob.discrete.where == "cells"
 
 
 def test_non_finite_problem_params_fail_before_the_study():

@@ -8,7 +8,7 @@ import sympy as sy
 
 from setd import sparse
 from setd.errors import InvalidArgumentError
-from setd.grid import BoundaryTag, boundary_cells, boundary_nodes, build_grid
+from setd.grid import BoundaryTag, boundary_sites, build_grid
 from setd.harness import advection_study, build_problem, linear_additive_study
 from setd.operators import (
     FaceVelocities,
@@ -141,7 +141,7 @@ def test_fv_conservation_and_outflow():
                        q_faces=FaceVelocities.constant(grid, 1.0, 0.0))
     A = prob.A.to_scipy().toarray()
     rowsum = A.sum(axis=1)
-    left = boundary_cells(grid, BoundaryTag.LEFT)
+    left = boundary_sites(grid, BoundaryTag.LEFT, "cells")
     rest = np.setdiff1d(np.arange(grid.cell_count), left)
     np.testing.assert_allclose(rowsum[rest], 0.0, atol=1e-12)
     np.testing.assert_allclose(rowsum[left], -1.0 / grid.dx, rtol=1e-12)
@@ -165,17 +165,17 @@ def test_generator_spectrum_nonpositive_real_part():
 def test_dirichlet_rows_frozen():
     grid = build_grid(4, 3, 1.0, 1.0)
     edges = {BoundaryTag.LEFT: 1.0, BoundaryTag.TOP: 0.25}
-    for prob, select in ((assemble_fem(grid, 1.0, dirichlet=edges), boundary_nodes),
-                         (assemble_fv(grid, 1.0, dirichlet=edges), boundary_cells)):
+    for prob in (assemble_fem(grid, 1.0, dirichlet=edges), assemble_fv(grid, 1.0, dirichlet=edges)):
         A = prob.A.to_scipy().toarray()
         frozen = np.where(prob.dirichlet_mask)[0]
         np.testing.assert_array_equal(A[frozen, :], 0.0)
-        expected = set(select(grid, BoundaryTag.LEFT)) | set(select(grid, BoundaryTag.TOP))
-        assert set(frozen) == expected
+        left = set(boundary_sites(grid, BoundaryTag.LEFT, prob.where))
+        top = set(boundary_sites(grid, BoundaryTag.TOP, prob.where))
+        assert set(frozen) == left | top
         # shared corner takes TOP's value (TOP assembles after LEFT in the
         # fixed tag order); the rest of LEFT keeps its own value
-        corner = set(select(grid, BoundaryTag.LEFT)) & set(select(grid, BoundaryTag.TOP))
-        for k in select(grid, BoundaryTag.LEFT):
+        corner = left & top
+        for k in left:
             assert prob.dirichlet_values[k] == (0.25 if k in corner else 1.0)
         # interior rows keep their couplings into the frozen DOFs
         assert np.abs(A[:, frozen]).sum() > 0
