@@ -1,8 +1,9 @@
 """SHA-256 digests of what setd computes, one line per output: each study
 preset's operator arrays, FEM and FV operators (advection, Dirichlet values,
 c0) on small and odd grids, the Darcy-streaks pressure and face velocities,
-one noise path's increments at nodes and at cells, and the report rows of
-small linear and advection studies. A refactor that must keep every output's
+one noise path's increments at nodes and at cells and its mode increments,
+the exact linear reference field, and the report rows of small linear and
+advection studies. A refactor that must keep every output's
 bytes diffs this script's output at its parent and at the change:
 
     python benchmarks/fingerprint.py > after.txt
@@ -16,8 +17,9 @@ import numpy as np
 from setd import darcy
 from setd.grid import BoundaryTag, build_grid
 from setd.harness import advection_study, build_problem, linear_additive_study, run_study
-from setd.noise import NoiseSpec, make_path, sample_increment
+from setd.noise import NoiseSpec, make_path, modes_at_sites, sample_increment
 from setd.operators import FaceVelocities, assemble_fem, assemble_fv
+from setd.reference import evolve_exact, linear_state
 
 
 def digest(*parts):
@@ -48,6 +50,13 @@ def lines():
     path = make_path(NoiseSpec.exponential(n1=9, n2=6), 1, 0, 0.01, 4)
     for where in ("nodes", "cells"):
         yield f"noise {where}", digest(*(sample_increment(path, grid, m, 2, where) for m in (0, 1)))
+    yield "noise modes", digest(*(path.brownian_increment_modes(m, c)
+                                  for c in (1, 2) for m in range(4 // c)))
+    fields = []
+    for c in (1, 2):
+        state = evolve_exact(linear_state(path.spec, 1.0, 0.5), path, coarsening=c)
+        fields += [modes_at_sites(state.c, grid, where) for where in ("nodes", "cells")]
+    yield "reference linear", digest(*fields)
     short = tuple(Fraction(1, n) for n in (10, 20))
     for cfg in (linear_additive_study(nx=8, realizations=2, dt_list=short),
                 advection_study(True, nx=8, realizations=1, dt_list=short, seed=2)):

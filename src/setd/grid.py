@@ -71,8 +71,8 @@ def build_grid(nx, ny, L1, L2):
     InvalidArgumentError
         If nx/ny are not positive integers or L1/L2 are not positive finite.
     """
-    if not (isinstance(nx, (int, np.integer)) and isinstance(ny, (int, np.integer))):
-        raise InvalidArgumentError("nx and ny must be integers")
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (nx, ny)):
+        raise InvalidArgumentError(f"nx and ny must be integers, got nx={nx!r}, ny={ny!r}")
     if nx < 1 or ny < 1:
         raise InvalidArgumentError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
     L1 = float(L1)

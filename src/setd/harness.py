@@ -31,10 +31,9 @@ from . import darcy
 from .errors import DegenerateFitError, InvalidArgumentError, SETDError
 from .grid import BoundaryTag, build_grid
 from .integrators import ProblemDef, Scheme, SchemeConfig, run
-from .noise import NoiseSpec, make_path
+from .noise import NoiseSpec, make_path, modes_at_sites
 from .operators import FaceVelocities, assemble_fem, assemble_fv, quadrature_weights
-from .reference import (evolve_exact, finest_reference, linear_state,
-                        spectral_to_nodal)
+from .reference import evolve_exact, finest_reference, linear_state
 
 # Each problem's [problem] keys and their defaults. The heterogeneous
 # problem also takes the Darcy keys, forwarded to darcy only when given.
@@ -83,7 +82,7 @@ class StudyConfig:
         for s in self.schemes:
             if not isinstance(s, Scheme):
                 raise InvalidArgumentError(f"schemes must be Scheme members, got {s!r}")
-        for name in ("realizations", "seed", "threads"):
+        for name in ("realizations", "seed", "threads", "nx", "ny"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
@@ -191,7 +190,7 @@ def build_problem(cfg):
             def drift(u, _r=reaction, _c=c0):
                 return (_c - _r) * u
         return ProblemDef(discrete=discrete, noise=cfg.noise, X0=np.zeros(discrete.ndof),
-                          drift=drift, dispersion=None, name=cfg.problem,
+                          drift=drift, dispersion=None,
                           linear_reference=(diffusion, reaction))
 
     if cfg.problem == "advection_homogeneous":
@@ -210,7 +209,7 @@ def build_problem(cfg):
             return -u / (np.abs(u) + 1.0) + _c * u
 
     return ProblemDef(discrete=discrete, noise=cfg.noise, X0=np.zeros(discrete.ndof),
-                      drift=drift, dispersion=lambda u: u, name=cfg.problem)
+                      drift=drift, dispersion=lambda u: u)
 
 
 def rms_l2_error(samples, grid):
@@ -285,7 +284,7 @@ class ConvergenceReport:
                 {
                     "scheme": row.scheme,
                     "dt": str(row.dt),
-                    "rms_error": row.rms_error,
+                    "rms_error": row.rms_error if math.isfinite(row.rms_error) else None,
                     "realizations": row.realizations,
                     "flagged_count": row.flagged_count,
                 }
@@ -295,9 +294,11 @@ class ConvergenceReport:
             "expected_order": self.expected_order,
             "metadata": self.metadata,
         }
+        # a cell flagged in every realization writes null above; any other
+        # non-finite value raises here, before the file is opened
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def _realization_worker(cfg, problem, r):
@@ -312,7 +313,7 @@ def _realization_worker(cfg, problem, r):
         if problem.linear_reference is not None:
             diffusion, reaction = problem.linear_reference
             state = evolve_exact(linear_state(cfg.noise, diffusion, reaction), path)
-            ref = spectral_to_nodal(state, problem.discrete.grid, problem.discrete.where)
+            ref = modes_at_sites(state.c, problem.discrete.grid, problem.discrete.where)
         else:
             ref = finest_reference(problem, path)
     except SETDError:

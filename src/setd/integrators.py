@@ -78,7 +78,6 @@ class ProblemDef:
     X0: np.ndarray
     drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dispersion: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = "custom"
     linear_reference: Optional[tuple] = None   # (diffusion, reaction) when exact
 
     def __post_init__(self):
@@ -96,9 +95,6 @@ class Trajectory:
     """Outcome of a run: final state and optional snapshots."""
 
     final: np.ndarray
-    scheme: Scheme
-    dt: float
-    steps: int
     snapshots: list = field(default_factory=list)   # [(step, state copy)]
 
 
@@ -189,12 +185,15 @@ def run(problem, config, path, coarsening=1, snapshot_every=None):
 
     The path is sampled at the stated coarsening (config.dt must equal
     coarsening * path.finest_dt), so runs at different step sizes on the
-    same path consume refinements of the same Wiener increments. Raises
-    DivergenceError (carrying the step index) if the state leaves
-    [-1e12, 1e12] or goes non-finite.
+    same path consume refinements of the same Wiener increments. Snapshots:
+    the initial state and every snapshot_every-th step. Raises DivergenceError
+    (carrying the step index) if the state leaves [-1e12, 1e12] or goes non-finite.
     """
     if problem.noise != path.spec:
         raise InvalidArgumentError("problem and path disagree on the noise spec")
+    if snapshot_every is not None and (isinstance(snapshot_every, bool) or not (
+            isinstance(snapshot_every, numbers.Integral) and snapshot_every > 0)):
+        raise InvalidArgumentError(f"snapshot_every must be a positive integer, got {snapshot_every!r}")
     coarsening = int(coarsening)
     if coarsening < 1:
         raise InvalidArgumentError(f"coarsening must be >= 1, got {coarsening}")
@@ -219,9 +218,7 @@ def run(problem, config, path, coarsening=1, snapshot_every=None):
     else:
         step_func = setdm0_step if config.scheme is Scheme.SETDM0 else setdm1_step
 
-    snapshots = []
-    if snapshot_every is not None and snapshot_every > 0:
-        snapshots.append((0, x.copy()))
+    snapshots = [(0, x.copy())] if snapshot_every else []
     for m in range(config.steps):
         dW = sample_increment(path, grid, m, coarsening, where=discrete.where)
         x = step_func(problem, config, x, dW)
@@ -232,7 +229,6 @@ def run(problem, config, path, coarsening=1, snapshot_every=None):
                 f"(scheme {config.scheme.value}, dt {config.dt:g})",
                 step=m + 1,
             )
-        if snapshot_every is not None and snapshot_every > 0 and (m + 1) % snapshot_every == 0:
+        if snapshot_every and (m + 1) % snapshot_every == 0:
             snapshots.append((m + 1, x.copy()))
-    return Trajectory(final=x, scheme=config.scheme, dt=config.dt, steps=config.steps,
-                      snapshots=snapshots)
+    return Trajectory(final=x, snapshots=snapshots)

@@ -8,18 +8,21 @@ The covariance operator is diagonal in the Neumann cosine basis on
 
 with per-mode intensities q_{i,j} given by either an exponentially decaying
 spectrum or a power law (trace class for r > 2; the (0,0) constant mode
-carries zero noise there). A Wiener increment over one step is
+carries zero noise there), all given by :func:`spectrum_matrix`. A Wiener
+increment over one step is
 
     dW = sqrt(dt) * sum_{i,j} sqrt(q_{i,j}) R_{i,j} e_{i,j},
 
-with R standard normal. Each fine step's block of draws is a pure function
+with R standard normal (a cosine series: :func:`modes_at_sites` evaluates
+one at the grid sites). Each fine step's block of draws is a pure function
 of (seed, realization, step, stream) and the truncation through the Philox
 counter-based generator in :mod:`setd.kernels`; a mode's draw is fixed by
 its place in the (n1+1) x (n2+1) lattice, so a path drawn at another
 truncation redraws every mode. That keying is what makes paths refinement
 consistent: the increment over a coarse step is assembled as the
 sequential sum of its fine-step increments, so coarse == sum(fine) holds
-bit-for-bit at both mode and nodal level, and results cannot depend on
+bit-for-bit at both mode level (:meth:`NoisePath.brownian_increment_modes`)
+and nodal level (:func:`sample_increment`), and results cannot depend on
 worker scheduling.
 
 In a study a path draws each Philox block once per (fine step, stream).
@@ -104,27 +107,9 @@ class NoiseSpec:
         return cls(SpectrumKind.POWERLAW, L1, L2, n1, n2, r=r)
 
 
-def spectrum(spec, i, j):
-    """Mode intensity q_{i,j}.
-
-    For the power law, q = (i+j)^(-r) is undefined at (0,0); asking for it
-    is an error (sampling internally assigns that mode zero noise).
-    """
-    i = int(i)
-    j = int(j)
-    if i < 0 or j < 0:
-        raise InvalidArgumentError("mode indices must be >= 0")
-    if spec.kind is SpectrumKind.EXPONENTIAL:
-        li = i * math.pi / spec.L1
-        lj = j * math.pi / spec.L2
-        return spec.gamma * math.exp(-((li * spec.b1) ** 2 + (lj * spec.b2) ** 2) / (2.0 * math.pi))
-    if i + j == 0:
-        raise InvalidArgumentError("power-law spectrum is undefined at mode (0, 0)")
-    return float(i + j) ** (-spec.r)
-
-
 def spectrum_matrix(spec):
-    """All intensities as an (n1+1, n2+1) array; power-law (0,0) entry is 0."""
+    """All intensities q_{i,j} as an (n1+1, n2+1) array. The power law
+    (i+j)^(-r) is undefined at (0,0): that entry is 0, the mode carries no noise."""
     i = np.arange(spec.n1 + 1)[:, None]
     j = np.arange(spec.n2 + 1)[None, :]
     if spec.kind is SpectrumKind.EXPONENTIAL:
@@ -136,11 +121,6 @@ def spectrum_matrix(spec):
         q = np.where(s > 0, s.astype(np.float64), 1.0) ** (-spec.r)
     q[0, 0] = 0.0
     return q
-
-
-def trace(spec):
-    """Total retained noise intensity sum(q) over the truncated lattice."""
-    return float(spectrum_matrix(spec).sum())
 
 
 def laplacian_eigenvalues(spec):
@@ -166,19 +146,10 @@ def _basis_matrices(grid, n1, n2, where):
 
 def modes_at_sites(coeff, grid, where):
     """The cosine series with (n1+1, n2+1) coefficients ``coeff`` at grid
-    nodes (or cell centers), x-fastest flat order."""
+    nodes (or cell centers), x-fastest flat order. A unit coefficient array
+    gives one eigenfunction e_{i,j} at the sites."""
     ex, ey = _basis_matrices(grid, coeff.shape[0] - 1, coeff.shape[1] - 1, where)
     return (ex.T @ coeff @ ey).T.ravel()
-
-
-def eigenfunction_nodal(grid, i, j, where="nodes"):
-    """Samples of e_{i,j} at grid nodes (or cell centers), x-fastest flat order."""
-    i = int(i)
-    j = int(j)
-    if i < 0 or j < 0:
-        raise InvalidArgumentError("mode indices must be >= 0")
-    ex, ey = _basis_matrices(grid, i, j, where)
-    return np.outer(ey[j], ex[i]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +196,6 @@ class NoisePath:
         k0, k1 = self._key
         return kernels.normal_block(k0, k1, self.spec.n1 + 1, self.spec.n2 + 1, step, stream)
 
-    def aux_normals(self, step):
-        """Auxiliary normals (dedicated sub-stream) for conditional sampling."""
-        return self.normal_modes(step, stream=1)
-
     # -- Brownian mode increments ------------------------------------------
     def _check_window(self, step_index, coarsening):
         coarsening = int(coarsening)
@@ -272,24 +239,6 @@ class NoisePath:
                     and not any(entry and step in entry for entry in self._cache.values())):
                 self._kept[step] = blk
         return blk
-
-    def brownian_increment(self, i, j, step_index, coarsening=1):
-        """Scalar Delta-beta for one mode (probe API; same accumulation order).
-
-        Reads entry (i, j) of each fine step's block and accumulates it in
-        the order of ``brownian_increment_modes``, so it equals that entry
-        of the block increment exactly.
-        """
-        i = int(i)
-        j = int(j)
-        if not (0 <= i <= self.spec.n1 and 0 <= j <= self.spec.n2):
-            raise InvalidArgumentError("mode indices outside the truncation lattice")
-        lo, hi = self._check_window(step_index, coarsening)
-        sdt = math.sqrt(self.finest_dt)
-        acc = sdt * self.normal_modes(lo)[i, j]
-        for s in range(lo + 1, hi):
-            acc += sdt * self.normal_modes(s)[i, j]
-        return float(acc)
 
     # -- assembled fields ---------------------------------------------------
     def _fine_field(self, grid, where, step):

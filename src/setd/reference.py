@@ -13,10 +13,11 @@ whose transition is exact over any step:
     v = (1 - exp(-2 mu dt)) / (2 mu) - (1 - exp(-mu dt))^2 / (mu^2 dt).
 
 The conditional mean couples the reference to the same Wiener increments
-the schemes consume (shared path); the conditional remainder is drawn from
-the path's dedicated auxiliary stream, so the reference is exact in law
-and perfectly synchronized with every discretization of the same path.
-Small mu*dt evaluates rho and v by series to dodge cancellation.
+the schemes consume (``brownian_increment_modes`` of the shared path); the
+conditional remainder is drawn from the path's auxiliary stream 1, so the
+reference is exact in law and synchronized with every discretization of
+the same path. Small mu*dt evaluates rho and v by series to dodge
+cancellation; ``setd.noise.modes_at_sites`` evaluates c at the grid sites.
 
 For nonlinear problems the reference is the finest-step SETDM1 run on the
 shared path (see :func:`finest_reference`).
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .noise import laplacian_eigenvalues, modes_at_sites, spectrum_matrix
+from .noise import laplacian_eigenvalues, spectrum_matrix
 
 
 @dataclass
@@ -104,7 +105,7 @@ def _step_coefficients(state, dt):
 def _advance(state, path, step_index, dt, coarsening, coefficients):
     rho, sqrt_v, decay = coefficients
     dbeta = path.brownian_increment_modes(step_index, coarsening)
-    xi = path.aux_normals(step_index)
+    xi = path.normal_modes(step_index, stream=1)
     conv = rho * dbeta + sqrt_v * xi
     c_new = decay * state.c + state.sqrt_q * conv
     return replace(state, c=c_new, t=state.t + dt)
@@ -140,11 +141,6 @@ def evolve_exact(state, path, steps=None, coarsening=1):
     for m in range(steps):
         state = _advance(state, path, m, dt, coarsening, coefficients)
     return state
-
-
-def spectral_to_nodal(state, grid, where="nodes"):
-    """Evaluate the spectral field at grid nodes/cell centers (x-fastest flat)."""
-    return modes_at_sites(state.c, grid, where)
 
 
 def finest_reference(problem, path):

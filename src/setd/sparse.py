@@ -94,9 +94,6 @@ class SparseOperator:
         self.add_product(np.ascontiguousarray(x), out)
         return out
 
-    def __matmul__(self, x):
-        return self.matvec(x)
-
     def to_scipy(self):
         return self._csr
 
@@ -182,7 +179,3 @@ def _dia_kernel(csr):
 def save_matrix_market(op, path, comment=""):
     """Write the operator to Matrix Market coordinate text format."""
     scipy.io.mmwrite(str(path), op.to_scipy(), comment=comment)
-
-
-def load_matrix_market(path):
-    return SparseOperator(scipy.io.mmread(str(path)))

@@ -186,10 +186,10 @@ def test_criterion_6_noise_refinement_bit_exact():
         i = int(rng.integers(spec.n1 + 1))
         j = int(rng.integers(spec.n2 + 1))
         s = int(rng.integers(path.steps // c))
-        coarse = path.brownian_increment(i, j, s, coarsening=c)
-        acc = path.brownian_increment(i, j, s * c, 1)
+        coarse = path.brownian_increment_modes(s, coarsening=c)[i, j]
+        acc = path.brownian_increment_modes(s * c, 1)[i, j]
         for k in range(1, c):
-            acc += path.brownian_increment(i, j, s * c + k, 1)
+            acc += path.brownian_increment_modes(s * c + k, 1)[i, j]
         if coarse != acc:
             mismatches += 1
     elapsed = time.perf_counter() - t0

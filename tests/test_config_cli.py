@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 
 import setd.darcy as darcy
 from setd.cli import main
@@ -19,7 +20,7 @@ from setd.config import read_config, solve_from_config, study_from_config
 from setd.errors import ConfigError
 from setd.harness import advection_study, build_problem, linear_additive_study
 from setd.integrators import Scheme
-from setd.sparse import load_matrix_market
+from setd.sparse import SparseOperator
 
 
 def _write(tmp_path, text, name="study.ini"):
@@ -298,8 +299,17 @@ def test_cli_solve_writes_trajectory_snapshots_operator(tmp_path):
     from setd.harness import build_problem
     study = sfc(read_config(cfg))
     problem = build_problem(study)
-    loaded = load_matrix_market(str(mtx))
+    loaded = SparseOperator(scipy.io.mmread(str(mtx)))
     np.testing.assert_array_equal(loaded.dense(), problem.discrete.A.dense())
+
+
+def test_cli_solve_rejects_a_non_positive_snapshot_interval(tmp_path, capsys):
+    for bad in ("0", "-2"):
+        cfg = _write(tmp_path, TINY_SOLVE.replace("snapshot_every = 2",
+                                                  f"snapshot_every = {bad}"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        assert "error: snapshot_every must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("t*.csv"))
 
 
 def test_cli_solve_realization_override_changes_output(tmp_path):

@@ -15,6 +15,7 @@ from setd.grid import (
     site_index,
     site_xy,
 )
+from setd.harness import advection_study, linear_additive_study
 from setd.noise import NoiseSpec, make_path, sample_increment
 
 FAMILIES = ("nodes", "cells")
@@ -47,6 +48,20 @@ def test_validation():
         build_grid(4, 4, np.inf, 1.0)
     with pytest.raises(InvalidArgumentError):
         boundary_sites(build_grid(2, 2, 1.0, 1.0), "left", "nodes")
+
+
+def test_bool_grid_sizes_are_rejected():
+    # bool is an int subclass: True used to build a one-cell-wide grid
+    for nx, ny in ((True, 4), (4, False), (np.bool_(True), 4)):
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            build_grid(nx, ny, 1.0, 1.0)
+    for kwargs in ({"nx": True}, {"ny": False}):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            linear_additive_study(**kwargs)
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            advection_study(**kwargs)
+    assert type(linear_additive_study(nx=np.int64(8)).nx) is int
+    assert build_grid(np.int64(3), 2, 1.0, 1.0) == build_grid(3, 2, 1.0, 1.0)
 
 
 def test_unknown_site_family():

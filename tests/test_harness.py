@@ -305,6 +305,38 @@ def test_report_files_round_trip(tmp_path):
     assert "setdm1_variant" not in payload["metadata"]   # one SETDM1 form
 
 
+def test_report_json_writes_null_for_a_cell_flagged_everywhere(tmp_path, monkeypatch):
+    # every setdm0 cell diverges in every realization: its rms_error is NaN,
+    # which report.csv keeps and report.json, being strict JSON, writes null
+    real_run = harness.run
+
+    def setdm0_diverges(problem, run_cfg, path, coarsening=1, **kwargs):
+        if run_cfg.scheme is Scheme.SETDM0:
+            raise DivergenceError("forced", step=1)
+        return real_run(problem, run_cfg, path, coarsening, **kwargs)
+
+    monkeypatch.setattr(harness, "run", setdm0_diverges)
+    report = run_study(_tiny_linear(realizations=2))
+    json_path = tmp_path / "report.json"
+    report.to_json(json_path)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(json_path.read_text(), parse_constant=reject)
+    for row in payload["rows"]:
+        assert (row["rms_error"] is None) == (row["scheme"] == "setdm0")
+        assert row["flagged_count"] == (2 if row["scheme"] == "setdm0" else 0)
+    report.to_csv(tmp_path / "report.csv")
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert lines[1] == "setdm0,1/4,nan,2,2"
+    # any other non-finite value fails loudly, before the file is written
+    report.expected_order = math.inf
+    with pytest.raises(ValueError):
+        report.to_json(tmp_path / "bad.json")
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_linear_study_order_rises_on_finer_steps():
     # Companion to the additive acceptance study: on the coarse range
     # {1/10..1/160} the unresolved modes (mu*dt > 1), which still carry

@@ -29,7 +29,7 @@ def _linear_problem(nx=6, c0=0.5, drift=None, dispersion=None, X0=None):
     if X0 is None:
         X0 = np.zeros(discrete.ndof)
     return ProblemDef(discrete=discrete, noise=spec, X0=X0,
-                      drift=drift, dispersion=dispersion, name="test")
+                      drift=drift, dispersion=dispersion)
 
 
 def test_setdm0_step_matches_dense_formula():
@@ -169,6 +169,11 @@ def test_run_validation_and_bookkeeping():
     traj = run(problem, SchemeConfig(Scheme.SETDM1, 0.125, 4), path, snapshot_every=2)
     assert [s for s, _ in traj.snapshots] == [0, 2, 4]
     np.testing.assert_array_equal(traj.snapshots[-1][1], traj.final)
+    assert run(problem, SchemeConfig(Scheme.SETDM1, 0.125, 4), path).snapshots == []
+    # a snapshot interval is a positive integer; 0 or -2 used to keep none silently
+    for bad in (0, -2, 2.0, True, "2"):
+        with pytest.raises(InvalidArgumentError, match="snapshot_every"):
+            run(problem, SchemeConfig(Scheme.SETDM1, 0.125, 4), path, snapshot_every=bad)
 
 
 def test_coarsened_run_consumes_same_path():

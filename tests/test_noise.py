@@ -13,44 +13,47 @@ from setd.grid import build_grid
 from setd.noise import (
     NoisePath,
     NoiseSpec,
-    eigenfunction_nodal,
     laplacian_eigenvalues,
     make_path,
+    modes_at_sites,
     sample_increment,
-    spectrum,
     spectrum_matrix,
-    trace,
 )
 from setd.operators import quadrature_weights
 
 
+def _mode(grid, i, j, where="nodes"):
+    """e_{i,j} at the grid sites: the cosine series of a unit coefficient."""
+    coeff = np.zeros((i + 1, j + 1))
+    coeff[i, j] = 1.0
+    return modes_at_sites(coeff, grid, where)
+
+
 def test_exponential_spectrum_values():
     spec = NoiseSpec.exponential()  # gamma=1, b1=b2=0.2
-    assert spectrum(spec, 0, 0) == pytest.approx(1.0, rel=1e-15)
+    q = spectrum_matrix(spec)
+    assert q.shape == (65, 65)
+    assert q[0, 0] == pytest.approx(1.0, rel=1e-15)
     # q(1,0) = exp(-(pi*0.2)^2 / (2*pi)) = exp(-0.02*pi)
-    assert spectrum(spec, 1, 0) == pytest.approx(math.exp(-0.02 * math.pi), rel=1e-14)
-    assert spectrum(spec, 1, 0) == pytest.approx(0.9391013674242088, rel=1e-12)
-    assert spectrum(spec, 1, 0) == spectrum(spec, 0, 1)  # b1 == b2 symmetry
+    assert q[1, 0] == pytest.approx(math.exp(-0.02 * math.pi), rel=1e-14)
+    assert q[1, 0] == pytest.approx(0.9391013674242088, rel=1e-12)
+    assert q[1, 0] == q[0, 1]  # b1 == b2 symmetry
     # separable: q(i,j) * q(0,0) == q(i,0) * q(0,j)
-    assert spectrum(spec, 3, 4) * spectrum(spec, 0, 0) == pytest.approx(
-        spectrum(spec, 3, 0) * spectrum(spec, 0, 4), rel=1e-13)
-    mat = spectrum_matrix(spec)
-    assert mat.shape == (65, 65)
-    assert mat[3, 4] == pytest.approx(spectrum(spec, 3, 4), rel=1e-14)
+    assert q[3, 4] * q[0, 0] == pytest.approx(q[3, 0] * q[0, 4], rel=1e-13)
+    assert q[3, 4] == pytest.approx(
+        math.exp(-((3 * math.pi * 0.2) ** 2 + (4 * math.pi * 0.2) ** 2) / (2 * math.pi)),
+        rel=1e-14)
     # truncation tail is negligible at the default cutoff
-    assert spectrum(spec, 64, 0) < 1e-22
+    assert q[64, 0] < 1e-22
 
 
 def test_powerlaw_spectrum_values():
     spec = NoiseSpec.powerlaw(r=2.01)
-    assert spectrum(spec, 1, 0) == 1.0
-    assert spectrum(spec, 2, 3) == pytest.approx(5.0 ** -2.01, rel=1e-14)
-    with pytest.raises(InvalidArgumentError):
-        spectrum(spec, 0, 0)
-    mat = spectrum_matrix(spec)
-    assert mat[0, 0] == 0.0
-    assert mat[2, 3] == pytest.approx(5.0 ** -2.01, rel=1e-14)
-    assert np.isfinite(trace(spec))
+    q = spectrum_matrix(spec)
+    assert q[1, 0] == 1.0
+    assert q[2, 3] == pytest.approx(5.0 ** -2.01, rel=1e-14)
+    assert q[0, 0] == 0.0  # (i+j)^-r is undefined there: the constant mode has no noise
+    assert np.isfinite(q.sum())
     with pytest.raises(InvalidArgumentError):
         NoiseSpec.powerlaw(r=2.0)  # not trace class
     # NaN passes every ordered comparison's "else" and Inf every lower
@@ -78,7 +81,7 @@ def test_eigenfunctions_orthonormal_under_quadrature():
     grid = build_grid(16, 16, 1.0, 1.0)
     w = quadrature_weights(grid, grid.node_count)
     modes = [(0, 0), (1, 0), (0, 1), (2, 3), (5, 5), (7, 2)]
-    vecs = [eigenfunction_nodal(grid, i, j) for i, j in modes]
+    vecs = [_mode(grid, i, j) for i, j in modes]
     for a, va in enumerate(vecs):
         for b, vb in enumerate(vecs):
             ip = float(np.sum(w * va * vb))
@@ -87,12 +90,12 @@ def test_eigenfunctions_orthonormal_under_quadrature():
 
 def test_eigenfunction_values():
     grid = build_grid(4, 4, 1.0, 1.0)
-    e00 = eigenfunction_nodal(grid, 0, 0)
+    e00 = _mode(grid, 0, 0)
     np.testing.assert_allclose(e00, 1.0, rtol=1e-15)  # constant mode, unit L2 norm
-    e10 = eigenfunction_nodal(grid, 1, 0)
+    e10 = _mode(grid, 1, 0)
     assert e10[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)   # cos(0)
     assert e10[4] == pytest.approx(-math.sqrt(2.0), rel=1e-15)  # cos(pi)
-    cells = eigenfunction_nodal(grid, 1, 0, where="cells")
+    cells = _mode(grid, 1, 0, where="cells")
     assert cells.shape == (16,)
     assert cells[0] == pytest.approx(math.sqrt(2.0) * math.cos(np.pi * 0.125), rel=1e-14)
 
@@ -106,14 +109,14 @@ def test_increment_law_variance():
     dt = 0.25
     nsamp = 4000
     probes = [(0, 0), (1, 0), (2, 2)]
-    basis = [eigenfunction_nodal(grid, i, j) for i, j in probes]
+    basis = [_mode(grid, i, j) for i, j in probes]
     coeffs = np.empty((nsamp, len(probes)))
     for r in range(nsamp):
         path = make_path(spec, 99, r, dt, 1)
         dW = sample_increment(path, grid, 0)
         coeffs[r] = [np.sum(w * b * dW) for b in basis]
     var = coeffs.var(axis=0)
-    want = np.array([spectrum(spec, i, j) * dt for i, j in probes])
+    want = np.array([spectrum_matrix(spec)[i, j] * dt for i, j in probes])
     # relative MC error ~ sqrt(2/n) ~ 2.2%; allow 4 sigma
     np.testing.assert_allclose(var, want, rtol=4 * math.sqrt(2.0 / nsamp))
     corr = np.corrcoef(coeffs.T)
@@ -139,12 +142,18 @@ def test_refinement_bit_exact():
 
 
 def test_scalar_probe_matches_block_law():
+    # each entry of a block increment is the scalar sum of that mode's
+    # scaled fine draws, accumulated in step order
     spec = NoiseSpec.exponential(n1=6, n2=6)
     path = make_path(spec, 11, 0, 0.125, 8)
+    sdt = math.sqrt(0.125)
     for c in (2, 4):  # four terms: a different summation order would show
         blk = path.brownian_increment_modes(1, coarsening=c)
         for i, j in [(0, 0), (3, 2), (6, 6)]:
-            assert path.brownian_increment(i, j, 1, coarsening=c) == blk[i, j]
+            probe = sdt * path.normal_modes(c)[i, j]
+            for s in range(c + 1, 2 * c):
+                probe += sdt * path.normal_modes(s)[i, j]
+            assert probe == blk[i, j]
 
 
 def test_paths_decorrelated_across_realizations_and_seeds():
@@ -156,7 +165,7 @@ def test_paths_decorrelated_across_realizations_and_seeds():
     assert not np.array_equal(a, c)
     # stream separation: aux draws never reuse Wiener randomness
     p = make_path(spec, 1, 0, 0.5, 2)
-    assert not np.array_equal(p.normal_modes(0), p.aux_normals(0))
+    assert not np.array_equal(p.normal_modes(0), p.normal_modes(0, stream=1))
     # but the path itself is a pure function of its key
     np.testing.assert_array_equal(a, make_path(spec, 1, 0, 0.5, 2).normal_modes(0))
 
@@ -221,8 +230,6 @@ def test_path_validation():
         path.normal_modes(2)  # beyond horizon
     with pytest.raises(InvalidArgumentError):
         path.brownian_increment_modes(1, coarsening=2)  # needs fine steps [2, 4)
-    with pytest.raises(InvalidArgumentError):
-        path.brownian_increment(5, 0, 0)  # outside mode lattice
     grid = build_grid(4, 4, 1.0, 1.0)
     with pytest.raises(InvalidArgumentError):
         sample_increment(path, grid, 0, where="edges")

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from setd.errors import InvalidArgumentError
-from setd.grid import build_grid
-from setd.noise import NoiseSpec, eigenfunction_nodal, make_path, spectrum
+from setd.grid import build_grid, site_xy
+from setd.noise import NoiseSpec, make_path, modes_at_sites, spectrum_matrix
 from setd.operators import assemble_fem, quadrature_weights
 from setd.reference import (
     conditional_convolution_params,
@@ -18,7 +18,6 @@ from setd.reference import (
     exact_linear_step,
     finest_reference,
     linear_state,
-    spectral_to_nodal,
 )
 
 
@@ -83,7 +82,7 @@ def test_one_step_law_monte_carlo():
         vals[r] = [st.c[i, j] for i, j in probes]
     for k, (i, j) in enumerate(probes):
         mu = state0.mu[i, j]
-        want = spectrum(spec, i, j) * -np.expm1(-2 * mu * dt) / (2 * mu)
+        want = spectrum_matrix(spec)[i, j] * -np.expm1(-2 * mu * dt) / (2 * mu)
         got = vals[:, k].var()
         # 5-sigma band for a variance estimate: rel error sqrt(2/n)
         assert got == pytest.approx(want, rel=5 * math.sqrt(2.0 / nsamp))
@@ -97,7 +96,7 @@ def test_exact_step_couples_to_path_increments():
     path = make_path(spec, 7, 0, 0.25, 4)
     st1 = exact_linear_step(state, path, 2, 0.25)
     dbeta = path.brownian_increment_modes(2)
-    xi = path.aux_normals(2)
+    xi = path.normal_modes(2, stream=1)
     rho, v = conditional_convolution_params(state.mu, 0.25)
     want = state.sqrt_q * (rho * dbeta + np.sqrt(v) * xi)
     np.testing.assert_allclose(st1.c, want, rtol=1e-14, atol=1e-16)
@@ -117,17 +116,23 @@ def test_refinement_consistency_in_law_and_mean():
 
 
 def test_spectral_to_nodal_consistency():
+    # the projection the harness applies to the exact reference equals the
+    # cosine series summed mode by mode at the site coordinates
     spec = NoiseSpec.exponential(n1=5, n2=5)
     grid = build_grid(10, 10, 1.0, 1.0)
     state = linear_state(spec)
     rng = np.random.default_rng(5)
     state.c = rng.standard_normal(state.c.shape)
-    field = spectral_to_nodal(state, grid)
-    want = sum(state.c[i, j] * eigenfunction_nodal(grid, i, j)
-               for i in range(6) for j in range(6))
-    np.testing.assert_allclose(field, want, rtol=1e-12, atol=1e-13)
-    cells = spectral_to_nodal(state, grid, where="cells")
-    assert cells.shape == (grid.cell_count,)
+
+    def e(k, t):
+        return 1.0 if k == 0 else math.sqrt(2.0) * np.cos(k * np.pi * t)
+
+    for where, count in (("nodes", grid.node_count), ("cells", grid.cell_count)):
+        x, y = site_xy(grid, where)
+        field = modes_at_sites(state.c, grid, where)
+        want = sum(state.c[i, j] * e(i, x) * e(j, y) for i in range(6) for j in range(6))
+        assert field.shape == (count,)
+        np.testing.assert_allclose(field, want, rtol=1e-12, atol=1e-13)
 
 
 def test_finest_reference_agrees_with_exact_solution():
@@ -140,14 +145,14 @@ def test_finest_reference_agrees_with_exact_solution():
     from setd.integrators import ProblemDef
 
     problem = ProblemDef(discrete=discrete, noise=spec, X0=np.zeros(discrete.ndof),
-                         drift=lambda u: 0.0 * u, name="linear")
+                         drift=lambda u: 0.0 * u)
     w = quadrature_weights(grid, discrete.ndof)
     gaps = []
     scales = []
     for r in range(5):
         path = make_path(spec, 31, r, 1.0 / 256, 256)
         fin = finest_reference(problem, path)
-        exact = spectral_to_nodal(evolve_exact(linear_state(spec), path), grid)
+        exact = modes_at_sites(evolve_exact(linear_state(spec), path).c, grid, "nodes")
         gaps.append(np.sqrt(np.sum(w * (fin - exact) ** 2)))
         scales.append(np.sqrt(np.sum(w * exact**2)))
     # the finest run carries O(sqrt(dt)) strong error ~ 0.06 at dt=1/256 on
@@ -192,7 +197,8 @@ def test_evolve_exact_equals_loop_of_exact_steps(coarsening):
     c = state0.c
     for m in range(16 // coarsening):
         rho, v = conditional_convolution_params(state0.mu, dt)
-        conv = rho * path.brownian_increment_modes(m, coarsening) + np.sqrt(v) * path.aux_normals(m)
+        conv = (rho * path.brownian_increment_modes(m, coarsening)
+                + np.sqrt(v) * path.normal_modes(m, stream=1))
         c = np.exp(-state0.mu * dt) * c + state0.sqrt_q * conv
     assert got.c.tobytes() == c.tobytes()
 
