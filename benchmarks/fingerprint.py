@@ -2,9 +2,12 @@
 preset's operator arrays, FEM and FV operators (advection, Dirichlet values,
 c0) on small and odd grids, the Darcy-streaks pressure and face velocities,
 one noise path's increments at nodes and at cells and its mode increments,
-the exact linear reference field, and the report rows of small linear and
-advection studies. A refactor that must keep every output's
-bytes diffs this script's output at its parent and at the change:
+the exact linear reference field, the report rows of small linear and
+advection studies, and the final states of every scheme run at two step
+sizes on a small FV and a small FEM problem with Dirichlet values (report
+rows hold only RMS errors, so they cannot see a pinned or masked DOF). A
+refactor that must keep every output's bytes diffs this script's output at
+its parent and at the change:
 
     python benchmarks/fingerprint.py > after.txt
 """
@@ -17,6 +20,7 @@ import numpy as np
 from setd import darcy
 from setd.grid import BoundaryTag, build_grid
 from setd.harness import advection_study, build_problem, linear_additive_study, run_study
+from setd.integrators import ProblemDef, Scheme, SchemeConfig, run
 from setd.noise import NoiseSpec, make_path, modes_at_sites, sample_increment
 from setd.operators import FaceVelocities, assemble_fem, assemble_fv
 from setd.reference import evolve_exact, linear_state
@@ -63,6 +67,19 @@ def lines():
         yield f"study {cfg.problem}", digest([(r.scheme, str(r.dt), r.rms_error.hex(),
                                                r.realizations, r.flagged_count)
                                               for r in run_study(cfg).rows])
+    grid = build_grid(6, 6, 1.0, 1.0)
+    spec = NoiseSpec.powerlaw(n1=8, n2=8)
+    fv = assemble_fv(grid, (1e-2, 1e-3), FaceVelocities.constant(grid, 1.0, 0.0),
+                     {BoundaryTag.LEFT: 1.0})
+    fem = assemble_fem(grid, 1.0, dirichlet=edges, c0=0.5)
+    finals = []
+    for problem in (ProblemDef(fv, spec, np.zeros(fv.ndof), drift=lambda u: -u / (np.abs(u) + 1.0),
+                               dispersion=lambda u: u),
+                    ProblemDef(fem, spec, np.zeros(fem.ndof), drift=lambda u: -0.3 * u)):
+        path = make_path(spec, 1, 0, 0.125, 8)
+        finals += [run(problem, SchemeConfig(scheme, 0.125 * c, 8 // c), path, coarsening=c).final
+                   for scheme in Scheme for c in (1, 2)]
+    yield "run finals", digest(*finals)
 
 
 def main():

@@ -54,8 +54,9 @@ class PermeabilityField:
 
         Each streak is ``width_cells`` rows (default ceil(ny/20)) centered
         at the given fractions of L2 in [0, 1], with permeability
-        base*contrast. The center row is clamped into the grid, so centers 0
-        and 1 give streaks along the bottom and top edges.
+        base*contrast. The streak's rows are clamped into the grid, so
+        centers 0 and 1 give full-width streaks along the bottom and top
+        edges.
         """
         if contrast <= 0:
             raise InvalidArgumentError("contrast must be positive")
@@ -71,9 +72,8 @@ class PermeabilityField:
         k = np.full((grid.nx, grid.ny), float(base))
         for frac in centers:
             jc = min(max(int(round(frac * grid.ny - 0.5)), 0), grid.ny - 1)
-            j0 = max(0, jc - (width_cells - 1) // 2)
-            j1 = min(grid.ny, j0 + width_cells)
-            k[:, j0:j1] = base * contrast
+            j0 = max(0, min(jc - (width_cells - 1) // 2, grid.ny - width_cells))
+            k[:, j0:j0 + width_cells] = base * contrast
         return cls(grid, k, mu)
 
 

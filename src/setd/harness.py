@@ -17,6 +17,7 @@ order, so reports are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -183,14 +184,10 @@ def build_problem(cfg):
     if cfg.problem == "linear_additive":
         diffusion, reaction = pp["diffusion"], pp["reaction"]
         discrete = assemble_fem(grid, diffusion, c0=c0)
-        if c0 == 0.0:
-            def drift(u, _r=reaction):
-                return -_r * u
-        else:
-            def drift(u, _r=reaction, _c=c0):
-                return (_c - _r) * u
+        # -reaction keeps the -0.0 rate that c0 - reaction would make +0.0
+        rate = -reaction if c0 == 0.0 else c0 - reaction
         return ProblemDef(discrete=discrete, noise=cfg.noise, X0=np.zeros(discrete.ndof),
-                          drift=drift, dispersion=None,
+                          drift=functools.partial(_linear_drift, rate=rate), dispersion=None,
                           linear_reference=(diffusion, reaction))
 
     if cfg.problem == "advection_homogeneous":
@@ -200,16 +197,25 @@ def build_problem(cfg):
         _, faces = darcy.solve_streaks(grid, **flow)
     discrete = assemble_fv(grid, (pp["diffusion_x"], pp["diffusion_y"]), q_faces=faces,
                            dirichlet={BoundaryTag.LEFT: pp["inflow"]}, c0=c0)
-
-    if c0 == 0.0:
-        def drift(u):
-            return -u / (np.abs(u) + 1.0)
-    else:
-        def drift(u, _c=c0):
-            return -u / (np.abs(u) + 1.0) + _c * u
-
     return ProblemDef(discrete=discrete, noise=cfg.noise, X0=np.zeros(discrete.ndof),
-                      drift=drift, dispersion=lambda u: u)
+                      drift=functools.partial(_saturating_drift, c0=c0), dispersion=_identity)
+
+
+# The problems' Nemytskii maps are module-level functions bound with
+# functools.partial, so a ProblemDef pickles.
+def _linear_drift(u, rate):
+    return rate * u
+
+
+def _saturating_drift(u, c0):
+    """-u/(|u| + 1) + c0 u; at c0 = 0 the c0 u term is left out, since adding
+    0.0 * u would turn a -0.0 entry into +0.0."""
+    f = -u / (np.abs(u) + 1.0)
+    return f if c0 == 0.0 else f + c0 * u
+
+
+def _identity(u):
+    return u
 
 
 def rms_l2_error(samples, grid):

@@ -12,8 +12,11 @@ SETDM0 step is one phi0 action, a SETDM1 step one fused phi0/phi1 action.
 The semi-implicit step factorizes (I - dt A_h) once per run.
 
 Frozen Dirichlet DOFs have zero rows in A_h, so every propagator acts as
-the identity there; drift and noise are masked at those DOFs and the
-boundary values are re-imposed after each step.
+the identity there. Each step takes F(X) and B(X) dW from one helper,
+which zeroes both at those DOFs in arrays it made itself; ``run`` applies
+the boundary values to X0 once (``apply_dirichlet``) and writes them in
+place into the vector each step returns. A state whose largest magnitude
+is not <= 1e12 (NaN and Inf included) stops the run with DivergenceError.
 """
 
 from __future__ import annotations
@@ -98,33 +101,19 @@ class Trajectory:
     snapshots: list = field(default_factory=list)   # [(step, state copy)]
 
 
-def _masked_drift(problem, x):
-    """Reaction term with Dirichlet DOFs zeroed (boundary values are pinned)."""
-    if problem.drift is None:
-        f = np.zeros_like(x)
-    else:
-        f = np.asarray(problem.drift(x), dtype=np.float64)
-        if f.shape != x.shape:
-            raise InvalidArgumentError("drift must return a vector of the same shape")
+def _drift_and_noise(problem, x, dW):
+    """F(x) and B(x) dW as new arrays (a drift's output is copied; additive
+    noise is B = 1), zeroed in place on the Dirichlet DOFs."""
+    drift, dispersion = problem.drift, problem.dispersion
+    f = np.zeros_like(x) if drift is None else np.array(drift(x), dtype=np.float64)
+    b = np.ones_like(x) if dispersion is None else np.asarray(dispersion(x), dtype=np.float64)
+    if f.shape != x.shape or b.shape != x.shape:
+        raise InvalidArgumentError("drift and dispersion must return vectors of the state's shape")
+    g = b * dW
     mask = problem.discrete.dirichlet_mask
-    if mask.any():
-        f = np.where(mask, 0.0, f)
-    return f
-
-
-def _masked_noise(problem, x, dW):
-    """B(x) dW with Dirichlet DOFs zeroed."""
-    if problem.dispersion is None:
-        g = dW
-    else:
-        b = np.asarray(problem.dispersion(x), dtype=np.float64)
-        if b.shape != x.shape:
-            raise InvalidArgumentError("dispersion must return a vector of the same shape")
-        g = b * dW
-    mask = problem.discrete.dirichlet_mask
-    if mask.any():
-        g = np.where(mask, 0.0, g)
-    return g
+    f[mask] = 0.0
+    g[mask] = 0.0
+    return f, g
 
 
 def setdm0_step(problem, config, state, dW):
@@ -133,8 +122,8 @@ def setdm0_step(problem, config, state, dW):
     X+ = phi0(dt A)(X + dt F(X) + B(X) dW): one semigroup action applied
     to the fully updated state.
     """
-    y = state + config.dt * _masked_drift(problem, state) + _masked_noise(problem, state, dW)
-    return phi0_action(problem.discrete.A, y, config.dt).vector
+    f, g = _drift_and_noise(problem, state, dW)
+    return phi0_action(problem.discrete.A, state + config.dt * f + g, config.dt).vector
 
 
 def setdm1_step(problem, config, state, dW):
@@ -142,9 +131,8 @@ def setdm1_step(problem, config, state, dW):
 
     X+ = phi0(dt A)(X + B(X) dW) + dt phi1(dt A) F(X): one fused action.
     """
-    noise = _masked_noise(problem, state, dW)
-    drift = _masked_drift(problem, state)
-    return fused_action(problem.discrete.A, state + noise, drift, config.dt).vector
+    f, g = _drift_and_noise(problem, state, dW)
+    return fused_action(problem.discrete.A, state + g, f, config.dt).vector
 
 
 def semi_implicit_step(problem, config, state, dW, solver=None):
@@ -153,10 +141,10 @@ def semi_implicit_step(problem, config, state, dW, solver=None):
     solver is an optional prefactorized solve callable for (I - dt A);
     run() builds one per call so repeated steps share the factorization.
     """
-    rhs = state + config.dt * _masked_drift(problem, state) + _masked_noise(problem, state, dW)
+    f, g = _drift_and_noise(problem, state, dW)
     if solver is None:
         solver = make_implicit_solver(problem.discrete, config.dt)
-    return solver(rhs)
+    return solver(state + config.dt * f + g)
 
 
 def make_implicit_solver(discrete, dt):
@@ -211,6 +199,8 @@ def run(problem, config, path, coarsening=1, snapshot_every=None):
     discrete = problem.discrete
     grid = discrete.grid
     x = apply_dirichlet(discrete, problem.X0)
+    mask = discrete.dirichlet_mask
+    pinned = discrete.dirichlet_values[mask]
 
     if config.scheme is Scheme.SEMI_IMPLICIT_EULER:
         step_func = functools.partial(
@@ -222,8 +212,8 @@ def run(problem, config, path, coarsening=1, snapshot_every=None):
     for m in range(config.steps):
         dW = sample_increment(path, grid, m, coarsening, where=discrete.where)
         x = step_func(problem, config, x, dW)
-        x = apply_dirichlet(discrete, x)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _DIVERGENCE_LIMIT:
+        x[mask] = pinned
+        if not np.abs(x).max() <= _DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"solution blew up at step {m + 1} of {config.steps} "
                 f"(scheme {config.scheme.value}, dt {config.dt:g})",

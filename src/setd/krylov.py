@@ -146,7 +146,8 @@ def _action(A, u, f, t):
     s = max(1, ceil(t(beta - lam))) steps of length h = t/s, each one
     polynomial in P of degree K evaluated in Horner form, with no stop test.
     """
-    if f is not None and not f.any():
+    f_norm = 0.0 if f is None else float(np.abs(f).max())
+    if f_norm == 0.0:
         f = None
     P, beta, lam = A.uniformized_form
     r = t * (beta - lam)
@@ -154,7 +155,6 @@ def _action(A, u, f, t):
     h = t / s
     x = h * beta
     u_norm = float(np.abs(u).max())
-    f_norm = 0.0 if f is None else float(np.abs(f).max())
     # K > x - 1 (N's median is >= x - ln 2): past the ceiling, skip the weights
     if s > _MAX_PRODUCTS or s * (x - 1.0) >= _MAX_PRODUCTS:
         raise KrylovConvergenceError(

@@ -17,9 +17,9 @@ Dirichlet handling freezes the boundary DOFs: their rows of A_h are zero
 (so exp(dt*A_h) and phi1(dt*A_h) act as the identity there and the implicit
 matrix I - dt*A_h has identity rows), while interior rows keep their
 couplings into the frozen DOFs, which carries the boundary value into the
-domain. ``apply_dirichlet`` overwrites the frozen values; the integrators
-call it on the initial state and after every step. For FV grids the frozen
-DOFs are the cells adjacent to Dirichlet-tagged faces.
+domain. ``apply_dirichlet`` overwrites the frozen values; ``integrators.run``
+calls it on X0 and writes the same values in place after every step. For
+FV grids the frozen DOFs are the cells adjacent to Dirichlet-tagged faces.
 """
 
 from __future__ import annotations

@@ -150,10 +150,10 @@ def test_streak_arguments_fail_typed():
 
 
 def test_streak_centers_at_the_edges():
-    # the center row is clamped into the grid, so 0 and 1 give edge streaks;
-    # a streak that meets the top edge is cut there
+    # the streak's rows are clamped into the grid, so 0 and 1 give
+    # full-width streaks along the bottom and top edges
     grid = build_grid(8, 32, 1.0, 1.0)
-    for center, rows in ((0.0, [0, 1]), (1.0, [31]), (1.0 - 1e-9, [31])):
+    for center, rows in ((0.0, [0, 1]), (1.0, [30, 31]), (1.0 - 1e-9, [30, 31])):
         k = PermeabilityField.streaks(grid, 10.0, centers=(center,), width_cells=2).k
         assert np.flatnonzero(k[0, :] == 10.0).tolist() == rows
         assert np.all(k[:, rows] == 10.0)

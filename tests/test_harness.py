@@ -3,6 +3,7 @@ thread-count invariance, and flagging of failed cells."""
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,8 @@ from setd.harness import (
     rms_l2_error,
     run_study,
 )
-from setd.integrators import Scheme
-from setd.noise import NoiseSpec, sample_increment
+from setd.integrators import Scheme, SchemeConfig, run
+from setd.noise import NoiseSpec, make_path, sample_increment
 
 
 def _tiny_linear(threads=1, realizations=3, seed=11):
@@ -156,6 +157,22 @@ def test_build_problem_shapes_and_rejects_unknown_params():
                           problem_params={"contrast": 10.0})
     hprob = build_problem(het)
     assert hprob.discrete.where == "cells"
+
+
+def test_problems_pickle_and_run_the_same():
+    # the drift and dispersion are module-level functions bound with
+    # functools.partial, so a ProblemDef survives pickling unchanged
+    small = dict(nx=6, realizations=1, dt_list=(Fraction(1, 8),), finest_dt=Fraction(1, 16),
+                 noise=NoiseSpec.powerlaw(n1=6, n2=6))
+    for cfg in (linear_additive_study(**small), linear_additive_study(c0=0.5, **small),
+                advection_study(**small), advection_study(heterogeneous=True, c0=0.5, **small)):
+        problem = build_problem(cfg)
+        copy = pickle.loads(pickle.dumps(problem))
+        path = make_path(cfg.noise, 1, 0, 1 / 16, 8)
+        for scheme in cfg.schemes:
+            config = SchemeConfig(scheme, 1 / 8, 4)
+            assert (run(copy, config, path, coarsening=2).final.tobytes()
+                    == run(problem, config, path, coarsening=2).final.tobytes())
 
 
 def test_non_finite_problem_params_fail_before_the_study():

@@ -147,6 +147,34 @@ def test_dirichlet_dofs_pinned_through_run():
         assert np.all(np.isfinite(out))
 
 
+def test_steps_and_run_write_no_caller_array():
+    # the Dirichlet masking and pinning happen in place, but only on arrays
+    # the library made: a drift that returns its argument, the caller's dW
+    # and X0 and the path's cached fields all stay as they were
+    grid = build_grid(6, 6, 1.0, 1.0)
+    discrete = assemble_fv(grid, np.array([1e-2, 1e-3]),
+                           q_faces=FaceVelocities.constant(grid, 1.0, 0.0),
+                           dirichlet={BoundaryTag.LEFT: 1.0})
+    spec = NoiseSpec.powerlaw(n1=8, n2=8)
+    problem = ProblemDef(discrete=discrete, noise=spec, X0=np.linspace(-2.0, 3.0, discrete.ndof),
+                         drift=lambda u: u, dispersion=None)
+    X0 = problem.X0.copy()
+    path = make_path(spec, 1, 0, 0.125, 8)
+    fields = [sample_increment(path, grid, m, 1, discrete.where) for m in range(8)]
+    assert np.all(fields[0][discrete.dirichlet_mask] != 0.0)
+    for scheme, step in ((Scheme.SETDM0, setdm0_step), (Scheme.SETDM1, setdm1_step),
+                         (Scheme.SEMI_IMPLICIT_EULER, semi_implicit_step)):
+        cfg = SchemeConfig(scheme, dt=0.125, steps=8)
+        dW = fields[0].copy()
+        step(problem, cfg, problem.X0, dW)
+        assert dW.tobytes() == fields[0].tobytes()
+        assert problem.X0.tobytes() == X0.tobytes()
+        run(problem, cfg, path)
+        assert problem.X0.tobytes() == X0.tobytes()
+        for m, field in enumerate(fields):
+            assert sample_increment(path, grid, m, 1, discrete.where).tobytes() == field.tobytes()
+
+
 def test_run_validation_and_bookkeeping():
     problem = _linear_problem(nx=4)
     path = make_path(problem.noise, 0, 0, 0.125, 8)
