@@ -13,14 +13,13 @@ each interior face come from :mod:`setd.grid`, as in FV assembly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidArgumentError, SolverError
+from .errors import InvalidArgumentError, SolverError, check_real
 from .grid import BoundaryTag, boundary_sites, interior_faces, site_index
 from .operators import FaceVelocities
 
@@ -41,12 +40,11 @@ class PermeabilityField:
             )
         if not np.all(np.isfinite(self.k)) or np.any(self.k <= 0):
             raise InvalidArgumentError("permeability must be positive finite")
-        if not (self.mu > 0 and np.isfinite(self.mu)):
-            raise InvalidArgumentError("viscosity must be positive finite")
+        self.mu = check_real(self.mu, "viscosity mu", 0, open_lo=True)
 
     @classmethod
     def homogeneous(cls, grid, k=1.0, mu=1.0):
-        return cls(grid, np.full((grid.nx, grid.ny), float(k)), mu)
+        return cls(grid, np.full((grid.nx, grid.ny), check_real(k, "k")), mu)
 
     @classmethod
     def streaks(cls, grid, contrast=100.0, centers=(0.25, 0.5, 0.75), width_cells=None, base=1.0, mu=1.0):
@@ -56,20 +54,18 @@ class PermeabilityField:
         at the given fractions of L2 in [0, 1], with permeability
         base*contrast. The streak's rows are clamped into the grid, so
         centers 0 and 1 give full-width streaks along the bottom and top
-        edges.
+        edges. A whole-number float width (3.0) is that many cells.
         """
-        if contrast <= 0:
-            raise InvalidArgumentError("contrast must be positive")
+        contrast = check_real(contrast, "contrast", 0, open_lo=True)
+        base = check_real(base, "base")
         if width_cells is None:
             width_cells = math.ceil(grid.ny / 20)
-        if not (isinstance(width_cells, numbers.Real) and float(width_cells).is_integer()
-                and width_cells >= 1):
-            raise InvalidArgumentError(f"streak width must be a whole number of cells >= 1, got {width_cells!r}")
-        centers = tuple(centers)
-        if not all(isinstance(frac, numbers.Real) and 0.0 <= frac <= 1.0 for frac in centers):
-            raise InvalidArgumentError(f"streak centers must be fractions of L2 in [0, 1], got {centers!r}")
-        width_cells = int(width_cells)
-        k = np.full((grid.nx, grid.ny), float(base))
+        width = check_real(width_cells, "streak width", 1)
+        if not width.is_integer():
+            raise InvalidArgumentError(f"streak width must be a whole number of cells, got {width_cells!r}")
+        width_cells = int(width)
+        centers = tuple(check_real(frac, "streak centers", 0, 1) for frac in centers)
+        k = np.full((grid.nx, grid.ny), base)
         for frac in centers:
             jc = min(max(int(round(frac * grid.ny - 0.5)), 0), grid.ny - 1)
             j0 = max(0, min(jc - (width_cells - 1) // 2, grid.ny - width_cells))
@@ -105,9 +101,8 @@ def solve_pressure(perm, p_left=1.0, p_right=0.0):
     ndarray, shape (cell_count,)
         Pressures in flat x-fastest cell order.
     """
-    if not (math.isfinite(p_left) and math.isfinite(p_right)):
-        raise InvalidArgumentError(
-            f"boundary pressures must be finite, got p_left={p_left}, p_right={p_right}")
+    p_left = check_real(p_left, "p_left")
+    p_right = check_real(p_right, "p_right")
     g = perm.grid
     tx, ty = _face_transmissibilities(perm)
     rows, cols, vals = [], [], []

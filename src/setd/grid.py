@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_int, check_real
 
 
 class BoundaryTag(Enum):
@@ -71,15 +71,8 @@ def build_grid(nx, ny, L1, L2):
     InvalidArgumentError
         If nx/ny are not positive integers or L1/L2 are not positive finite.
     """
-    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (nx, ny)):
-        raise InvalidArgumentError(f"nx and ny must be integers, got nx={nx!r}, ny={ny!r}")
-    if nx < 1 or ny < 1:
-        raise InvalidArgumentError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
-    L1 = float(L1)
-    L2 = float(L2)
-    if not (np.isfinite(L1) and np.isfinite(L2)) or L1 <= 0 or L2 <= 0:
-        raise InvalidArgumentError(f"domain lengths must be positive finite, got L1={L1}, L2={L2}")
-    return Grid(int(nx), int(ny), L1, L2)
+    return Grid(check_int(nx, "nx", 1), check_int(ny, "ny", 1),
+                check_real(L1, "L1", 0, open_lo=True), check_real(L2, "L2", 0, open_lo=True))
 
 
 def _lattice_shape(grid, where):

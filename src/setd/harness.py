@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +28,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import darcy
-from .errors import DegenerateFitError, InvalidArgumentError, SETDError
+from .errors import DegenerateFitError, InvalidArgumentError, SETDError, check_int, check_real
 from .grid import BoundaryTag, build_grid
 from .integrators import ProblemDef, Scheme, SchemeConfig, run
 from .noise import NoiseSpec, make_path, modes_at_sites
@@ -83,21 +82,12 @@ class StudyConfig:
         for s in self.schemes:
             if not isinstance(s, Scheme):
                 raise InvalidArgumentError(f"schemes must be Scheme members, got {s!r}")
-        for name in ("realizations", "seed", "threads", "nx", "ny"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        # the seed keys Philox mod 2^64, as in NoisePath
+        for name, start, stop in (("realizations", 1, None), ("seed", 0, 2 ** 64),
+                                  ("threads", 1, None), ("nx", None, None), ("ny", None, None)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, start, stop))
         for name in ("c0", "expected_order"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise InvalidArgumentError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.realizations < 1:
-            raise InvalidArgumentError("realizations must be >= 1")
-        if self.threads < 1:
-            raise InvalidArgumentError("threads must be >= 1")
+            check_real(getattr(self, name), name)
         dts = tuple(Fraction(d) for d in self.dt_list)
         object.__setattr__(self, "dt_list", dts)
         object.__setattr__(self, "finest_dt", Fraction(self.finest_dt))
@@ -176,10 +166,8 @@ def build_problem(cfg):
     unknown = set(cfg.problem_params) - set(defaults) - set(flow_keys)
     if unknown:
         raise InvalidArgumentError(f"unknown problem parameters: {sorted(unknown)}")
-    pp = {key: float(cfg.problem_params.get(key, value)) for key, value in defaults.items()}
-    non_finite = sorted(key for key, value in pp.items() if not math.isfinite(value))
-    if non_finite:
-        raise InvalidArgumentError(f"problem parameters must be finite: {non_finite}")
+    pp = {key: check_real(cfg.problem_params.get(key, value), key)
+          for key, value in defaults.items()}
     c0 = cfg.c0
     if cfg.problem == "linear_additive":
         diffusion, reaction = pp["diffusion"], pp["reaction"]

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DivergenceError, InvalidArgumentError, SolverError
+from .errors import DivergenceError, InvalidArgumentError, SolverError, check_int, check_real
 # phi1_action is not called here; it stays importable from this module
 # because studybench's tracer wraps setd.integrators.phi1_action by name.
 from .krylov import fused_action, phi0_action, phi1_action  # noqa: F401
@@ -61,10 +59,8 @@ class SchemeConfig:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             raise InvalidArgumentError(f"scheme must be a Scheme, got {self.scheme!r}")
-        if not isinstance(self.dt, numbers.Real) or not 0.0 < float(self.dt) < math.inf:
-            raise InvalidArgumentError(f"dt must be a positive finite number, got {self.dt!r}")
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 0:
-            raise InvalidArgumentError(f"steps must be a nonnegative integer, got {self.steps}")
+        object.__setattr__(self, "dt", check_real(self.dt, "dt", lo=0, open_lo=True))
+        object.__setattr__(self, "steps", check_int(self.steps, "steps", 0))
 
 
 @dataclass
@@ -179,22 +175,9 @@ def run(problem, config, path, coarsening=1, snapshot_every=None):
     """
     if problem.noise != path.spec:
         raise InvalidArgumentError("problem and path disagree on the noise spec")
-    if snapshot_every is not None and (isinstance(snapshot_every, bool) or not (
-            isinstance(snapshot_every, numbers.Integral) and snapshot_every > 0)):
-        raise InvalidArgumentError(f"snapshot_every must be a positive integer, got {snapshot_every!r}")
-    coarsening = int(coarsening)
-    if coarsening < 1:
-        raise InvalidArgumentError(f"coarsening must be >= 1, got {coarsening}")
-    if config.steps * coarsening > path.steps:
-        raise InvalidArgumentError(
-            f"{config.steps} steps at coarsening {coarsening} overrun the "
-            f"path horizon of {path.steps} fine steps"
-        )
-    expected = coarsening * path.finest_dt
-    if not np.isclose(config.dt, expected, rtol=1e-9, atol=0.0):
-        raise InvalidArgumentError(
-            f"dt={config.dt} is not coarsening {coarsening} x finest_dt {path.finest_dt}"
-        )
+    if snapshot_every is not None:
+        snapshot_every = check_int(snapshot_every, "snapshot_every", 1)
+    coarsening = path.coarse_window(coarsening, config.steps, dt=config.dt)
 
     discrete = problem.discrete
     grid = discrete.grid

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_int
+
 
 def splitmix64(x):
     """One SplitMix64 scramble of a 64-bit integer (returns uint64).
@@ -35,18 +37,18 @@ def derive_key(seed, realization):
     Parameters
     ----------
     seed : int
-        Master seed, any Python int.
+        Master seed, any integer (taken mod 2^64).
     realization : int
-        Realization index >= 0.
+        Realization index >= 0 (taken mod 2^64).
 
     Returns
     -------
     (int, int)
         Two 32-bit key words.
     """
-    if realization < 0:
-        raise ValueError("realization index must be >= 0")
-    h = splitmix64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    seed = check_int(seed, "seed")
+    realization = check_int(realization, "realization", 0)
+    h = splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
     mixed = splitmix64(int(h) ^ ((realization * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF))
     return int(mixed) & 0xFFFFFFFF, int(mixed) >> 32
 

@@ -78,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, KrylovConvergenceError
+from .errors import InvalidArgumentError, KrylovConvergenceError, check_real
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -212,10 +212,7 @@ def _check_vector(A, v, name="vector"):
 def _check_action_args(A, dt):
     if A.n_rows != A.n_cols:
         raise InvalidArgumentError("phi actions require a square operator")
-    dt = float(dt)
-    if not np.isfinite(dt) or dt < 0:
-        raise InvalidArgumentError(f"dt must be finite and >= 0, got {dt}")
-    return dt
+    return check_real(dt, "dt", 0)
 
 
 def phi0_action(A, v, dt):

@@ -36,7 +36,6 @@ field cache. Kept blocks never leave the path: callers get fresh arrays.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -44,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_int, check_real
 from .grid import site_axes, site_index
 
 _MAX_CACHED_FLOATS = 8_000_000  # per-path budget of each (grid, site) field cache and of kept blocks
@@ -74,29 +73,16 @@ class NoiseSpec:
     r: float = 2.01
 
     def __post_init__(self):
-        for name in ("L1", "L2", "gamma", "b1", "b2", "r"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
-        if self.L1 <= 0 or self.L2 <= 0:
-            raise InvalidArgumentError("domain lengths must be positive")
-        for name in ("n1", "n2"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.n1 < 0 or self.n2 < 0:
-            raise InvalidArgumentError("mode truncation must be >= 0")
+        # every parameter is finite; r > 2 makes the power law trace class
+        lower = {"L1": 0, "L2": 0}
         if self.kind is SpectrumKind.EXPONENTIAL:
-            if self.gamma <= 0:
-                raise InvalidArgumentError("exponential spectrum requires gamma > 0")
-            if self.b1 <= 0 or self.b2 <= 0:
-                raise InvalidArgumentError("exponential spectrum requires b1, b2 > 0")
+            lower.update(gamma=0, b1=0, b2=0)
         elif self.kind is SpectrumKind.POWERLAW:
-            if not self.r > 2:
-                raise InvalidArgumentError(
-                    f"power-law exponent must exceed 2 for a trace-class covariance, got r={self.r}"
-                )
+            lower["r"] = 2
+        for name in ("L1", "L2", "gamma", "b1", "b2", "r"):
+            check_real(getattr(self, name), name, lo=lower.get(name), open_lo=True)
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 0))
 
     @classmethod
     def exponential(cls, gamma=1.0, b1=0.2, b2=0.2, n1=64, n2=64, L1=1.0, L2=1.0):
@@ -180,36 +166,51 @@ class NoisePath:
 
     def __post_init__(self):
         # derive_key takes the seed and the realization mod 2^64, so values
-        # outside [0, 2^64) would alias values inside it
-        if not 0 <= self.seed < 2 ** 64:
-            raise InvalidArgumentError(f"seed must be in [0, 2**64), got {self.seed}")
-        if not 0 <= self.realization < 2 ** 64:
-            raise InvalidArgumentError(
-                f"realization index must be in [0, 2**64), got {self.realization}")
+        # outside [0, 2^64) would alias values inside it; a step index is
+        # one 64-bit Philox counter word
+        self.seed = check_int(self.seed, "seed", 0, 2 ** 64)
+        self.realization = check_int(self.realization, "realization", 0, 2 ** 64)
+        self.finest_dt = check_real(self.finest_dt, "finest_dt", lo=0, open_lo=True)
+        self.steps = check_int(self.steps, "steps", 0, 2 ** 64 + 1)
         self._key = kernels.derive_key(self.seed, self.realization)
 
     # -- raw draws --------------------------------------------------------
     def normal_modes(self, step, stream=0):
         """Standard-normal block R_{i,j} for one fine step, shape (n1+1, n2+1)."""
-        if step < 0 or step >= self.steps:
-            raise InvalidArgumentError(f"step {step} outside path horizon [0, {self.steps})")
         k0, k1 = self._key
-        return kernels.normal_block(k0, k1, self.spec.n1 + 1, self.spec.n2 + 1, step, stream)
+        return kernels.normal_block(k0, k1, self.spec.n1 + 1, self.spec.n2 + 1,
+                                    check_int(step, "step", 0, self.steps),
+                                    check_int(stream, "stream", 0, 2 ** 64))
+
+    # -- coarse steps -------------------------------------------------------
+    def coarse_window(self, coarsening, steps, first=0, dt=None):
+        """Check ``steps`` coarse steps of ``coarsening`` fine steps each,
+        from coarse step ``first``, against the path; return the coarsening.
+
+        The coarsening must be an integer >= 1, the fine steps
+        [first * coarsening, (first + steps) * coarsening) must lie inside
+        the horizon, and a given ``dt`` must equal coarsening * finest_dt
+        to 1e-9 relative, so every scheme and the reference sum the same
+        fine increments over a coarse step.
+        """
+        # plain in-range ints, the per-step case, skip the checker calls
+        if not (type(coarsening) is type(steps) is type(first) is int
+                and coarsening >= 1 and steps >= 0 and first >= 0):
+            coarsening = check_int(coarsening, "coarsening", 1)
+            steps = check_int(steps, "steps", 0)
+            first = check_int(first, "coarse step index", 0)
+        end = first + steps
+        if end * coarsening > self.steps:
+            raise InvalidArgumentError(
+                f"coarse steps [{first}, {end}) x{coarsening} need fine steps "
+                f"[{first * coarsening}, {end * coarsening}) but the path holds {self.steps}")
+        if dt is not None and not np.isclose(
+                check_real(dt, "dt"), coarsening * self.finest_dt, rtol=1e-9, atol=0.0):
+            raise InvalidArgumentError(
+                f"dt={dt} is not coarsening {coarsening} x finest_dt {self.finest_dt}")
+        return coarsening
 
     # -- Brownian mode increments ------------------------------------------
-    def _check_window(self, step_index, coarsening):
-        coarsening = int(coarsening)
-        if coarsening < 1:
-            raise InvalidArgumentError("coarsening factor must be >= 1")
-        lo = step_index * coarsening
-        hi = lo + coarsening
-        if step_index < 0 or hi > self.steps:
-            raise InvalidArgumentError(
-                f"coarse step {step_index} x{coarsening} needs fine steps [{lo}, {hi}) "
-                f"but the path holds {self.steps}"
-            )
-        return lo, hi
-
     def brownian_increment_modes(self, step_index, coarsening=1):
         """Delta-beta_{i,j} over coarse step ``step_index`` (sum of fine draws).
 
@@ -217,10 +218,11 @@ class NoisePath:
         coarsening c equals the sequential sum of the c results at
         coarsening 1 bit-for-bit.
         """
-        lo, hi = self._check_window(step_index, coarsening)
+        coarsening = self.coarse_window(coarsening, 1, step_index)
+        lo = step_index * coarsening
         sdt = math.sqrt(self.finest_dt)
         acc = sdt * self._keep_block(lo)
-        for s in range(lo + 1, hi):
+        for s in range(lo + 1, lo + coarsening):
             acc += sdt * self._keep_block(s)
         return acc
 
@@ -270,15 +272,7 @@ def _sqrt_q(spec):
 
 def make_path(spec, seed, realization, finest_dt, steps):
     """Create the (seed, realization)-keyed path over ``steps`` fine steps."""
-    finest_dt = float(finest_dt)
-    if not (finest_dt > 0 and np.isfinite(finest_dt)):
-        raise InvalidArgumentError(f"finest_dt must be positive finite, got {finest_dt}")
-    steps = int(steps)
-    if steps < 0:
-        raise InvalidArgumentError("steps must be >= 0")
-    if steps > 2 ** 64:
-        raise InvalidArgumentError("step indices must fit the 64-bit Philox counter word")
-    return NoisePath(spec, int(seed), int(realization), finest_dt, steps)
+    return NoisePath(spec, seed, realization, finest_dt, steps)
 
 
 def sample_increment(path, grid, step_index, coarsening=1, where="nodes"):
@@ -288,8 +282,9 @@ def sample_increment(path, grid, step_index, coarsening=1, where="nodes"):
     fields, so refinement consistency (coarse == sum of fine) is bit-exact
     at every node, matching the mode-level law.
     """
-    lo, hi = path._check_window(step_index, coarsening)
+    coarsening = path.coarse_window(coarsening, 1, step_index)
+    lo = step_index * coarsening
     acc = path._fine_field(grid, where, lo).copy()
-    for s in range(lo + 1, hi):
+    for s in range(lo + 1, lo + coarsening):
         acc += path._fine_field(grid, where, s)
     return acc

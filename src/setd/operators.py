@@ -24,14 +24,12 @@ FV grids the frozen DOFs are the cells adjacent to Dirichlet-tagged faces.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_real
 from .grid import BoundaryTag, boundary_sites, interior_faces, site_index
 from .sparse import SparseOperator
 
@@ -52,8 +50,8 @@ class FaceVelocities:
     @classmethod
     def constant(cls, grid, qx, qy):
         return cls(
-            np.full((grid.nx + 1, grid.ny), float(qx)),
-            np.full((grid.nx, grid.ny + 1), float(qy)),
+            np.full((grid.nx + 1, grid.ny), check_real(qx, "qx")),
+            np.full((grid.nx, grid.ny + 1), check_real(qy, "qy")),
         )
 
     def validate(self, grid):
@@ -119,9 +117,7 @@ def _dirichlet_arrays(grid, dirichlet, where):
     values = np.zeros(ndof)
     for tag in _TAG_ORDER:  # fixed order: later tags win at shared corners
         if tag in dirichlet:
-            value = dirichlet.pop(tag)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise InvalidArgumentError(f"Dirichlet value on {tag} must be a finite number, got {value!r}")
+            value = check_real(dirichlet.pop(tag), f"Dirichlet value on {tag}")
             idx = boundary_sites(grid, tag, where)
             mask[idx] = True
             values[idx] = value
@@ -177,10 +173,10 @@ def assemble_fem(grid, D, velocity=None, dirichlet=None, c0=0.0):
     D = _as_tensor(D, diagonal_only=False)
     if velocity is None:
         velocity = (0.0, 0.0)
-    if (not isinstance(velocity, (tuple, list, np.ndarray)) or len(velocity) != 2
-            or not all(isinstance(q, numbers.Real) and math.isfinite(q) for q in velocity)):
+    if not isinstance(velocity, (tuple, list, np.ndarray)) or len(velocity) != 2:
         raise InvalidArgumentError(f"velocity must be None or a finite (qx, qy) pair, got {velocity!r}")
-    qx, qy = float(velocity[0]), float(velocity[1])
+    qx, qy = check_real(velocity[0], "velocity qx"), check_real(velocity[1], "velocity qy")
+    c0 = check_real(c0, "c0")
     mask, values = _dirichlet_arrays(grid, dirichlet, "nodes")
     dx, dy = grid.dx, grid.dy
     area = 0.5 * dx * dy
@@ -241,6 +237,7 @@ def assemble_fv(grid, D, q_faces=None, dirichlet=None, c0=0.0):
     are enforced by freezing the adjacent cell layer.
     """
     D = _as_tensor(D, diagonal_only=True)
+    c0 = check_real(c0, "c0")
     if q_faces is None:
         q_faces = FaceVelocities.constant(grid, 0.0, 0.0)
     elif not isinstance(q_faces, FaceVelocities):

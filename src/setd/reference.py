@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_real
 from .noise import laplacian_eigenvalues, spectrum_matrix
 
 
@@ -65,9 +65,7 @@ def conditional_convolution_params(mu, dt):
     both branches are then accurate to ~1e-10 relative.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    dt = float(dt)
-    if dt <= 0:
-        raise InvalidArgumentError("dt must be positive")
+    dt = check_real(dt, "dt", lo=0, open_lo=True)
     a = mu * dt
     small = a < 0.1
     a_safe = np.where(a == 0.0, 1.0, a)
@@ -84,16 +82,9 @@ def conditional_convolution_params(mu, dt):
     return rho, np.maximum(v, 0.0)
 
 
-def _check_step(state, path, dt, coarsening):
+def _check_spec(state, path):
     if state.spec is not path.spec and state.spec != path.spec:
         raise InvalidArgumentError("state and path disagree on the noise spec")
-    dt = float(dt)
-    expected = coarsening * path.finest_dt
-    if not np.isclose(dt, expected, rtol=1e-9, atol=0.0):
-        raise InvalidArgumentError(
-            f"dt={dt} is not coarsening {coarsening} x finest_dt {path.finest_dt}"
-        )
-    return dt
 
 
 def _step_coefficients(state, dt):
@@ -118,7 +109,9 @@ def exact_linear_step(state, path, step_index, dt, coarsening=1):
     the same draws any scheme consumes over that window, and the
     conditional remainder uses the auxiliary stream keyed by step_index.
     """
-    dt = _check_step(state, path, dt, coarsening)
+    _check_spec(state, path)
+    coarsening = path.coarse_window(coarsening, 1, step_index, dt)
+    dt = float(dt)
     return _advance(state, path, step_index, dt, coarsening, _step_coefficients(state, dt))
 
 
@@ -130,13 +123,11 @@ def evolve_exact(state, path, steps=None, coarsening=1):
     coefficients (rho, sqrt(v), exp(-mu dt)) are computed once per call,
     since dt never changes along the loop.
     """
-    coarsening = int(coarsening)
-    if coarsening < 1:
-        raise InvalidArgumentError(f"coarsening factor must be >= 1, got {coarsening}")
-    steps = path.steps // coarsening if steps is None else int(steps)
-    if steps < 0:
-        raise InvalidArgumentError(f"steps must be >= 0, got {steps}")
-    dt = _check_step(state, path, coarsening * path.finest_dt, coarsening)
+    _check_spec(state, path)
+    coarsening = path.coarse_window(coarsening, 0 if steps is None else steps)
+    if steps is None:
+        steps = path.steps // coarsening
+    dt = coarsening * path.finest_dt
     coefficients = _step_coefficients(state, dt)
     for m in range(steps):
         state = _advance(state, path, m, dt, coarsening, coefficients)
