@@ -296,18 +296,20 @@ class ConvergenceReport:
 
 
 def _realization_worker(cfg, problem, r):
-    """All runs for one realization: shared path, reference, every cell.
+    """All runs for one realization: one path, storing its fields on the
+    problem's site lattice, then the reference and every cell.
 
     Returns (reference_or_None, {cell: final_field_or_None}). Any SETDError
     (divergence, a phi action over its step cap, a failed solve) flags its
     cell; a reference failure flags every cell of this realization.
     """
-    path = make_path(cfg.noise, cfg.seed, r, float(cfg.finest_dt), cfg.fine_steps)
+    sites = (problem.discrete.grid, problem.discrete.where)
+    path = make_path(cfg.noise, cfg.seed, r, float(cfg.finest_dt), cfg.fine_steps, sites=sites)
     try:
         if problem.linear_reference is not None:
             diffusion, reaction = problem.linear_reference
             state = evolve_exact(linear_state(cfg.noise, diffusion, reaction), path)
-            ref = modes_at_sites(state.c, problem.discrete.grid, problem.discrete.where)
+            ref = modes_at_sites(state.c, *sites)
         else:
             ref = finest_reference(problem, path)
     except SETDError:

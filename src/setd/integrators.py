@@ -157,7 +157,7 @@ def make_implicit_solver(discrete, dt):
         x = lu.solve(rhs)
         denom = np.linalg.norm(rhs)
         res = np.linalg.norm(M @ x - rhs)
-        if denom > 0 and res > 1e-10 * denom:
+        if not res <= 1e-10 * denom:  # a NaN residual fails too
             raise SolverError(f"implicit solve residual {res / denom:.3e} exceeds 1e-10")
         return x
 

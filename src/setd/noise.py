@@ -25,12 +25,12 @@ bit-for-bit at both mode level (:meth:`NoisePath.brownian_increment_modes`)
 and nodal level (:func:`sample_increment`), and results cannot depend on
 worker scheduling.
 
-In a study a path draws each Philox block once per (fine step, stream).
-The exact spectral reference reads the stream-0 blocks through
-``brownian_increment_modes`` before the schemes assemble their fields, so
-the path keeps each block it draws there until ``_fine_field`` takes it for
-that step's field, within the same ``_MAX_CACHED_FLOATS`` budget as the
-field cache. Kept blocks never leave the path: callers get fresh arrays.
+A study binds each path to the one site lattice its problem uses
+(``sites=(grid, where)``). The first consumer of a fine step's stream-0
+block, the exact reference or a field request, projects it onto that
+lattice and stores the field; the block itself is dropped, so each block is
+drawn once and the path holds at most ``steps`` fields. A path without
+``sites``, as a single run uses, stores nothing.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidArgumentError, check_int, check_real
-from .grid import site_axes, site_index
+from .grid import Grid, site_axes, site_index
 
-_MAX_CACHED_FLOATS = 8_000_000  # per-path budget of each (grid, site) field cache and of kept blocks
+_MAX_CACHED_FLOATS = 8_000_000  # per-path budget of stored fields: a path over it stores none
 
 
 class SpectrumKind(Enum):
@@ -147,12 +147,17 @@ class NoisePath:
     """One realization's Wiener path at finest resolution ``finest_dt``.
 
     All randomness is derived on demand from the Philox key, one block per
-    (fine step, stream); the object holds no state beyond an optional cache
-    of assembled fine-step fields and the stream-0 blocks kept between the
-    reference and the schemes. Stream 0 carries the Wiener mode draws,
-    stream 1 the auxiliary draws used for exact conditional sampling in the
-    spectral reference. A mode's draw depends on its lattice position, so
-    the same key at another truncation gives a different path.
+    (fine step, stream). Stream 0 carries the Wiener mode draws, stream 1
+    the auxiliary draws used for exact conditional sampling in the spectral
+    reference. A mode's draw depends on its lattice position, so the same
+    key at another truncation gives a different path.
+
+    ``sites=(grid, where)`` names the one site lattice whose fine-step
+    fields the path stores, within the ``_MAX_CACHED_FLOATS`` budget; the
+    first draw of a step's stream-0 block stores its field there. Fields on
+    other lattices are projected fresh. Stored fields never leave the path,
+    and equality means the same draws: the store and ``sites`` are not
+    compared.
     """
 
     spec: NoiseSpec
@@ -160,9 +165,9 @@ class NoisePath:
     realization: int
     finest_dt: float
     steps: int
+    sites: tuple | None = field(default=None, compare=False, repr=False)
     _key: tuple = field(init=False, repr=False)
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
-    _kept: dict = field(init=False, repr=False, default_factory=dict)
+    _fields: dict | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         # derive_key takes the seed and the realization mod 2^64, so values
@@ -173,6 +178,14 @@ class NoisePath:
         self.finest_dt = check_real(self.finest_dt, "finest_dt", lo=0, open_lo=True)
         self.steps = check_int(self.steps, "steps", 0, 2 ** 64 + 1)
         self._key = kernels.derive_key(self.seed, self.realization)
+        if self.sites is not None:
+            if not (type(self.sites) is tuple and len(self.sites) == 2
+                    and isinstance(self.sites[0], Grid) and isinstance(self.sites[1], str)
+                    and self.sites[1] in ("nodes", "cells")):
+                raise InvalidArgumentError(
+                    f"sites must be a (Grid, 'nodes' | 'cells') pair, got {self.sites!r}")
+            if self.steps * site_index(*self.sites).size <= _MAX_CACHED_FLOATS:
+                self._fields = {}
 
     # -- raw draws --------------------------------------------------------
     def normal_modes(self, step, stream=0):
@@ -220,49 +233,26 @@ class NoisePath:
         """
         coarsening = self.coarse_window(coarsening, 1, step_index)
         lo = step_index * coarsening
-        sdt = math.sqrt(self.finest_dt)
-        acc = sdt * self._keep_block(lo)
+        acc = self._fine_modes(lo)
         for s in range(lo + 1, lo + coarsening):
-            acc += sdt * self._keep_block(s)
+            acc += self._fine_modes(s)
         return acc
 
-    def _keep_block(self, step):
-        """Stream-0 block of one fine step, kept until its field is assembled.
-
-        Blocks are kept only if the blocks of all the path's steps fit the
-        ``_MAX_CACHED_FLOATS`` budget, and never for a step whose field some
-        field cache already holds, since nothing would take them. Callers
-        never hand the kept array out.
-        """
-        blk = self._kept.get(step)
-        if blk is None:
-            blk = self.normal_modes(step)
-            if (self.steps * blk.size <= _MAX_CACHED_FLOATS
-                    and not any(entry and step in entry for entry in self._cache.values())):
-                self._kept[step] = blk
-        return blk
+    def _fine_modes(self, step):
+        """sqrt(finest_dt) R for one fine step, a fresh array. The first
+        draw of a step stores its field on the bound lattice."""
+        inc = math.sqrt(self.finest_dt) * self.normal_modes(step)
+        if self._fields is not None and step not in self._fields:
+            self._fields[step] = modes_at_sites(_sqrt_q(self.spec) * inc, *self.sites)
+        return inc
 
     # -- assembled fields ---------------------------------------------------
     def _fine_field(self, grid, where, step):
-        cache_key = (grid, where)
-        entry = self._cache.get(cache_key)
-        if entry is None:
-            ndof = site_index(grid, where).size
-            cachable = self.steps * ndof <= _MAX_CACHED_FLOATS
-            entry = {} if cachable else None
-            self._cache[cache_key] = entry if cachable else False
-        elif entry is False:
-            entry = None
-        if entry is not None and step in entry:
-            return entry[step]
-        blk = self._kept.pop(step, None)
-        if blk is None:
-            blk = self.normal_modes(step)
-        coeff = _sqrt_q(self.spec) * (math.sqrt(self.finest_dt) * blk)
-        fld = modes_at_sites(coeff, grid, where)
-        if entry is not None:
-            entry[step] = fld
-        return fld
+        if self._fields is not None and (grid, where) == self.sites:
+            if step not in self._fields:
+                self._fine_modes(step)
+            return self._fields[step]
+        return modes_at_sites(_sqrt_q(self.spec) * self._fine_modes(step), grid, where)
 
 
 @lru_cache(maxsize=32)
@@ -270,9 +260,10 @@ def _sqrt_q(spec):
     return np.sqrt(spectrum_matrix(spec))
 
 
-def make_path(spec, seed, realization, finest_dt, steps):
-    """Create the (seed, realization)-keyed path over ``steps`` fine steps."""
-    return NoisePath(spec, seed, realization, finest_dt, steps)
+def make_path(spec, seed, realization, finest_dt, steps, sites=None):
+    """Create the (seed, realization)-keyed path over ``steps`` fine steps,
+    storing its fields on the ``sites=(grid, where)`` lattice if given."""
+    return NoisePath(spec, seed, realization, finest_dt, steps, sites)
 
 
 def sample_increment(path, grid, step_index, coarsening=1, where="nodes"):

@@ -48,6 +48,11 @@ CASES = [
                           ("realization", 0.9), ("realization", "0"),
                           ("steps", 4.9), ("steps", "3"), ("finest_dt", "0.1"))],
     ("SchemeConfig-steps=True", "steps", lambda: SchemeConfig(Scheme.SETDM1, 0.25, True)),
+    # the one lattice a path stores fields for is a (Grid, site family) pair
+    *[(f"{ctor.__name__}-sites={value!r}", "sites",
+       lambda ctor=ctor, value=value: ctor(**PATH_ARGS, sites=value))
+      for ctor in (make_path, NoisePath)
+      for value in (GRID, (GRID, "edges"), [GRID, "nodes"], ("nodes", GRID), (GRID,))],
     ("normal_modes-step=1.5", "step", lambda: _path().normal_modes(1.5)),
     ("normal_modes-stream=1.5", "stream", lambda: _path().normal_modes(0, 1.5)),
     # a coarsening of 2.5 does not run as 2

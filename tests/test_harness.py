@@ -266,8 +266,6 @@ def test_linear_study_draws_each_block_once(monkeypatch):
     expected = sorted((key, step, stream) for key in keys
                       for step in range(cfg.fine_steps) for stream in (0, 1))
     assert sorted(draws) == expected
-    # no kept block outlives its realization
-    assert all(path._kept == {} for path in paths)
 
 
 def test_advection_study_draws_each_block_once(monkeypatch):
@@ -277,30 +275,67 @@ def test_advection_study_draws_each_block_once(monkeypatch):
     expected = sorted((path._key, step, 0) for path in paths
                       for step in range(cfg.fine_steps))
     assert len(paths) == 2 and sorted(draws) == expected
-    assert all(path._kept == {} for path in paths)
 
 
-def test_kept_blocks_never_leak_through_returned_arrays():
-    # mutating what brownian_increment_modes returns must not reach the
-    # kept blocks that later increments and field assemblies read
+def _held_shapes(path):
+    """Shapes of every array a path holds, its stored fields included."""
+    shapes = []
+    for value in vars(path).values():
+        if isinstance(value, dict):
+            shapes += [a.shape for a in value.values()]
+        elif isinstance(value, np.ndarray):
+            shapes.append(value.shape)
+    return shapes
+
+
+@pytest.mark.parametrize("make_cfg", [_tiny_linear, _tiny_multiplicative],
+                         ids=["linear", "advection"])
+def test_study_paths_hold_one_field_per_fine_step(monkeypatch, make_cfg):
+    # a study path stores each fine step's field on the problem's lattice
+    # and no mode block
+    cfg = make_cfg(realizations=2)
+    ndof = build_problem(cfg).discrete.ndof
+    _, paths = _spy_draws(monkeypatch)
+    run_study(cfg)
+    assert len(paths) == 2
+    for path in paths:
+        assert _held_shapes(path) == [(ndof,)] * cfg.fine_steps
+
+
+def test_single_run_path_holds_nothing():
+    # each field of a single run is used once: a path without sites stores none
     cfg = _tiny_linear(realizations=1)
-    grid = build_problem(cfg).discrete.grid
-    mk = lambda: harness.make_path(cfg.noise, 1, 0, float(cfg.finest_dt), 4)
+    problem = build_problem(cfg)
+    path = make_path(cfg.noise, 1, 0, float(cfg.finest_dt), cfg.fine_steps)
+    run(problem, SchemeConfig(Scheme.SETDM1, float(cfg.finest_dt), cfg.fine_steps), path)
+    assert _held_shapes(path) == []
+
+
+def test_stored_fields_never_leak_through_returned_arrays():
+    # writing NaN into every array a bound path returns must not reach the
+    # fields that later increments and field requests read
+    cfg = _tiny_linear(realizations=1)
+    problem = build_problem(cfg)
+    grid, where = problem.discrete.grid, problem.discrete.where
+    mk = lambda **kw: harness.make_path(cfg.noise, 1, 0, float(cfg.finest_dt), 4, **kw)
     clean = mk()
     incs = [clean.brownian_increment_modes(s) for s in range(4)]
     pair = clean.brownian_increment_modes(1, coarsening=2)
-    fields = [sample_increment(clean, grid, s) for s in range(4)]
-    path = mk()
+    fields = [sample_increment(clean, grid, s, where=where) for s in range(4)]
+    whole = sample_increment(clean, grid, 0, coarsening=4, where=where)
+    path = mk(sites=(grid, where))
     for s in range(4):
         path.brownian_increment_modes(s)[...] = np.nan
+        sample_increment(path, grid, s, where=where)[...] = np.nan
     path.brownian_increment_modes(1, coarsening=2)[...] = np.nan
-    assert sorted(path._kept) == [0, 1, 2, 3]
+    sample_increment(path, grid, 0, coarsening=4, where=where)[...] = np.nan
+    assert len(_held_shapes(path)) == 4
     for s in range(4):
         np.testing.assert_array_equal(path.brownian_increment_modes(s), incs[s])
+        np.testing.assert_array_equal(sample_increment(path, grid, s, where=where), fields[s])
     np.testing.assert_array_equal(path.brownian_increment_modes(1, coarsening=2), pair)
-    for s in range(4):
-        np.testing.assert_array_equal(sample_increment(path, grid, s), fields[s])
-    assert path._kept == {}
+    np.testing.assert_array_equal(
+        sample_increment(path, grid, 0, coarsening=4, where=where), whole)
 
 
 def test_report_files_round_trip(tmp_path):

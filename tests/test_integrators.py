@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from setd.errors import DivergenceError, InvalidArgumentError
+from setd.errors import DivergenceError, InvalidArgumentError, SolverError
 from setd.grid import BoundaryTag, build_grid
 from setd.integrators import (
     ProblemDef,
@@ -88,6 +88,15 @@ def test_semi_implicit_solver_reuse_matches_fresh():
         semi_implicit_step(problem, cfg, x, dW, solver),
         semi_implicit_step(problem, cfg, x, dW),
     )
+
+
+def test_implicit_solve_rejects_a_nan_residual():
+    # a NaN right-hand side gives a NaN residual, which breaks the 1e-10
+    # contract; a zero right-hand side has residual 0 and passes
+    solve = make_implicit_solver(assemble_fem(build_grid(4, 4, 1, 1), 1.0), 0.1)
+    with pytest.raises(SolverError):
+        solve(np.full(25, np.nan))
+    assert not solve(np.zeros(25)).any()
 
 
 def test_linear_exactness_over_many_steps():

@@ -173,7 +173,7 @@ def test_paths_decorrelated_across_realizations_and_seeds():
 def test_cache_does_not_change_bits():
     spec = NoiseSpec.exponential(n1=8, n2=8)
     grid = build_grid(6, 6, 1.0, 1.0)
-    path1 = make_path(spec, 3, 0, 0.25, 4)
+    path1 = make_path(spec, 3, 0, 0.25, 4, sites=(grid, "nodes"))
     first = sample_increment(path1, grid, 0, coarsening=4)
     again = sample_increment(path1, grid, 0, coarsening=4)  # cache hit
     fresh = sample_increment(make_path(spec, 3, 0, 0.25, 4), grid, 0, coarsening=4)
@@ -181,20 +181,34 @@ def test_cache_does_not_change_bits():
     np.testing.assert_array_equal(first, fresh)
 
 
-def test_no_block_kept_for_a_step_whose_field_is_cached():
-    # fields of steps 0-3 are cached first; a coarse increment over steps
-    # 2-3 afterwards must not keep blocks that no field assembly will take
+def test_bound_path_serves_other_lattices_fresh():
+    # a path bound to nodes projects a cells request afresh, with the bits
+    # of an unbound path, and stores only its nodal fields
     spec = NoiseSpec.exponential(n1=8, n2=8)
-    grid = build_grid(6, 6, 1.0, 1.0)
-    path = make_path(spec, 3, 0, 0.25, 4)
-    for s in range(4):
-        sample_increment(path, grid, s)
-    pair = path.brownian_increment_modes(1, coarsening=2)
-    assert path._kept == {}
-    fresh = make_path(spec, 3, 0, 0.25, 4)
-    np.testing.assert_array_equal(pair, fresh.brownian_increment_modes(1, coarsening=2))
-    # without cached fields the blocks are still kept for the fields to take
-    assert sorted(fresh._kept) == [2, 3]
+    grid = build_grid(6, 5, 1.0, 1.0)
+    bound = make_path(spec, 3, 0, 0.25, 4, sites=(grid, "nodes"))
+    free = make_path(spec, 3, 0, 0.25, 4)
+    for c, k in ((1, 0), (1, 3), (2, 1), (4, 0)):
+        for where in ("cells", "nodes"):
+            np.testing.assert_array_equal(sample_increment(bound, grid, k, c, where),
+                                          sample_increment(free, grid, k, c, where))
+    assert sorted(bound._fields) == [0, 1, 2, 3]
+    assert all(f.size == grid.node_count for f in bound._fields.values())
+
+
+def test_path_equality_means_same_draws():
+    # stored fields and the bound lattice are not compared: two paths with
+    # fields compare without error, and serving a field changes nothing
+    spec = NoiseSpec.exponential(n1=4, n2=4)
+    grid = build_grid(4, 4, 1.0, 1.0)
+    for sites in (None, (grid, "nodes")):
+        a = make_path(spec, 3, 0, 0.25, 4, sites=sites)
+        b = make_path(spec, 3, 0, 0.25, 4)
+        sample_increment(a, grid, 0)
+        assert a == b
+        sample_increment(b, grid, 1)
+        assert a == b
+        assert a != make_path(spec, 4, 0, 0.25, 4)
 
 
 def test_path_validation():
