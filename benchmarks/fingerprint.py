@@ -2,7 +2,8 @@
 preset's operator arrays, FEM and FV operators (advection, Dirichlet values,
 c0) on small and odd grids, the Darcy-streaks pressure and face velocities,
 one noise path's increments at nodes and at cells and its mode increments,
-the exact linear reference field, the report rows of small linear and
+the alias-class maps and class amplitudes of that path's lattices and of
+the presets' lattices, the exact linear reference field, the report rows of small linear and
 advection studies, and the final states of every scheme run at two step
 sizes on a small FV and a small FEM problem with Dirichlet values (report
 rows hold only RMS errors, so they cannot see a pinned or masked DOF). A
@@ -21,7 +22,7 @@ from setd import darcy
 from setd.grid import BoundaryTag, build_grid
 from setd.harness import advection_study, build_problem, linear_additive_study, run_study
 from setd.integrators import ProblemDef, Scheme, SchemeConfig, run
-from setd.noise import NoiseSpec, make_path, modes_at_sites, sample_increment
+from setd.noise import NoiseSpec, alias_classes, make_path, modes_at_sites, sample_increment
 from setd.operators import FaceVelocities, assemble_fem, assemble_fv
 from setd.reference import evolve_exact, linear_state
 
@@ -56,6 +57,11 @@ def lines():
         yield f"noise {where}", digest(*(sample_increment(path, grid, m, 2, where) for m in (0, 1)))
     yield "noise modes", digest(*(path.brownian_increment_modes(m, c)
                                   for c in (1, 2) for m in range(4 // c)))
+    preset = build_grid(32, 32, 1.0, 1.0)
+    lattices = ((path.spec, grid, "nodes"), (path.spec, grid, "cells"),
+                (linear_additive_study().noise, preset, "nodes"),
+                (advection_study().noise, preset, "cells"))
+    yield "noise classes", digest(*(arr for lattice in lattices for arr in alias_classes(*lattice)))
     fields = []
     for c in (1, 2):
         state = evolve_exact(linear_state(path.spec, 1.0, 0.5), path, coarsening=c)

@@ -1,10 +1,14 @@
 """Timings of the numerical hot paths.
 
 Times the kernels and actions a study step runs: the sparse product
-``SparseOperator.matvec``, counter-based normal blocks (``normal_block``:
-one compiled numpy Philox4x64-10 draw per block, on the 65x65 lattice of
-the linear study and the 101x101 lattice of the advection studies), and
-one full SETDM1 step (one fused action).
+``SparseOperator.matvec``, one counter-based normal block (``normal_block``:
+one compiled numpy Philox4x64-10 draw, on the 65x65 mode lattice of the
+linear study), one fine-step site field on each preset lattice of the 1/32
+grid (``sample_increment`` on a path without ``sites``: the lattice's
+alias-class block, 33x33 at the linear study's nodes and 32x32 at the
+advection studies' cells, and its projection), one 65x65 mode increment of
+a path bound to the linear study's nodes (the stream-0 block conditioned on
+the class block), and one full SETDM1 step (one fused action).
 
     python benchmarks/kernel_bench.py [--repeats N] [--nx NX]
 
@@ -40,7 +44,7 @@ from setd.grid import build_grid
 from setd.harness import advection_study, build_problem, linear_additive_study
 from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm1_step
 from setd.krylov import fused_action
-from setd.noise import NoiseSpec, make_path, sample_increment
+from setd.noise import NoiseSpec, alias_classes, make_path, sample_increment
 from setd.operators import assemble_fem, assemble_fv
 from setd.sparse import _csr_kernel, _dia_kernel
 
@@ -88,13 +92,24 @@ def build_cases(nx):
     dW = sample_increment(path, grid, 0, where="cells")
     state = 0.1 * rng.standard_normal(fv.ndof)
 
+    fields = []
+    preset = build_grid(32, 32, 1.0, 1.0)
+    for where, noise in (("nodes", spec), ("cells", NoiseSpec.powerlaw(n1=100, n2=100))):
+        free = make_path(noise, seed=1, realization=0, finest_dt=1e-3, steps=4)
+        classes = "x".join(map(str, alias_classes(noise, preset, where)[2].shape))
+        fields.append((f"fine-step field, {where} 1/32 ({classes} classes)",
+                       lambda free=free, where=where: sample_increment(free, preset, 3,
+                                                                       where=where)))
+    bound = make_path(spec, seed=1, realization=0, finest_dt=1e-3, steps=4, sites=(preset, "nodes"))
+
     return [
         (f"SparseOperator.matvec ({fem.ndof} dof, {A.nnz} nnz)",
          lambda: A.matvec(x)),
         ("normal_block 65x65",
          lambda: kernels.normal_block(key0, key1, spec.n1 + 1, spec.n2 + 1, 3, 0)),
-        ("normal_block 101x101 (advection lattice)",
-         lambda: kernels.normal_block(key0, key1, 101, 101, 3, 0)),
+        *fields,
+        ("conditioned mode increment 65x65 (bound to nodes 1/32)",
+         lambda: bound.brownian_increment_modes(3)),
         (f"setdm1_step ({fv.ndof} cells, multiplicative)",
          lambda: setdm1_step(problem, cfg, state, dW)),
     ]

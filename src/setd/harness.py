@@ -296,8 +296,9 @@ class ConvergenceReport:
 
 
 def _realization_worker(cfg, problem, r):
-    """All runs for one realization: one path, storing its fields on the
-    problem's site lattice, then the reference and every cell.
+    """All runs for one realization: one path bound to the problem's site
+    lattice, which couples the exact reference's mode increments with the
+    fields and stores the fields, then the reference and every cell.
 
     Returns (reference_or_None, {cell: final_field_or_None}). Any SETDError
     (divergence, a phi action over its step cap, a failed solve) flags its

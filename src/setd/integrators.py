@@ -9,7 +9,7 @@ Nemytskii maps, and dW_h the nodal/cell increments of the truncated
 Q-Wiener path. Exponential steps apply phi-function actions by
 uniformization (:mod:`setd.krylov`) and never form a matrix exponential: a
 SETDM0 step is one phi0 action, a SETDM1 step one fused phi0/phi1 action.
-The semi-implicit step factorizes (I - dt A_h) once per run.
+The semi-implicit step factorizes (I - dt A_h) once per operator and dt.
 
 Frozen Dirichlet DOFs have zero rows in A_h, so every propagator acts as
 the identity there. Each step takes F(X) and B(X) dW from one helper,
@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, InvalidArgumentError, SolverError, check_int, check_real
 # phi1_action is not called here; it stays importable from this module
@@ -135,7 +133,7 @@ def semi_implicit_step(problem, config, state, dW, solver=None):
     """Semi-implicit Euler-Maruyama step: (I - dt A) X+ = X + dt F(X) + B(X) dW.
 
     solver is an optional prefactorized solve callable for (I - dt A);
-    run() builds one per call so repeated steps share the factorization.
+    run() builds one per call, on the factorization cached for its dt.
     """
     f, g = _drift_and_noise(problem, state, dW)
     if solver is None:
@@ -144,14 +142,14 @@ def semi_implicit_step(problem, config, state, dW, solver=None):
 
 
 def make_implicit_solver(discrete, dt):
-    """Factorize (I - dt A_h) once and return a solve callable.
+    """A solve callable for (I - dt A_h), whose factorization is made once
+    per dt and shared by every run on the operator
+    (``SparseOperator.implicit_factor``).
 
     Each solve verifies its residual to 1e-10 relative (a direct-solver
     sanity bound, not a tolerance knob).
     """
-    n = discrete.ndof
-    M = (sp.identity(n, format="csr") - dt * discrete.A.to_scipy()).tocsc()
-    lu = spla.splu(M)
+    M, lu = discrete.A.implicit_factor(dt)
 
     def solve(rhs):
         x = lu.solve(rhs)

@@ -5,9 +5,9 @@ from ``(seed, realization)``, which makes every noise block a pure function
 of ``(seed, realization, step, stream)`` and its shape. That keying is what
 guarantees bit-exact path refinement and makes results independent of how
 realizations are scheduled across workers. Within a block a draw is fixed
-by its position in the lattice, so changing the truncation redraws every
-mode. The tests pin the first bits of one block, so a change to numpy's
-normal sampler fails loudly.
+by its position, so changing the block's shape (the truncation, or the
+grid of a class block) redraws every entry. The tests pin the first bits
+of one block, so a change to numpy's normal sampler fails loudly.
 """
 
 from __future__ import annotations
@@ -54,12 +54,13 @@ def derive_key(seed, realization):
 
 
 def normal_block(k0, k1, n1, n2, step, stream):
-    """Standard-normal draws for all modes (i, j), i < n1, j < n2.
+    """Standard-normal draws for all entries (i, j), i < n1, j < n2.
 
     One compiled draw: numpy's Philox4x64-10 with the 64-bit key
     ``k0 | k1 << 32`` and counter words 1-2 set to ``(step, stream)``, read
     by ``Generator.standard_normal`` in row-major order. ``stream``
-    separates the main Wiener draws (0) from auxiliary draws (1). The block
+    separates the mode draws (0), the exact reference's auxiliary draws (1)
+    and a site lattice's alias-class draws (2). The block
     is a pure function of (key, n1, n2, step, stream); the draw at [i, j]
     is fixed by its flat position i * n2 + j, so a block of another shape
     redraws every entry. A block advances counter word 0 fewer than 2^64

@@ -14,23 +14,44 @@ increment over one step is
     dW = sqrt(dt) * sum_{i,j} sqrt(q_{i,j}) R_{i,j} e_{i,j},
 
 with R standard normal (a cosine series: :func:`modes_at_sites` evaluates
-one at the grid sites). Each fine step's block of draws is a pure function
-of (seed, realization, step, stream) and the truncation through the Philox
-counter-based generator in :mod:`setd.kernels`; a mode's draw is fixed by
-its place in the (n1+1) x (n2+1) lattice, so a path drawn at another
-truncation redraws every mode. That keying is what makes paths refinement
-consistent: the increment over a coarse step is assembled as the
-sequential sum of its fine-step increments, so coarse == sum(fine) holds
-bit-for-bit at both mode level (:meth:`NoisePath.brownian_increment_modes`)
-and nodal level (:func:`sample_increment`), and results cannot depend on
-worker scheduling.
+one at the grid sites).
 
-A study binds each path to the one site lattice its problem uses
-(``sites=(grid, where)``). The first consumer of a fine step's stream-0
-block, the exact reference or a field request, projects it onto that
-lattice and stores the field; the block itself is dropped, so each block is
-drawn once and the path holds at most ``steps`` fields. A path without
-``sites``, as a single run uses, stores nothing.
+On a uniform grid with N cells along an axis the cosine modes alias at the
+sites, so the site field needs one normal per alias class, not per mode
+(:func:`alias_classes`). At cell centres (DCT-II) mode k repeats with
+period 4N, modes k + 2N and 2N - k equal -(mode k), and modes k = N mod 2N
+vanish; at nodes (DCT-I) mode k repeats with period 2N and 2N - k equals
++(mode k). Every mode thus equals a_k times one of the representatives
+0 .. C-1 (C = min(n+1, N) at cells, min(n+1, N+1) at nodes), with a_k a
+sign, 0 for a vanishing mode, and sqrt(2) for a nonzero mode on class 0.
+A fine step's site field is
+
+    dW = sqrt(dt) * sum_j sigma_j Z_j e_j,    sigma_j^2 = sum_{k->j} a_k^2 q_k,
+
+with Z a C1 x C2 block of standard normals: its covariance is
+dt sum_k q_k e_k e_k^T, exactly that of the mode series.
+
+Each block of draws is a pure function of (seed, realization, step,
+stream) and its shape through the Philox counter-based generator in
+:mod:`setd.kernels`: stream 0 holds the (n1+1) x (n2+1) mode draws, stream
+1 the exact reference's auxiliary draws, stream 2 each lattice's class
+draws. A draw is fixed by its place in its block, so another truncation or
+grid redraws every entry. Fields come from the class draws of their own
+lattice, whatever the path is bound to. Mode increments, which only the
+exact spectral reference reads, are the stream-0 draws on a path without
+``sites``; on a path bound by ``sites=(grid, where)`` they are those draws
+conditioned on that lattice's class draw (:meth:`NoisePath.brownian_increment_modes`),
+so the reference and the schemes see one Wiener path. Paths are refinement
+consistent: the increment over a coarse step is the sequential sum of its
+fine-step increments, so coarse == sum(fine) holds bit-for-bit at both mode
+level and site level (:func:`sample_increment`), and results cannot depend
+on worker scheduling.
+
+A study binds each path to the one site lattice its problem uses. The
+first consumer of a fine step's class draw there, the exact reference or a
+field request, stores the step's field, so each block is drawn once and the
+path holds at most ``steps`` fields. A path without ``sites``, as a single
+run uses, stores nothing.
 """
 
 from __future__ import annotations
@@ -138,6 +159,58 @@ def modes_at_sites(coeff, grid, where):
     return (ex.T @ coeff @ ey).T.ravel()
 
 
+def _alias_1d(n, cells, where):
+    """Class j_k and weight a_k of modes k = 0..n along an axis of ``cells``
+    cells, and the class count: mode k equals a_k times mode j_k at the
+    sites. A vanishing mode has weight 0 on class 0."""
+    k = np.arange(n + 1)
+    if where == "cells":
+        r = k % (4 * cells)
+        a = np.where(r < 2 * cells, 1.0, -1.0)   # k + 2N gives -(mode k)
+        r = r % (2 * cells)
+        a = np.where(r > cells, -a, a)           # 2N - k gives -(mode k)
+        a[r == cells] = 0.0                      # k = N mod 2N vanishes
+        count = min(n + 1, cells)
+    elif where == "nodes":
+        r = k % (2 * cells)                      # 2N - k gives +(mode k)
+        a = np.ones(n + 1)
+        count = min(n + 1, cells + 1)
+    else:
+        raise InvalidArgumentError(f"unknown site family {where!r}; expected 'nodes' or 'cells'")
+    j = np.minimum(r, 2 * cells - r)
+    a[(j == 0) & (k > 0)] *= math.sqrt(2.0)      # e_k = +-sqrt(2) e_0 there
+    j[a == 0.0] = 0
+    return j, a, count
+
+
+@lru_cache(maxsize=32)
+def alias_classes(spec, grid, where):
+    """(classes, weights, sigma): the alias classes of the mode lattice on the
+    (grid, where) sites, C1 x C2 of them.
+
+    Mode k = (k1, k2) equals a_k times class representative j = (j1, j2) at
+    the sites, with a_k the product of its two axes' weights (a sign, 0 for
+    a vanishing mode, sqrt(2) on class 0). ``classes`` holds the flat class
+    index j1 * C2 + j2 of each mode in the flat (n1+1) x (n2+1) order,
+    ``weights`` the array a_k sqrt(q_k), and ``sigma`` the C1 x C2 array
+    sqrt(sum_{k->j} a_k^2 q_k), so a field ``modes_at_sites(sigma * Z, grid,
+    where)`` with Z standard normal has the site covariance
+    sum_k q_k e_k e_k^T. The maps are integer arithmetic; the arrays are
+    read-only.
+    """
+    j1, a1, c1 = _alias_1d(spec.n1, grid.nx, where)
+    j2, a2, c2 = _alias_1d(spec.n2, grid.ny, where)
+    q = spectrum_matrix(spec)
+    classes = (j1[:, None] * c2 + j2[None, :]).ravel()
+    weights = a1[:, None] * a2[None, :] * np.sqrt(q)
+    var = np.bincount(classes, ((a1 * a1)[:, None] * (a2 * a2)[None, :] * q).ravel(),
+                      minlength=c1 * c2)
+    sigma = np.sqrt(var).reshape(c1, c2)
+    for arr in (classes, weights, sigma):
+        arr.setflags(write=False)
+    return classes, weights, sigma
+
+
 # ---------------------------------------------------------------------------
 # Sample paths
 # ---------------------------------------------------------------------------
@@ -147,17 +220,19 @@ class NoisePath:
     """One realization's Wiener path at finest resolution ``finest_dt``.
 
     All randomness is derived on demand from the Philox key, one block per
-    (fine step, stream). Stream 0 carries the Wiener mode draws, stream 1
+    (fine step, stream, shape). Stream 0 carries the mode draws, stream 1
     the auxiliary draws used for exact conditional sampling in the spectral
-    reference. A mode's draw depends on its lattice position, so the same
-    key at another truncation gives a different path.
+    reference, stream 2 the class draws of a site lattice's fields. A draw
+    depends on its place in its block, so the same key at another
+    truncation or on another grid gives a different path.
 
-    ``sites=(grid, where)`` names the one site lattice whose fine-step
-    fields the path stores, within the ``_MAX_CACHED_FLOATS`` budget; the
-    first draw of a step's stream-0 block stores its field there. Fields on
-    other lattices are projected fresh. Stored fields never leave the path,
-    and equality means the same draws: the store and ``sites`` are not
-    compared.
+    ``sites=(grid, where)`` couples the mode increments with that lattice's
+    fields (the module docstring) and names the one lattice whose fine-step
+    fields the path stores, within the ``_MAX_CACHED_FLOATS`` budget. Fields
+    on other lattices are drawn fresh. Stored fields never leave the path,
+    and equality means the same blocks of draws: the store and ``sites``
+    are not compared, though a bound path conditions its mode increments
+    on its blocks and an unbound one does not.
     """
 
     spec: NoiseSpec
@@ -194,6 +269,11 @@ class NoisePath:
         return kernels.normal_block(k0, k1, self.spec.n1 + 1, self.spec.n2 + 1,
                                     check_int(step, "step", 0, self.steps),
                                     check_int(stream, "stream", 0, 2 ** 64))
+
+    def _class_normals(self, step, shape):
+        """A lattice's class draws Z for one fine step: stream 2."""
+        k0, k1 = self._key
+        return kernels.normal_block(k0, k1, *shape, step, 2)
 
     # -- coarse steps -------------------------------------------------------
     def coarse_window(self, coarsening, steps, first=0, dt=None):
@@ -239,30 +319,44 @@ class NoisePath:
         return acc
 
     def _fine_modes(self, step):
-        """sqrt(finest_dt) R for one fine step, a fresh array. The first
-        draw of a step stores its field on the bound lattice."""
-        inc = math.sqrt(self.finest_dt) * self.normal_modes(step)
-        if self._fields is not None and step not in self._fields:
-            self._fields[step] = modes_at_sites(_sqrt_q(self.spec) * inc, *self.sites)
-        return inc
+        """sqrt(finest_dt) xi for one fine step, a fresh array: xi is the
+        stream-0 block, on a bound path conditioned on the class draw Z of
+        the bound lattice, xi = eta + W (Z / sigma - S / sigma^2)[class]
+        with W the class weights and S the class sums of W eta, so that the
+        class sums of W xi are sigma Z (eta is kept where sigma = 0). The
+        first class draw of a step stores its field."""
+        xi = self.normal_modes(step)
+        if self.sites is not None:
+            classes, weights, sigma = alias_classes(self.spec, *self.sites)
+            z = self._class_normals(step, sigma.shape)
+            if self._fields is not None:
+                self._fine_field(*self.sites, step, z)
+            s = np.bincount(classes, (weights * xi).ravel(), minlength=sigma.size)
+            inv = np.divide(1.0, sigma.ravel(), out=np.zeros(sigma.size), where=sigma.ravel() > 0)
+            xi += weights * ((z.ravel() - s * inv) * inv)[classes].reshape(xi.shape)
+        return math.sqrt(self.finest_dt) * xi
 
     # -- assembled fields ---------------------------------------------------
-    def _fine_field(self, grid, where, step):
-        if self._fields is not None and (grid, where) == self.sites:
-            if step not in self._fields:
-                self._fine_modes(step)
+    def _fine_field(self, grid, where, step, z=None):
+        """The site field of one fine step, sigma sqrt(finest_dt) Z on the
+        lattice's classes, from the class draw ``z`` if given. Fields on the
+        bound lattice are stored; the stored array is returned."""
+        store = self._fields is not None and (grid, where) == self.sites
+        if store and step in self._fields:
             return self._fields[step]
-        return modes_at_sites(_sqrt_q(self.spec) * self._fine_modes(step), grid, where)
-
-
-@lru_cache(maxsize=32)
-def _sqrt_q(spec):
-    return np.sqrt(spectrum_matrix(spec))
+        sigma = alias_classes(self.spec, grid, where)[2]
+        if z is None:
+            z = self._class_normals(step, sigma.shape)
+        out = modes_at_sites(sigma * (math.sqrt(self.finest_dt) * z), grid, where)
+        if store:
+            self._fields[step] = out
+        return out
 
 
 def make_path(spec, seed, realization, finest_dt, steps, sites=None):
     """Create the (seed, realization)-keyed path over ``steps`` fine steps,
-    storing its fields on the ``sites=(grid, where)`` lattice if given."""
+    bound to the ``sites=(grid, where)`` lattice if given: its mode
+    increments are then coupled with that lattice's fields, which it stores."""
     return NoisePath(spec, seed, realization, finest_dt, steps, sites)
 
 

@@ -13,7 +13,9 @@ whose transition is exact over any step:
     v = (1 - exp(-2 mu dt)) / (2 mu) - (1 - exp(-mu dt))^2 / (mu^2 dt).
 
 The conditional mean couples the reference to the same Wiener increments
-the schemes consume (``brownian_increment_modes`` of the shared path); the
+the schemes consume (``brownian_increment_modes`` of the shared path, whose
+mode increments a path bound to the schemes' site lattice conditions on
+that lattice's class draws, so their cosine series is the schemes' field); the
 conditional remainder is drawn from the path's auxiliary stream 1, so the
 reference is exact in law and synchronized with every discretization of
 the same path. Small mu*dt evaluates rho and v by series to dodge

@@ -16,9 +16,9 @@ def test_fingerprint_is_repeatable(capsys):
     fingerprint.main()
     assert capsys.readouterr().out == first
     lines = first.splitlines()
-    assert len(lines) == 21
+    assert len(lines) == 22
     assert all(len(line.split()[-1]) == 64 for line in lines)
     for label in ("preset advection_heterogeneous", "fv 1x4", "darcy streaks",
-                  "noise cells", "noise modes", "reference linear",
+                  "noise cells", "noise modes", "noise classes", "reference linear",
                   "study linear_additive", "run finals"):
         assert any(line.startswith(label) for line in lines), label

@@ -256,23 +256,25 @@ def _spy_draws(monkeypatch):
 
 
 def test_linear_study_draws_each_block_once(monkeypatch):
-    # the exact reference and the schemes share one stream-0 draw per fine
-    # step; the reference's stream-1 draw is the only other block
+    # the exact reference draws each fine step's stream-0 mode block and the
+    # lattice's stream-2 class block, whose field the schemes share; the
+    # reference's stream-1 draw is the only other block
     cfg = _tiny_linear(realizations=2)
     draws, paths = _spy_draws(monkeypatch)
     run_study(cfg)
     keys = {path._key for path in paths}
     assert len(paths) == len(keys) == 2
     expected = sorted((key, step, stream) for key in keys
-                      for step in range(cfg.fine_steps) for stream in (0, 1))
+                      for step in range(cfg.fine_steps) for stream in (0, 1, 2))
     assert sorted(draws) == expected
 
 
 def test_advection_study_draws_each_block_once(monkeypatch):
+    # the fields come from the cells' class blocks alone (stream 2)
     cfg = _tiny_multiplicative()
     draws, paths = _spy_draws(monkeypatch)
     run_study(cfg)
-    expected = sorted((path._key, step, 0) for path in paths
+    expected = sorted((path._key, step, 2) for path in paths
                       for step in range(cfg.fine_steps))
     assert len(paths) == 2 and sorted(draws) == expected
 
@@ -313,17 +315,18 @@ def test_single_run_path_holds_nothing():
 
 def test_stored_fields_never_leak_through_returned_arrays():
     # writing NaN into every array a bound path returns must not reach the
-    # fields that later increments and field requests read
+    # fields that later increments and field requests read; the clean path
+    # is bound too, since binding couples the mode increments with the fields
     cfg = _tiny_linear(realizations=1)
     problem = build_problem(cfg)
     grid, where = problem.discrete.grid, problem.discrete.where
-    mk = lambda **kw: harness.make_path(cfg.noise, 1, 0, float(cfg.finest_dt), 4, **kw)
+    mk = lambda: harness.make_path(cfg.noise, 1, 0, float(cfg.finest_dt), 4, sites=(grid, where))
     clean = mk()
     incs = [clean.brownian_increment_modes(s) for s in range(4)]
     pair = clean.brownian_increment_modes(1, coarsening=2)
     fields = [sample_increment(clean, grid, s, where=where) for s in range(4)]
     whole = sample_increment(clean, grid, 0, coarsening=4, where=where)
-    path = mk(sites=(grid, where))
+    path = mk()
     for s in range(4):
         path.brownian_increment_modes(s)[...] = np.nan
         sample_increment(path, grid, s, where=where)[...] = np.nan

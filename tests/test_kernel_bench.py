@@ -16,7 +16,9 @@ def test_kernel_bench_prints_every_table(capsys):
     assert "SparseOperator.matvec (81 dof" in out
     assert "setdm1_step" in out
     assert "normal_block 65x65" in out
-    assert "normal_block 101x101" in out
+    assert "fine-step field, nodes 1/32 (33x33 classes)" in out
+    assert "fine-step field, cells 1/32 (32x32 classes)" in out
+    assert "conditioned mode increment 65x65" in out
     products = [line for line in out.splitlines() if line.startswith("P of ")]
     assert len(products) == 3
     for line in products:

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setd import kernels
 from setd.errors import InvalidArgumentError
-from setd.grid import build_grid
+from setd.grid import build_grid, site_axes
 from setd.noise import (
     NoisePath,
     NoiseSpec,
+    alias_classes,
     laplacian_eigenvalues,
     make_path,
     modes_at_sites,
@@ -209,6 +211,98 @@ def test_path_equality_means_same_draws():
         sample_increment(b, grid, 1)
         assert a == b
         assert a != make_path(spec, 4, 0, 0.25, 4)
+
+
+def _cosines(coords, length, n):
+    """e_k(coords) for k = 0..n from the cosine formula, shape (n+1, len(coords))."""
+    k = np.arange(n + 1)[:, None]
+    return np.where(k == 0, math.sqrt(1.0 / length),
+                    math.sqrt(2.0 / length) * np.cos(k * np.pi * coords[None, :] / length))
+
+
+ALIAS_GRIDS = [build_grid(32, 32, 1.0, 1.0), build_grid(5, 3, 1.0, 2.0)]
+ALIAS_SPECS = [lambda n1, n2, L2: NoiseSpec.exponential(n1=n1, n2=n2, L2=L2),
+               lambda n1, n2, L2: NoiseSpec.powerlaw(n1=n1, n2=n2, L2=L2)]
+
+
+@pytest.mark.parametrize("where", ["nodes", "cells"])
+@pytest.mark.parametrize("grid", ALIAS_GRIDS, ids=["32x32", "5x3"])
+@pytest.mark.parametrize("make_spec", ALIAS_SPECS, ids=["exponential", "powerlaw"])
+def test_class_covariance_equals_mode_covariance(make_spec, grid, where):
+    # sum_j sigma_j^2 e_j e_j^T over the classes equals sum_k q_k e_k e_k^T
+    # over every mode, at every pair of sites; the 32x32 grid takes the
+    # presets' truncations, the 5x3 grid aliases on both axes
+    n1, n2 = (64, 100) if grid.nx == 32 else (17, 11)
+    spec = make_spec(n1, n2, grid.L2)
+    _, _, sigma = alias_classes(spec, grid, where)
+    x, y = site_axes(grid, where)
+    ex, ey = _cosines(x, grid.L1, n1), _cosines(y, grid.L2, n2)
+
+    def covariance(var):
+        # Cov[(i, k), (i', k')] = sum_ab var_ab ex_a(i) ex_a(i') ey_b(k) ey_b(k')
+        fx = np.einsum("ai,aj->aij", ex[:var.shape[0]], ex[:var.shape[0]]).reshape(var.shape[0], -1)
+        fy = np.einsum("bk,bl->bkl", ey[:var.shape[1]], ey[:var.shape[1]]).reshape(var.shape[1], -1)
+        return fx.T @ var @ fy
+
+    want = covariance(spectrum_matrix(spec))
+    got = covariance(sigma ** 2)
+    assert sigma.shape == (min(n1 + 1, x.size), min(n2 + 1, y.size))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_alias_class_maps():
+    # mode k against its class j_k and weight a_k along one axis: with
+    # n2 = 0 the classes and weights / sqrt(q) are the x axis's maps
+    grid = build_grid(4, 1, 1.0, 1.0)
+    spec = NoiseSpec.exponential(n1=17, n2=0)
+    r2 = math.sqrt(2.0)
+    want = {"cells": ([0, 1, 2, 3, 0, 3, 2, 1, 0, 1, 2, 3, 0, 3, 2, 1, 0, 1],
+                      [1, 1, 1, 1, 0, -1, -1, -1, -r2, -1, -1, -1, 0, 1, 1, 1, r2, 1], 4),
+            "nodes": ([0, 1, 2, 3, 4, 3, 2, 1, 0, 1, 2, 3, 4, 3, 2, 1, 0, 1],
+                      [1] * 8 + [r2] + [1] * 7 + [r2, 1], 5)}
+    for where, (classes, weights, count) in want.items():
+        got_classes, got_weights, sigma = alias_classes(spec, grid, where)
+        np.testing.assert_array_equal(got_classes, classes)
+        np.testing.assert_allclose(got_weights[:, 0] / np.sqrt(spectrum_matrix(spec)[:, 0]),
+                                   weights, rtol=1e-15, atol=0)
+        assert sigma.shape == (count, 1)
+        # and every mode is a_k times its class at the sites
+        x = site_axes(grid, where)[0]
+        e = _cosines(x, 1.0, 17)
+        np.testing.assert_allclose(e, np.array(weights)[:, None] * e[classes], atol=1e-14)
+    # with more cells than modes every mode is its own class
+    wide = build_grid(40, 30, 1.0, 1.0)
+    for where in ("nodes", "cells"):
+        classes, weights, sigma = alias_classes(NoiseSpec.powerlaw(n1=6, n2=4), wide, where)
+        assert sigma.shape == (7, 5)
+        np.testing.assert_array_equal(classes, np.arange(35))
+        np.testing.assert_allclose(sigma ** 2, spectrum_matrix(NoiseSpec.powerlaw(n1=6, n2=4)),
+                                   rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("where", ["nodes", "cells"])
+def test_bound_mode_increments_project_to_the_fields(where):
+    # on a bound path the mode increments are conditioned on the class
+    # draws: their cosine series is the site field, coarse steps included
+    spec = NoiseSpec.powerlaw(n1=17, n2=11)
+    grid = build_grid(5, 3, 1.0, 1.0)
+    path = make_path(spec, 7, 1, 0.01, 8, sites=(grid, where))
+    sqrt_q = np.sqrt(spectrum_matrix(spec))
+    for c in (1, 4):
+        for k in range(8 // c):
+            field = sample_increment(path, grid, k, c, where)
+            series = modes_at_sites(sqrt_q * path.brownian_increment_modes(k, c), grid, where)
+            assert np.abs(series - field).max() <= 1e-13 * np.abs(field).max()
+
+
+def test_unbound_mode_increments_are_the_stream0_block():
+    spec = NoiseSpec.exponential(n1=9, n2=6)
+    path = make_path(spec, 1, 0, 0.01, 4)
+    k0, k1 = kernels.derive_key(1, 0)
+    for step in range(4):
+        block = kernels.normal_block(k0, k1, 10, 7, step, 0)
+        np.testing.assert_array_equal(path.brownian_increment_modes(step),
+                                      math.sqrt(0.01) * block)
 
 
 def test_path_validation():

@@ -138,7 +138,8 @@ def test_spectral_to_nodal_consistency():
 def test_finest_reference_agrees_with_exact_solution():
     # the nonlinear-problem surrogate, applied to the linear problem on a
     # fine path, must land close to the exact spectral solution: its own
-    # strong error at finest_dt bounds the gap
+    # strong error at finest_dt bounds the gap. The path is bound to the
+    # nodes, so its mode increments and its nodal fields are one Wiener path
     spec = NoiseSpec.exponential(n1=16, n2=16)
     grid = build_grid(12, 12, 1.0, 1.0)
     discrete = assemble_fem(grid, 1.0, c0=0.5)
@@ -150,7 +151,7 @@ def test_finest_reference_agrees_with_exact_solution():
     gaps = []
     scales = []
     for r in range(5):
-        path = make_path(spec, 31, r, 1.0 / 256, 256)
+        path = make_path(spec, 31, r, 1.0 / 256, 256, sites=(grid, "nodes"))
         fin = finest_reference(problem, path)
         exact = modes_at_sites(evolve_exact(linear_state(spec), path).c, grid, "nodes")
         gaps.append(np.sqrt(np.sum(w * (fin - exact) ** 2)))
