@@ -3,7 +3,8 @@ preset's operator arrays, FEM and FV operators (advection, Dirichlet values,
 c0) on small and odd grids, the Darcy-streaks pressure and face velocities,
 one noise path's increments at nodes and at cells and its mode increments,
 the alias-class maps and class amplitudes of that path's lattices and of
-the presets' lattices, the exact linear reference field, the report rows of small linear and
+the presets' lattices, the exact linear reference field over every fine
+step of that path, unbound and bound to the nodes, the report rows of small linear and
 advection studies, and the final states of every scheme run at two step
 sizes on a small FV and a small FEM problem with Dirichlet values (report
 rows hold only RMS errors, so they cannot see a pinned or masked DOF). A
@@ -63,8 +64,8 @@ def lines():
                 (advection_study().noise, preset, "cells"))
     yield "noise classes", digest(*(arr for lattice in lattices for arr in alias_classes(*lattice)))
     fields = []
-    for c in (1, 2):
-        state = evolve_exact(linear_state(path.spec, 1.0, 0.5), path, coarsening=c)
+    for bound in (path, make_path(path.spec, 1, 0, 0.01, 4, sites=(grid, "nodes"))):
+        state = evolve_exact(linear_state(path.spec, 1.0, 0.5), bound)
         fields += [modes_at_sites(state.c, grid, where) for where in ("nodes", "cells")]
     yield "reference linear", digest(*fields)
     short = tuple(Fraction(1, n) for n in (10, 20))

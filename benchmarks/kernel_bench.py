@@ -6,9 +6,10 @@ one compiled numpy Philox4x64-10 draw, on the 65x65 mode lattice of the
 linear study), one fine-step site field on each preset lattice of the 1/32
 grid (``sample_increment`` on a path without ``sites``: the lattice's
 alias-class block, 33x33 at the linear study's nodes and 32x32 at the
-advection studies' cells, and its projection), one 65x65 mode increment of
-a path bound to the linear study's nodes (the stream-0 block conditioned on
-the class block), and one full SETDM1 step (one fused action).
+advection studies' cells, and its projection), one realization's exact
+reference on the linear preset at T = 1/16 (``evolve_exact`` over 80 fine
+steps of 1/1280 on a path bound to the 1/32 nodes, its class draws and
+stored fields included), and one full SETDM1 step (one fused action).
 
     python benchmarks/kernel_bench.py [--repeats N] [--nx NX]
 
@@ -46,6 +47,7 @@ from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm1_step
 from setd.krylov import fused_action
 from setd.noise import NoiseSpec, alias_classes, make_path, sample_increment
 from setd.operators import assemble_fem, assemble_fv
+from setd.reference import evolve_exact, linear_state
 from setd.sparse import _csr_kernel, _dia_kernel
 
 
@@ -100,7 +102,10 @@ def build_cases(nx):
         fields.append((f"fine-step field, {where} 1/32 ({classes} classes)",
                        lambda free=free, where=where: sample_increment(free, preset, 3,
                                                                        where=where)))
-    bound = make_path(spec, seed=1, realization=0, finest_dt=1e-3, steps=4, sites=(preset, "nodes"))
+    linear = linear_additive_study()
+    reference = lambda: evolve_exact(
+        linear_state(linear.noise), make_path(linear.noise, seed=1, realization=0,
+                                              finest_dt=1 / 1280, steps=80, sites=(preset, "nodes")))
 
     return [
         (f"SparseOperator.matvec ({fem.ndof} dof, {A.nnz} nnz)",
@@ -108,8 +113,7 @@ def build_cases(nx):
         ("normal_block 65x65",
          lambda: kernels.normal_block(key0, key1, spec.n1 + 1, spec.n2 + 1, 3, 0)),
         *fields,
-        ("conditioned mode increment 65x65 (bound to nodes 1/32)",
-         lambda: bound.brownian_increment_modes(3)),
+        ("exact reference, linear preset, T = 1/16", reference),
         (f"setdm1_step ({fv.ndof} cells, multiplicative)",
          lambda: setdm1_step(problem, cfg, state, dW)),
     ]

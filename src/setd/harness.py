@@ -297,8 +297,8 @@ class ConvergenceReport:
 
 def _realization_worker(cfg, problem, r):
     """All runs for one realization: one path bound to the problem's site
-    lattice, which couples the exact reference's mode increments with the
-    fields and stores the fields, then the reference and every cell.
+    lattice, which stores its fields and whose class draws the exact
+    reference reads, then the reference and every cell.
 
     Returns (reference_or_None, {cell: final_field_or_None}). Any SETDError
     (divergence, a phi action over its step cap, a failed solve) flags its

@@ -59,7 +59,7 @@ def normal_block(k0, k1, n1, n2, step, stream):
     One compiled draw: numpy's Philox4x64-10 with the 64-bit key
     ``k0 | k1 << 32`` and counter words 1-2 set to ``(step, stream)``, read
     by ``Generator.standard_normal`` in row-major order. ``stream``
-    separates the mode draws (0), the exact reference's auxiliary draws (1)
+    separates the mode draws (0), the exact reference's remainder draws (1)
     and a site lattice's alias-class draws (2). The block
     is a pure function of (key, n1, n2, step, stream); the draw at [i, j]
     is fixed by its flat position i * n2 + j, so a block of another shape

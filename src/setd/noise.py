@@ -34,24 +34,18 @@ dt sum_k q_k e_k e_k^T, exactly that of the mode series.
 Each block of draws is a pure function of (seed, realization, step,
 stream) and its shape through the Philox counter-based generator in
 :mod:`setd.kernels`: stream 0 holds the (n1+1) x (n2+1) mode draws, stream
-1 the exact reference's auxiliary draws, stream 2 each lattice's class
+1 the exact reference's remainder draws, stream 2 each lattice's class
 draws. A draw is fixed by its place in its block, so another truncation or
 grid redraws every entry. Fields come from the class draws of their own
-lattice, whatever the path is bound to. Mode increments, which only the
-exact spectral reference reads, are the stream-0 draws on a path without
-``sites``; on a path bound by ``sites=(grid, where)`` they are those draws
-conditioned on that lattice's class draw (:meth:`NoisePath.brownian_increment_modes`),
-so the reference and the schemes see one Wiener path. Paths are refinement
-consistent: the increment over a coarse step is the sequential sum of its
-fine-step increments, so coarse == sum(fine) holds bit-for-bit at both mode
-level and site level (:func:`sample_increment`), and results cannot depend
-on worker scheduling.
+lattice, mode increments from the stream-0 draws, whatever the path is
+bound to. Paths are refinement consistent: the increment over a coarse
+step is the sequential sum of its fine-step increments, bit-for-bit at
+mode and at site level, so results cannot depend on worker scheduling.
 
-A study binds each path to the one site lattice its problem uses. The
-first consumer of a fine step's class draw there, the exact reference or a
-field request, stores the step's field, so each block is drawn once and the
-path holds at most ``steps`` fields. A path without ``sites``, as a single
-run uses, stores nothing.
+A study binds each path to its problem's site lattice. The exact
+reference then reads that lattice's class draws, the draws the schemes
+see, and the first consumer of a fine step's class draw stores the step's
+field, so each block is drawn once. A path without ``sites`` stores nothing.
 """
 
 from __future__ import annotations
@@ -220,19 +214,13 @@ class NoisePath:
     """One realization's Wiener path at finest resolution ``finest_dt``.
 
     All randomness is derived on demand from the Philox key, one block per
-    (fine step, stream, shape). Stream 0 carries the mode draws, stream 1
-    the auxiliary draws used for exact conditional sampling in the spectral
-    reference, stream 2 the class draws of a site lattice's fields. A draw
-    depends on its place in its block, so the same key at another
-    truncation or on another grid gives a different path.
-
-    ``sites=(grid, where)`` couples the mode increments with that lattice's
-    fields (the module docstring) and names the one lattice whose fine-step
-    fields the path stores, within the ``_MAX_CACHED_FLOATS`` budget. Fields
-    on other lattices are drawn fresh. Stored fields never leave the path,
-    and equality means the same blocks of draws: the store and ``sites``
-    are not compared, though a bound path conditions its mode increments
-    on its blocks and an unbound one does not.
+    (fine step, stream, shape); the module docstring lists the streams.
+    ``sites=(grid, where)`` names the one lattice whose fine-step fields the
+    path stores, within the ``_MAX_CACHED_FLOATS`` budget, and whose alias
+    classes the exact reference reads (:meth:`_class_map`); fields on other
+    lattices are drawn fresh. Stored fields never leave the path, and
+    equality means the same blocks of draws: the store and ``sites`` are
+    not compared.
     """
 
     spec: NoiseSpec
@@ -263,17 +251,15 @@ class NoisePath:
                 self._fields = {}
 
     # -- raw draws --------------------------------------------------------
-    def normal_modes(self, step, stream=0):
-        """Standard-normal block R_{i,j} for one fine step, shape (n1+1, n2+1)."""
+    def _block(self, step, shape, stream):
+        """One block of standard normals of ``shape`` for one fine step."""
         k0, k1 = self._key
-        return kernels.normal_block(k0, k1, self.spec.n1 + 1, self.spec.n2 + 1,
-                                    check_int(step, "step", 0, self.steps),
-                                    check_int(stream, "stream", 0, 2 ** 64))
+        return kernels.normal_block(k0, k1, *shape, step, stream)
 
-    def _class_normals(self, step, shape):
-        """A lattice's class draws Z for one fine step: stream 2."""
-        k0, k1 = self._key
-        return kernels.normal_block(k0, k1, *shape, step, 2)
+    def normal_modes(self, step):
+        """Standard-normal block R_{i,j} for one fine step, shape (n1+1, n2+1): stream 0."""
+        return self._block(check_int(step, "step", 0, self.steps),
+                           (self.spec.n1 + 1, self.spec.n2 + 1), 0)
 
     # -- coarse steps -------------------------------------------------------
     def coarse_window(self, coarsening, steps, first=0, dt=None):
@@ -283,8 +269,8 @@ class NoisePath:
         The coarsening must be an integer >= 1, the fine steps
         [first * coarsening, (first + steps) * coarsening) must lie inside
         the horizon, and a given ``dt`` must equal coarsening * finest_dt
-        to 1e-9 relative, so every scheme and the reference sum the same
-        fine increments over a coarse step.
+        to 1e-9 relative, so every scheme sums the same fine increments
+        over a coarse step.
         """
         # plain in-range ints, the per-step case, skip the checker calls
         if not (type(coarsening) is type(steps) is type(first) is int
@@ -305,36 +291,37 @@ class NoisePath:
 
     # -- Brownian mode increments ------------------------------------------
     def brownian_increment_modes(self, step_index, coarsening=1):
-        """Delta-beta_{i,j} over coarse step ``step_index`` (sum of fine draws).
-
-        Accumulates the fine steps in increasing order, so the result for
-        coarsening c equals the sequential sum of the c results at
-        coarsening 1 bit-for-bit.
-        """
+        """Delta-beta_{i,j} over coarse step ``step_index``: sqrt(finest_dt)
+        times each fine step's stream-0 block, summed in step order, so it
+        equals the sequential sum of the fine increments bit-for-bit."""
         coarsening = self.coarse_window(coarsening, 1, step_index)
         lo = step_index * coarsening
-        acc = self._fine_modes(lo)
+        sdt = math.sqrt(self.finest_dt)
+        acc = sdt * self.normal_modes(lo)
         for s in range(lo + 1, lo + coarsening):
-            acc += self._fine_modes(s)
+            acc += sdt * self.normal_modes(s)
         return acc
 
-    def _fine_modes(self, step):
-        """sqrt(finest_dt) xi for one fine step, a fresh array: xi is the
-        stream-0 block, on a bound path conditioned on the class draw Z of
-        the bound lattice, xi = eta + W (Z / sigma - S / sigma^2)[class]
-        with W the class weights and S the class sums of W eta, so that the
-        class sums of W xi are sigma Z (eta is kept where sigma = 0). The
-        first class draw of a step stores its field."""
-        xi = self.normal_modes(step)
+    # -- the exact reference's classes ---------------------------------------
+    def _class_map(self):
+        """(classes, W, sigma) the exact reference conditions on: the bound
+        lattice's :func:`alias_classes`, or on an unbound path every mode its
+        own class with W = sigma = sqrt(q)."""
         if self.sites is not None:
-            classes, weights, sigma = alias_classes(self.spec, *self.sites)
-            z = self._class_normals(step, sigma.shape)
-            if self._fields is not None:
-                self._fine_field(*self.sites, step, z)
-            s = np.bincount(classes, (weights * xi).ravel(), minlength=sigma.size)
-            inv = np.divide(1.0, sigma.ravel(), out=np.zeros(sigma.size), where=sigma.ravel() > 0)
-            xi += weights * ((z.ravel() - s * inv) * inv)[classes].reshape(xi.shape)
-        return math.sqrt(self.finest_dt) * xi
+            return alias_classes(self.spec, *self.sites)
+        sqrt_q = np.sqrt(spectrum_matrix(self.spec))
+        return np.arange(sqrt_q.size), sqrt_q, sqrt_q
+
+    def _class_draw(self, step):
+        """The class draw Z of one fine step under :meth:`_class_map`: the
+        bound lattice's stream-2 block, whose field it stores, or the
+        stream-0 block on an unbound path."""
+        if self.sites is None:
+            return self.normal_modes(step)
+        z = self._block(step, alias_classes(self.spec, *self.sites)[2].shape, 2)
+        if self._fields is not None:
+            self._fine_field(*self.sites, step, z)
+        return z
 
     # -- assembled fields ---------------------------------------------------
     def _fine_field(self, grid, where, step, z=None):
@@ -346,7 +333,7 @@ class NoisePath:
             return self._fields[step]
         sigma = alias_classes(self.spec, grid, where)[2]
         if z is None:
-            z = self._class_normals(step, sigma.shape)
+            z = self._block(step, sigma.shape, 2)
         out = modes_at_sites(sigma * (math.sqrt(self.finest_dt) * z), grid, where)
         if store:
             self._fields[step] = out
@@ -355,8 +342,8 @@ class NoisePath:
 
 def make_path(spec, seed, realization, finest_dt, steps, sites=None):
     """Create the (seed, realization)-keyed path over ``steps`` fine steps,
-    bound to the ``sites=(grid, where)`` lattice if given: its mode
-    increments are then coupled with that lattice's fields, which it stores."""
+    bound to the ``sites=(grid, where)`` lattice if given: it then stores
+    that lattice's fields, and the exact reference reads its class draws."""
     return NoisePath(spec, seed, realization, finest_dt, steps, sites)
 
 

@@ -5,21 +5,30 @@ modes decouple into scalar OU equations
 
     dc = -mu c dt + sqrt(q) dbeta,      mu = D lambda + r0,
 
-whose transition is exact over any step:
+whose transition is exact over any step (Lord, Powell & Shardlow, *An
+Introduction to Computational Stochastic PDEs*, CUP 2014, ch. 10):
 
     c(t+dt) = exp(-mu dt) c(t) + sqrt(q) I,
     I | dbeta ~ N(rho dbeta, v),
     rho = (1 - exp(-mu dt)) / (mu dt),
     v = (1 - exp(-2 mu dt)) / (2 mu) - (1 - exp(-mu dt))^2 / (mu^2 dt).
 
-The conditional mean couples the reference to the same Wiener increments
-the schemes consume (``brownian_increment_modes`` of the shared path, whose
-mode increments a path bound to the schemes' site lattice conditions on
-that lattice's class draws, so their cosine series is the schemes' field); the
-conditional remainder is drawn from the path's auxiliary stream 1, so the
-reference is exact in law and synchronized with every discretization of
-the same path. Small mu*dt evaluates rho and v by series to dodge
-cancellation; ``setd.noise.modes_at_sites`` evaluates c at the grid sites.
+The reference runs it over every fine step and reads only the class draws
+Z the schemes see. The path supplies (classes, W, sigma): its lattice's
+alias classes when bound by ``sites``, else every mode its own class with
+W = sigma = sqrt(q) and Z the stream-0 block. Given Z, mode k of class j
+has a normalized increment of mean r_k Z_j, r_k = W_k / sigma_j (0 where
+sigma_j = 0), so the mean runs c <- exp(-mu dt) c + sqrt(q) rho sqrt(dt)
+r Z[class]. The rest is Gaussian and independent across classes, so it
+is drawn once at the end from one stream-1 block through a batched
+``eigh``: within class j, with d = exp(-mu dt), its covariance over N
+steps is the geometric sum
+
+    sum_{m<N} (d_k d_l)^m sqrt(q_k q_l)
+        [rho_k rho_l dt (delta_kl - W_k W_l / sigma_j^2) + delta_kl v_k].
+
+Small mu*dt evaluates rho and v by series to dodge cancellation;
+``setd.noise.modes_at_sites`` evaluates c at the grid sites.
 
 For nonlinear problems the reference is the finest-step SETDM1 run on the
 shared path (see :func:`finest_reference`).
@@ -27,6 +36,7 @@ shared path (see :func:`finest_reference`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,51 +99,54 @@ def _check_spec(state, path):
         raise InvalidArgumentError("state and path disagree on the noise spec")
 
 
-def _step_coefficients(state, dt):
-    """(rho, sqrt(v), exp(-mu dt)): what one exact step of size dt needs."""
-    rho, v = conditional_convolution_params(state.mu, dt)
-    return rho, np.sqrt(v), np.exp(-state.mu * dt)
+def _evolve(state, path, first, steps):
+    """``steps`` exact fine steps from fine step ``first``: the mean
+    recursion on the class draws, then the remainder drawn once."""
+    if steps == 0:
+        return state
+    dt, (classes, weights, sigma) = path.finest_dt, path._class_map()
+    s = sigma.ravel()[classes]
+    ratio = np.divide(weights.ravel(), s, out=np.zeros(s.size), where=s > 0)   # W/sigma
+    c, mu, amp = state.c.ravel(), state.mu.ravel(), state.sqrt_q.ravel()
+    rho, v = conditional_convolution_params(mu, dt)
+    decay, gain = np.exp(-mu * dt), amp * rho * math.sqrt(dt) * ratio
+    for step in range(first, first + steps):
+        c = decay * c + gain * path._class_draw(step).ravel()[classes]
+    # members[j] lists class j's modes, padded with a zero mode at index M
+    M, order = classes.size, np.argsort(classes, kind="stable")
+    counts = np.bincount(classes, minlength=sigma.size)
+    members = np.full((sigma.size, counts.max()), M)
+    members[classes[order], np.arange(M) - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    pad = lambda x: np.append(x, 0.0)[members]
+    a, r, m = pad(amp * rho), pad(ratio), pad(mu)
+    x = (m[:, :, None] + m[:, None, :]) * dt
+    geometric = np.divide(np.expm1(-steps * x), np.expm1(-x), out=np.full(x.shape, float(steps)),
+                          where=x != 0.0)
+    eye = np.eye(members.shape[1])
+    cov = geometric * (dt * a[:, :, None] * a[:, None, :] * (eye - r[:, :, None] * r[:, None, :])
+                       + eye * pad(amp * amp * v)[:, :, None])
+    lam, vec = np.linalg.eigh(cov)
+    xi = path._block(first, members.shape, 1)
+    remainder = np.zeros(M + 1)
+    remainder[members] = np.einsum("cij,cj->ci", vec, np.sqrt(np.maximum(lam, 0.0)) * xi)
+    return replace(state, c=(c + remainder[:M]).reshape(state.c.shape), t=state.t + steps * dt)
 
 
-def _advance(state, path, step_index, dt, coarsening, coefficients):
-    rho, sqrt_v, decay = coefficients
-    dbeta = path.brownian_increment_modes(step_index, coarsening)
-    xi = path.normal_modes(step_index, stream=1)
-    conv = rho * dbeta + sqrt_v * xi
-    c_new = decay * state.c + state.sqrt_q * conv
-    return replace(state, c=c_new, t=state.t + dt)
-
-
-def exact_linear_step(state, path, step_index, dt, coarsening=1):
-    """Advance the spectral state exactly over one step of size dt.
-
-    dt must equal coarsening * path.finest_dt; the Wiener increments are
-    the same draws any scheme consumes over that window, and the
-    conditional remainder uses the auxiliary stream keyed by step_index.
-    """
+def exact_linear_step(state, path, step_index, dt):
+    """Advance the spectral state exactly over fine step ``step_index``;
+    dt must equal path.finest_dt."""
     _check_spec(state, path)
-    coarsening = path.coarse_window(coarsening, 1, step_index, dt)
-    dt = float(dt)
-    return _advance(state, path, step_index, dt, coarsening, _step_coefficients(state, dt))
+    path.coarse_window(1, 1, step_index, dt)
+    return _evolve(state, path, step_index, 1)
 
 
-def evolve_exact(state, path, steps=None, coarsening=1):
-    """Run ``steps`` exact steps of size coarsening * path.finest_dt.
-
-    ``steps`` defaults to every whole coarse step the path holds. Equal bit
-    for bit to a loop of :func:`exact_linear_step`, but the per-mode
-    coefficients (rho, sqrt(v), exp(-mu dt)) are computed once per call,
-    since dt never changes along the loop.
-    """
+def evolve_exact(state, path, steps=None):
+    """Advance the spectral state exactly over the first ``steps`` fine
+    steps of the path (every step by default)."""
     _check_spec(state, path)
-    coarsening = path.coarse_window(coarsening, 0 if steps is None else steps)
-    if steps is None:
-        steps = path.steps // coarsening
-    dt = coarsening * path.finest_dt
-    coefficients = _step_coefficients(state, dt)
-    for m in range(steps):
-        state = _advance(state, path, m, dt, coarsening, coefficients)
-    return state
+    steps = path.steps if steps is None else steps
+    path.coarse_window(1, steps)
+    return _evolve(state, path, 0, steps)
 
 
 def finest_reference(problem, path):

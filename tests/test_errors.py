@@ -54,15 +54,13 @@ CASES = [
       for ctor in (make_path, NoisePath)
       for value in (GRID, (GRID, "edges"), [GRID, "nodes"], ("nodes", GRID), (GRID,))],
     ("normal_modes-step=1.5", "step", lambda: _path().normal_modes(1.5)),
-    ("normal_modes-stream=1.5", "stream", lambda: _path().normal_modes(0, 1.5)),
+    ("evolve_exact", "steps", lambda: evolve_exact(linear_state(SPEC), _path(), steps=2.5)),
+    ("exact_linear_step", "dt",
+     lambda: exact_linear_step(linear_state(SPEC), _path(), 0, str(FINEST_DT))),
     # a coarsening of 2.5 does not run as 2
     ("sample_increment", "coarsening", lambda: sample_increment(_path(), GRID, 0, 2.5)),
     ("brownian_increment_modes", "coarsening",
      lambda: _path().brownian_increment_modes(0, 2.5)),
-    ("evolve_exact", "coarsening",
-     lambda: evolve_exact(linear_state(SPEC), _path(), coarsening=2.5)),
-    ("exact_linear_step", "coarsening",
-     lambda: exact_linear_step(linear_state(SPEC), _path(), 0, 2.5 * FINEST_DT, 2.5)),
     ("run", "coarsening",
      lambda: run(_problem(), SchemeConfig(Scheme.SETDM1, 2 * FINEST_DT, 1), _path(), 2.5)),
     # typed errors where the value used to reach float(), a ufunc or a bare check

@@ -256,16 +256,16 @@ def _spy_draws(monkeypatch):
 
 
 def test_linear_study_draws_each_block_once(monkeypatch):
-    # the exact reference draws each fine step's stream-0 mode block and the
-    # lattice's stream-2 class block, whose field the schemes share; the
-    # reference's stream-1 draw is the only other block
+    # the exact reference draws each fine step's stream-2 class block, whose
+    # field the schemes share, and one stream-1 remainder block per
+    # realization; nothing draws the stream-0 mode blocks
     cfg = _tiny_linear(realizations=2)
     draws, paths = _spy_draws(monkeypatch)
     run_study(cfg)
     keys = {path._key for path in paths}
     assert len(paths) == len(keys) == 2
-    expected = sorted((key, step, stream) for key in keys
-                      for step in range(cfg.fine_steps) for stream in (0, 1, 2))
+    expected = sorted([(key, step, 2) for key in keys for step in range(cfg.fine_steps)]
+                      + [(key, 0, 1) for key in keys])
     assert sorted(draws) == expected
 
 
@@ -316,7 +316,7 @@ def test_single_run_path_holds_nothing():
 def test_stored_fields_never_leak_through_returned_arrays():
     # writing NaN into every array a bound path returns must not reach the
     # fields that later increments and field requests read; the clean path
-    # is bound too, since binding couples the mode increments with the fields
+    # is bound to the same lattice
     cfg = _tiny_linear(realizations=1)
     problem = build_problem(cfg)
     grid, where = problem.discrete.grid, problem.discrete.where

@@ -18,7 +18,7 @@ def test_kernel_bench_prints_every_table(capsys):
     assert "normal_block 65x65" in out
     assert "fine-step field, nodes 1/32 (33x33 classes)" in out
     assert "fine-step field, cells 1/32 (32x32 classes)" in out
-    assert "conditioned mode increment 65x65" in out
+    assert "exact reference, linear preset, T = 1/16" in out
     products = [line for line in out.splitlines() if line.startswith("P of ")]
     assert len(products) == 3
     for line in products:

@@ -165,9 +165,14 @@ def test_paths_decorrelated_across_realizations_and_seeds():
     c = make_path(spec, 2, 0, 0.5, 2).normal_modes(0)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    # stream separation: aux draws never reuse Wiener randomness
-    p = make_path(spec, 1, 0, 0.5, 2)
-    assert not np.array_equal(p.normal_modes(0), p.normal_modes(0, stream=1))
+    # stream separation: the reference's remainder draws (stream 1) and the
+    # class draws (stream 2) never reuse the mode draws of the same step
+    k0, k1 = kernels.derive_key(1, 0)
+    blocks = [kernels.normal_block(k0, k1, 5, 5, 0, stream) for stream in (0, 1, 2)]
+    np.testing.assert_array_equal(blocks[0], a)
+    assert not np.array_equal(blocks[0], blocks[1])
+    assert not np.array_equal(blocks[0], blocks[2])
+    assert not np.array_equal(blocks[1], blocks[2])
     # but the path itself is a pure function of its key
     np.testing.assert_array_equal(a, make_path(spec, 1, 0, 0.5, 2).normal_modes(0))
 
@@ -278,21 +283,6 @@ def test_alias_class_maps():
         np.testing.assert_array_equal(classes, np.arange(35))
         np.testing.assert_allclose(sigma ** 2, spectrum_matrix(NoiseSpec.powerlaw(n1=6, n2=4)),
                                    rtol=1e-15, atol=0)
-
-
-@pytest.mark.parametrize("where", ["nodes", "cells"])
-def test_bound_mode_increments_project_to_the_fields(where):
-    # on a bound path the mode increments are conditioned on the class
-    # draws: their cosine series is the site field, coarse steps included
-    spec = NoiseSpec.powerlaw(n1=17, n2=11)
-    grid = build_grid(5, 3, 1.0, 1.0)
-    path = make_path(spec, 7, 1, 0.01, 8, sites=(grid, where))
-    sqrt_q = np.sqrt(spectrum_matrix(spec))
-    for c in (1, 4):
-        for k in range(8 // c):
-            field = sample_increment(path, grid, k, c, where)
-            series = modes_at_sites(sqrt_q * path.brownian_increment_modes(k, c), grid, where)
-            assert np.abs(series - field).max() <= 1e-13 * np.abs(field).max()
 
 
 def test_unbound_mode_increments_are_the_stream0_block():

@@ -8,9 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from setd import kernels
 from setd.errors import InvalidArgumentError
 from setd.grid import build_grid, site_xy
-from setd.noise import NoiseSpec, make_path, modes_at_sites, spectrum_matrix
+from setd.noise import NoiseSpec, make_path, modes_at_sites, sample_increment, spectrum_matrix
 from setd.operators import assemble_fem, quadrature_weights
 from setd.reference import (
     conditional_convolution_params,
@@ -90,28 +91,29 @@ def test_one_step_law_monte_carlo():
 
 
 def test_exact_step_couples_to_path_increments():
-    # the conditional mean must be rho * (the same dbeta any scheme sees)
+    # on an unbound path every mode is its own class: the conditional mean
+    # is rho * (the same dbeta any scheme sees), and the remainder is the
+    # step's stream-1 block of one draw per class
     spec = NoiseSpec.exponential(n1=3, n2=3)
     state = linear_state(spec)
     path = make_path(spec, 7, 0, 0.25, 4)
     st1 = exact_linear_step(state, path, 2, 0.25)
     dbeta = path.brownian_increment_modes(2)
-    xi = path.normal_modes(2, stream=1)
+    xi = kernels.normal_block(*path._key, 16, 1, 2, 1).reshape(4, 4)
     rho, v = conditional_convolution_params(state.mu, 0.25)
     want = state.sqrt_q * (rho * dbeta + np.sqrt(v) * xi)
     np.testing.assert_allclose(st1.c, want, rtol=1e-14, atol=1e-16)
 
 
 def test_refinement_consistency_in_law_and_mean():
-    # evolving 4 fine steps vs 1 coarse step: same conditional-mean component
-    # because the coarse dbeta is the bit-exact sum of the fine ones
+    # the coarse dbeta is the bit-exact sum of the fine ones, and the
+    # reference runs over the fine steps
     spec = NoiseSpec.exponential(n1=3, n2=3)
     path = make_path(spec, 21, 0, 0.125, 4)
-    rho_c, _ = conditional_convolution_params(linear_state(spec).mu, 0.5)
     dbeta_c = path.brownian_increment_modes(0, coarsening=4)
     fine_sum = sum(path.brownian_increment_modes(s) for s in range(4))
     np.testing.assert_array_equal(dbeta_c, fine_sum)
-    st = evolve_exact(linear_state(spec), path, steps=1, coarsening=4)
+    st = evolve_exact(linear_state(spec), path, steps=4)
     assert st.t == pytest.approx(0.5)
 
 
@@ -173,46 +175,64 @@ def test_linear_state_validation():
         exact_linear_step(st, path, 0, 0.5)   # spec mismatch
     path2 = make_path(spec, 0, 0, 0.5, 2)
     with pytest.raises(InvalidArgumentError):
-        exact_linear_step(st, path2, 0, 0.3)  # dt not coarsening x finest
+        exact_linear_step(st, path2, 0, 0.3)  # dt is not finest_dt
 
 
-@pytest.mark.parametrize("coarsening", [1, 2])
-def test_evolve_exact_equals_loop_of_exact_steps(coarsening):
-    # the per-call coefficients change no bit against per-step ones
-    spec = NoiseSpec.exponential(n1=9, n2=7)
-    finest_dt = 1.0 / 64
-    mk = lambda: make_path(spec, 41, 2, finest_dt, 16)
-    rng = np.random.default_rng(8)
-    state0 = linear_state(spec, diffusion=0.7, reaction=0.3,
-                          coefficients=rng.standard_normal((10, 8)))
-    dt = coarsening * finest_dt
-    got = evolve_exact(state0, mk(), coarsening=coarsening)
-    path = mk()
-    want = state0
-    for m in range(16 // coarsening):
-        want = exact_linear_step(want, path, m, dt, coarsening)
-    assert got.c.tobytes() == want.c.tobytes()
-    assert got.t == want.t
-    # and both equal the transition written out per step
-    path = mk()
-    c = state0.c
-    for m in range(16 // coarsening):
-        rho, v = conditional_convolution_params(state0.mu, dt)
-        conv = (rho * path.brownian_increment_modes(m, coarsening)
-                + np.sqrt(v) * path.normal_modes(m, stream=1))
-        c = np.exp(-state0.mu * dt) * c + state0.sqrt_q * conv
-    assert got.c.tobytes() == c.tobytes()
+@pytest.mark.parametrize("where", ["nodes", "cells"])
+def test_evolve_exact_law_on_an_aliasing_lattice(where):
+    # the mean recursion on the class draws plus the remainder drawn once
+    # must give every mode the OU variance q (1 - e^{-2 mu T}) / (2 mu) and
+    # no cross-mode covariance, on a lattice where 10 modes per axis fall
+    # on 5 (nodes) or 4 (cells) classes. Each of the 100 variances and 4950
+    # covariances is one z-score, held to 5.5 standard errors
+    spec = NoiseSpec.exponential(n1=9, n2=9, b1=0.05, b2=0.05)
+    grid = build_grid(4, 4, 1.0, 1.0)
+    state = linear_state(spec)
+    dt, steps, n = 1.0 / 64, 8, 4000
+    var = (spectrum_matrix(spec) * -np.expm1(-2.0 * state.mu * dt * steps)
+           / (2.0 * state.mu)).ravel()
+    X = np.array([evolve_exact(state, make_path(spec, 3, r, dt, steps, sites=(grid, where))).c.ravel()
+                  for r in range(n)])
+    C = X.T @ X / n
+    z_var = (np.diag(C) - var) / (var * math.sqrt(2.0 / n))
+    z_cov = C / np.sqrt(np.outer(var, var) / n)
+    np.fill_diagonal(z_cov, 0.0)
+    assert np.abs(z_var).max() <= 5.5
+    assert np.abs(z_cov).max() <= 5.5
+    # a start c0 adds exp(-mu T) c0 on the same draws
+    c0 = np.random.default_rng(8).standard_normal(state.c.shape)
+    path = lambda: make_path(spec, 3, 0, dt, steps, sites=(grid, where))
+    shift = (evolve_exact(linear_state(spec, coefficients=c0), path()).c
+             - evolve_exact(state, path()).c)
+    np.testing.assert_allclose(shift, np.exp(-state.mu * dt * steps) * c0, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("where", ["nodes", "cells"])
+def test_reference_at_zero_rate_is_the_sum_of_the_fields(where):
+    # at mu = 0 the remainder is invisible at the sites, so the reference's
+    # cosine series is the sum of the fields the schemes consume; the limit
+    # is sqrt(eps) noise from eigh of a singular covariance. The mode
+    # increments are the stream-0 draws whatever the path is bound to
+    grid = build_grid(5, 3, 1.0, 1.0)
+    for spec in (NoiseSpec.exponential(n1=17, n2=11), NoiseSpec.powerlaw(n1=17, n2=11)):
+        path = make_path(spec, 7, 1, 0.01, 8, sites=(grid, where))
+        exact = modes_at_sites(evolve_exact(linear_state(spec, 0.0, 0.0), path).c, grid, where)
+        field = sample_increment(path, grid, 0, 8, where)
+        assert np.abs(exact - field).max() <= 1e-6 * np.abs(field).max()
+        free = make_path(spec, 7, 1, 0.01, 8)
+        for k in range(8):
+            np.testing.assert_array_equal(path.brownian_increment_modes(k),
+                                          free.brownian_increment_modes(k))
 
 
 def test_evolve_exact_rejects_bad_arguments():
     spec = NoiseSpec.exponential(n1=2, n2=2)
     st = linear_state(spec)
     path = make_path(spec, 0, 0, 0.25, 4)
-    for kwargs in ({"coarsening": -1}, {"coarsening": 0}, {"steps": -2}):
-        with pytest.raises(InvalidArgumentError):
-            evolve_exact(st, path, **kwargs)
     with pytest.raises(InvalidArgumentError):
-        evolve_exact(st, path, steps=3, coarsening=2)  # beyond the horizon
+        evolve_exact(st, path, steps=-2)
+    with pytest.raises(InvalidArgumentError):
+        evolve_exact(st, path, steps=5)  # beyond the horizon
     with pytest.raises(InvalidArgumentError):
         evolve_exact(st, make_path(NoiseSpec.exponential(n1=3, n2=3), 0, 0, 0.25, 4))
     assert evolve_exact(st, path, steps=0).c.tobytes() == st.c.tobytes()
