@@ -159,7 +159,7 @@ def build_parser():
     p_conv.add_argument("--out", default=".", help="output directory (default: cwd)")
     p_conv.add_argument("--realizations", type=int, default=None,
                         help="override realization count")
-    p_conv.add_argument("--threads", type=int, default=None, help="override worker threads")
+    p_conv.add_argument("--threads", type=int, default=None, help="worker processes (default: usable CPUs)")
     p_conv.set_defaults(func=cmd_converge)
 
     p_solve = sub.add_parser("solve", help="integrate a single trajectory to CSV")

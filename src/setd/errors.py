@@ -14,6 +14,9 @@ import numbers
 class SETDError(Exception):
     """Base class for every error raised by this package."""
 
+    def __str__(self):  # args also hold the attributes, so that errors pickle
+        return str(self.args[0]) if self.args else ""
+
 
 class InvalidArgumentError(SETDError, ValueError):
     """An argument violates a documented precondition."""
@@ -33,7 +36,7 @@ class KrylovConvergenceError(SETDError, RuntimeError):
     """
 
     def __init__(self, message, est_error):
-        super().__init__(message)
+        super().__init__(message, float(est_error))
         self.est_error = float(est_error)
 
 
@@ -48,7 +51,7 @@ class DivergenceError(SETDError, RuntimeError):
     """
 
     def __init__(self, message, step):
-        super().__init__(message)
+        super().__init__(message, int(step))
         self.step = int(step)
 
 

@@ -11,8 +11,8 @@ References: the linear additive preset has an exact per-mode solution
 (see :mod:`setd.reference`); the nonlinear/multiplicative presets use the
 finest-step SETDM1 run on the shared path as the surrogate truth.
 
-Realizations run on a thread pool; results are reduced in realization
-order, so reports are bit-identical for any worker count.
+Realizations run in ``threads`` forked worker processes, by default one per
+usable CPU, and reduce in realization order: reports match for any count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -51,8 +53,9 @@ PROBLEM_NAMES = tuple(PROBLEM_PARAMS)
 class StudyConfig:
     """Everything a convergence study needs, exactly reproducible from it.
 
-    dt values are Fractions so divisibility (dt | T, finest_dt | dt) is
-    checked exactly rather than through float rounding.
+    dt values are Fractions, so divisibility (dt | T, finest_dt | dt) is
+    checked exactly, not through float rounding. ``threads`` worker
+    processes run the realizations; by default, one per usable CPU.
     """
 
     problem: str
@@ -67,7 +70,8 @@ class StudyConfig:
     L1: float = 1.0
     L2: float = 1.0
     noise: Optional[NoiseSpec] = None
-    threads: int = 1
+    threads: int = field(default_factory=lambda: len(os.sched_getaffinity(0))
+                         if hasattr(os, "sched_getaffinity") else 1)
     c0: float = 0.0
     expected_order: float = 0.5
     problem_params: Mapping[str, float] = field(default_factory=dict)
@@ -331,18 +335,26 @@ def _realization_worker(cfg, problem, r):
 def run_study(cfg):
     """Execute a convergence study and assemble its report.
 
-    Realizations are independent work items on a thread pool; the
-    reduction iterates realization indices in order, so the report does
-    not depend on the worker count.
+    Realizations run in turn, or in min(threads, realizations) forked
+    workers, and reduce in realization order, so the report does not depend
+    on the worker count. A worker that dies raises SETDError.
     """
     problem = build_problem(cfg)
     grid = problem.discrete.grid
-    if cfg.threads == 1:
+    workers = min(cfg.threads, cfg.realizations)
+    if workers == 1:
         results = [_realization_worker(cfg, problem, r) for r in range(cfg.realizations)]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda r: _realization_worker(cfg, problem, r),
-                                    range(cfg.realizations)))
+        # fork, since spawn and forkserver re-run an unguarded __main__ in
+        # each worker; fork starts all workers at once, hence the cap
+        results = []
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            try:
+                for result in pool.map(functools.partial(_realization_worker, cfg, problem),
+                                       range(cfg.realizations)):
+                    results.append(result)
+            except BrokenProcessPool as exc:
+                raise SETDError(f"a worker died: realization {len(results)} was lost") from exc
 
     rows = []
     per_scheme = {scheme: ([], []) for scheme in cfg.schemes}

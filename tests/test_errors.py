@@ -4,15 +4,20 @@ check_real, and every entry point below calls it.
 Each row is (entry point, argument, bad value). A value that is not an
 integer where an integer is due, or not a finite number where a number is
 due, raises InvalidArgumentError naming the argument; nothing truncates
-1.7 to 1, parses "3", or lets a coarsening of 2.5 run as 2.
+1.7 to 1, parses "3", or lets a coarsening of 2.5 run as 2. The typed
+errors that carry attributes survive pickling, as a worker process
+returns them.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
 from setd import kernels
 from setd.darcy import PermeabilityField, solve_pressure
-from setd.errors import InvalidArgumentError, check_int, check_real
+from setd.errors import (DivergenceError, InvalidArgumentError, KrylovConvergenceError,
+                         check_int, check_real)
 from setd.grid import build_grid
 from setd.integrators import ProblemDef, Scheme, SchemeConfig, run
 from setd.noise import NoisePath, NoiseSpec, make_path, sample_increment
@@ -91,3 +96,14 @@ def test_checkers_convert_and_bound():
     for bad in (True, "0.5", None, np.nan, np.inf, 10 ** 400, 0.0, 1.5):
         with pytest.raises(InvalidArgumentError, match="x must be a finite number"):
             check_real(bad, "x", 0, 1, open_lo=True)
+
+
+@pytest.mark.parametrize("error, attribute, value", [
+    (DivergenceError("left the bounded regime", step=3), "step", 3),
+    (KrylovConvergenceError("over the product ceiling", est_error=0.25), "est_error", 0.25),
+], ids=["DivergenceError", "KrylovConvergenceError"])
+def test_typed_errors_survive_pickling(error, attribute, value):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) == error.args[0]
+    assert getattr(copy, attribute) == value

@@ -1,9 +1,12 @@
 """Study orchestration tests: error metric, order fitting, report formats,
-thread-count invariance, and flagging of failed cells."""
+worker-count invariance, worker failure, and flagging of failed cells."""
 
 import json
 import math
+import multiprocessing
+import os
 import pickle
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 import setd.harness as harness
 import setd.kernels as kernels
 from setd.errors import (DegenerateFitError, DivergenceError, InvalidArgumentError,
-                         KrylovConvergenceError)
+                         KrylovConvergenceError, SETDError)
 from setd.grid import build_grid
 from setd.harness import (
     StudyConfig,
@@ -203,15 +206,16 @@ def test_linear_study_report_structure_and_monotone_errors():
             fit_order([Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)], errs)[0])
     assert report.metadata["seed"] == 11
     assert report.metadata["noise"]["kind"] == "exponential"
-    assert "threads" not in report.metadata  # reports are thread-agnostic
+    assert "threads" not in report.metadata  # reports ignore the worker count
 
 
-def test_reports_bit_identical_across_thread_counts(tmp_path):
+@pytest.mark.parametrize("workers", [2, 3])
+def test_reports_bit_identical_across_thread_counts(tmp_path, workers):
     rep1 = run_study(_tiny_linear(threads=1))
-    rep3 = run_study(_tiny_linear(threads=3))
-    for name, a, b in (("report.csv", rep1, rep3), ("report.json", rep1, rep3)):
+    repw = run_study(_tiny_linear(threads=workers))
+    for name, a, b in (("report.csv", rep1, repw), ("report.json", rep1, repw)):
         pa = tmp_path / f"t1_{name}"
-        pb = tmp_path / f"t3_{name}"
+        pb = tmp_path / f"t{workers}_{name}"
         (a.to_csv(pa) if name.endswith("csv") else a.to_json(pa))
         (b.to_csv(pb) if name.endswith("csv") else b.to_json(pb))
         assert pa.read_bytes() == pb.read_bytes()
@@ -226,15 +230,67 @@ def _tiny_multiplicative(threads=1, realizations=2):
     )
 
 
-def test_multiplicative_reports_bit_identical_across_thread_counts(tmp_path):
-    # fused SETDM1 actions and the operator's lazily filled norm cache are
-    # shared by the worker threads; the bytes must not notice
-    reports = {t: run_study(_tiny_multiplicative(threads=t, realizations=4)) for t in (1, 3)}
+@pytest.mark.parametrize("workers", [2, 3])
+def test_multiplicative_reports_bit_identical_across_thread_counts(tmp_path, workers):
+    # each worker gets a pickled copy of the problem, whose operator caches
+    # (norms, factorizations) fill again there; the bytes must not notice
+    reports = {t: run_study(_tiny_multiplicative(threads=t, realizations=4))
+               for t in (1, workers)}
     for t, rep in reports.items():
         rep.to_csv(tmp_path / f"t{t}.csv")
         rep.to_json(tmp_path / f"t{t}.json")
-    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t3.csv").read_bytes()
-    assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t3.json").read_bytes()
+    for ext in ("csv", "json"):
+        one, many = (tmp_path / f"t{t}.{ext}" for t in (1, workers))
+        assert one.read_bytes() == many.read_bytes()
+
+
+@pytest.mark.parametrize("threads, realizations, workers",
+                         [(10 ** 6, 3, 3), (2, 3, 2), (1, 3, None), (5, 1, None)])
+def test_pool_size_is_threads_capped_at_realizations(monkeypatch, threads, realizations,
+                                                     workers):
+    # a fork pool starts all its workers at once, so a real pool never sees
+    # a large count here: the fake records its size and runs the work in
+    # turn, on pickled copies, as a worker would receive and return it
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "fork"
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, work, items):
+            work = pickle.loads(pickle.dumps(work))
+            return (pickle.loads(pickle.dumps(work(item))) for item in items)
+
+    serial = run_study(_tiny_linear(threads=1, realizations=realizations))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    report = run_study(_tiny_linear(threads=threads, realizations=realizations))
+    assert sizes == ([] if workers is None else [workers])
+    assert [r.rms_error.hex() for r in report.rows] == [r.rms_error.hex() for r in serial.rows]
+
+
+def test_dead_worker_fails_typed_and_never_hangs(monkeypatch):
+    # forked workers inherit the patched run, so nothing needs to pickle
+    parent = os.getpid()
+    real_run = harness.run
+
+    def dying_run(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", dying_run)
+    t0 = time.perf_counter()
+    with pytest.raises(SETDError, match="realization 0 was lost"):
+        run_study(_tiny_linear(threads=2, realizations=2))
+    assert time.perf_counter() - t0 < 30
+    assert multiprocessing.active_children() == []
 
 
 def _spy_draws(monkeypatch):

@@ -9,7 +9,9 @@ studybench/run.py as they are, installs both the way ``run.main`` does on a
 tiny linear and a tiny advection study, and checks that tracing changes no
 report row, that the capture holds its cell's final field and that
 uninstalling restores every attribute. A deletion or rename in setd that
-the benchmark still uses fails here.
+the benchmark still uses fails here. Both studies pin ``threads = 1``, as
+``run.study_config`` does: the tracer and the capture count in this
+process, and a worker process would run unwatched.
 """
 
 import importlib
@@ -39,14 +41,14 @@ def bench():
 
 def _tiny_linear():
     return linear_additive_study(
-        nx=6, realizations=2, seed=5, T=Fraction(1, 8),
+        nx=6, realizations=2, seed=5, T=Fraction(1, 8), threads=1,
         noise=NoiseSpec.exponential(n1=8, n2=8),
         dt_list=(Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)),
         finest_dt=Fraction(1, 64))
 
 
 def _tiny_advection():
-    return advection_study(heterogeneous=True, nx=6, realizations=1, seed=3,
+    return advection_study(heterogeneous=True, nx=6, realizations=1, seed=3, threads=1,
                            T=Fraction(1, 10), noise=NoiseSpec.powerlaw(n1=8, n2=8))
 
 
