@@ -9,7 +9,8 @@ alias-class block, 33x33 at the linear study's nodes and 32x32 at the
 advection studies' cells, and its projection), one realization's exact
 reference on the linear preset at T = 1/16 (``evolve_exact`` over 80 fine
 steps of 1/1280 on a path bound to the 1/32 nodes, its class draws and
-stored fields included), and one full SETDM1 step (one fused action).
+stored fields included), and one full SETDM0 step (one phi0 action) and
+one full SETDM1 step (one fused action) on the same state and increment.
 
     python benchmarks/kernel_bench.py [--repeats N] [--nx NX]
 
@@ -43,7 +44,7 @@ import numpy as np
 from setd import kernels
 from setd.grid import build_grid
 from setd.harness import advection_study, build_problem, linear_additive_study
-from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm1_step
+from setd.integrators import ProblemDef, Scheme, SchemeConfig, setdm0_step, setdm1_step
 from setd.krylov import fused_action
 from setd.noise import NoiseSpec, alias_classes, make_path, sample_increment
 from setd.operators import assemble_fem, assemble_fv
@@ -89,7 +90,8 @@ def build_cases(nx):
     problem = ProblemDef(discrete=fv, noise=NoiseSpec.powerlaw(n1=64, n2=64),
                          X0=np.zeros(fv.ndof), drift=lambda u: -u / (np.abs(u) + 1.0),
                          dispersion=lambda u: u)
-    cfg = SchemeConfig(Scheme.SETDM1, dt=0.1, steps=1)
+    cfg0 = SchemeConfig(Scheme.SETDM0, dt=0.1, steps=1)
+    cfg1 = SchemeConfig(Scheme.SETDM1, dt=0.1, steps=1)
     path = make_path(problem.noise, seed=1, realization=0, finest_dt=0.1, steps=1)
     dW = sample_increment(path, grid, 0, where="cells")
     state = 0.1 * rng.standard_normal(fv.ndof)
@@ -114,8 +116,10 @@ def build_cases(nx):
          lambda: kernels.normal_block(key0, key1, spec.n1 + 1, spec.n2 + 1, 3, 0)),
         *fields,
         ("exact reference, linear preset, T = 1/16", reference),
+        (f"setdm0_step ({fv.ndof} cells, multiplicative)",
+         lambda: setdm0_step(problem, cfg0, state, dW)),
         (f"setdm1_step ({fv.ndof} cells, multiplicative)",
-         lambda: setdm1_step(problem, cfg, state, dW)),
+         lambda: setdm1_step(problem, cfg1, state, dW)),
     ]
 
 

@@ -2,14 +2,17 @@
 action phi0(dt*A) u + dt*phi1(dt*A) f.
 
 phi0(z) = exp(z), phi1(z) = (exp(z) - 1)/z with phi1(0) = 1. All three
-actions are thin wrappers over one core, which computes the first block of
+actions are one call of one core, which computes the first block of
 
     exp(t [[A, f], [0, 0]]) [u; 1] = phi0(tA) u + t phi1(tA) f
 
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2):488-511, 2011, Theorem 2.1;
 Niesen & Wright, ACM TOMS 38(3), 2012, use the same idea in Krylov form),
 so A is never inverted (it may be singular, e.g. a Neumann Laplacian) and a
-SETDM1 step costs one action.
+SETDM1 step costs one action. The core states every argument rule, once: A
+square, dt finite and >= 0, u and f vectors of A's width whose entries are
+finite, read from the max-norms the series takes anyway (each by itself: a
+sum may overflow). dt = 0 or an A with no stored entries gives u + dt f.
 
 The core is uniformization (Jensen, Skand. Aktuarietidskr. 36, 1953), for
 every square operator. With lam = max(-min_i a_ii, 0) and
@@ -143,10 +146,28 @@ def _step_weights(x, growth, ratio):
 def _action(A, u, f, t):
     """First block of exp(t [[A, f], [0, 0]]) [u; 1]; f None means exp(tA) u.
 
-    s = max(1, ceil(t(beta - lam))) steps of length h = t/s, each one
-    polynomial in P of degree K evaluated in Horner form, with no stop test.
+    The argument rules, then s = max(1, ceil(t(beta - lam))) steps of length
+    h = t/s, each one polynomial in P of degree K evaluated in Horner form,
+    with no stop test.
     """
-    f_norm = 0.0 if f is None else float(np.abs(f).max())
+    if A.n_rows != A.n_cols:
+        raise InvalidArgumentError("phi actions require a square operator")
+    t = check_real(t, "dt", 0)
+    for v in (u, f):
+        if v is not None and np.shape(v) != (A.n_cols,):
+            raise InvalidArgumentError(
+                f"phi action vector has shape {np.shape(v)}, expected ({A.n_cols},)")
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    u_norm = float(np.abs(u).max()) if u.size else 0.0
+    f_norm = 0.0
+    if f is not None:
+        f = np.ascontiguousarray(f, dtype=np.float64)
+        f_norm = float(np.abs(f).max()) if f.size else 0.0
+    # each norm by itself (a sum may overflow); NaN fails < too
+    if not (u_norm < math.inf and f_norm < math.inf):
+        raise InvalidArgumentError("phi action vectors contain NaN/Inf")
+    if t == 0.0 or A.nnz == 0:
+        return PhiResult(u.copy() if f is None else u + t * f, 0.0, 0, 0)
     if f_norm == 0.0:
         f = None
     P, beta, lam = A.uniformized_form
@@ -154,7 +175,6 @@ def _action(A, u, f, t):
     s = max(1, math.ceil(min(r, _MAX_PRODUCTS + 1)))
     h = t / s
     x = h * beta
-    u_norm = float(np.abs(u).max())
     # K > x - 1 (N's median is >= x - ln 2): past the ceiling, skip the weights
     if s > _MAX_PRODUCTS or s * (x - 1.0) >= _MAX_PRODUCTS:
         raise KrylovConvergenceError(
@@ -191,28 +211,10 @@ def _action(A, u, f, t):
                 b = term
             u = b
             u_norm = float(np.abs(u).max())
-            if not math.isfinite(u_norm):
+            if not u_norm < math.inf:
                 raise KrylovConvergenceError(
                     f"phi action overflowed in step {step + 1} of {s}", est_error=math.inf)
     return PhiResult(u, est, s - 1, s * K)
-
-
-def _check_vector(A, v, name="vector"):
-    """v as a C-contiguous float64 array (the caller's own when it already
-    is one: the actions never write into it), checked for shape and
-    finiteness."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (A.n_cols,):
-        raise InvalidArgumentError(f"{name} has shape {v.shape}, expected ({A.n_cols},)")
-    if not np.all(np.isfinite(v)):
-        raise InvalidArgumentError(f"{name} contains NaN/Inf")
-    return np.ascontiguousarray(v)
-
-
-def _check_action_args(A, dt):
-    if A.n_rows != A.n_cols:
-        raise InvalidArgumentError("phi actions require a square operator")
-    return check_real(dt, "dt", 0)
 
 
 def phi0_action(A, v, dt):
@@ -220,8 +222,8 @@ def phi0_action(A, v, dt):
 
     Parameters
     ----------
-    A : SparseOperator
-    v : array, shape (n,)
+    A : SparseOperator, square
+    v : array, shape (n,), finite
     dt : float >= 0
 
     Returns
@@ -230,10 +232,6 @@ def phi0_action(A, v, dt):
         vector, truncation bound, uniformization steps beyond the first
         (restarts_used) and sparse products.
     """
-    dt = _check_action_args(A, dt)
-    v = _check_vector(A, v)
-    if dt == 0.0 or A.nnz == 0:
-        return PhiResult(v.copy(), 0.0, 0, 0)
     return _action(A, v, None, dt)
 
 
@@ -241,23 +239,18 @@ def phi1_action(A, v, dt):
     """Approximate phi1(dt*A) v without inverting A.
 
     The first block of exp(dt [[A, v], [0, 0]]) [0; 1] equals
-    dt * phi1(dt*A) v.
+    dt * phi1(dt*A) v. Where that takes no product (dt = 0 or no stored
+    entries), phi1 is the identity and the result a copy of v, bit for bit.
     """
-    dt = _check_action_args(A, dt)
-    v = _check_vector(A, v)
-    if dt == 0.0 or A.nnz == 0:
-        return PhiResult(v.copy(), 0.0, 0, 0)
-    res = _action(A, np.zeros_like(v), v, dt)
+    res = _action(A, np.zeros(A.n_cols), v, dt)
+    if res.products == 0:
+        return PhiResult(np.array(v, dtype=np.float64), 0.0, 0, 0)
+    dt = float(dt)  # the core accepted it as a finite real
     return PhiResult(res.vector / dt, res.est_error / dt, res.restarts_used, res.products)
 
 
 def fused_action(A, u, f, dt):
     """phi0(dt*A) u + dt * phi1(dt*A) f as one action: a whole SETDM1 step."""
-    dt = _check_action_args(A, dt)
-    u = _check_vector(A, u, "u")
-    f = _check_vector(A, f, "f")
-    if dt == 0.0 or A.nnz == 0:
-        return PhiResult(u + dt * f, 0.0, 0, 0)
     return _action(A, u, f, dt)
 
 

@@ -1,6 +1,7 @@
 """Study orchestration tests: error metric, order fitting, report formats,
 worker-count invariance, worker failure, and flagging of failed cells."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -15,7 +16,7 @@ import pytest
 import setd.harness as harness
 import setd.kernels as kernels
 from setd.errors import (DegenerateFitError, DivergenceError, InvalidArgumentError,
-                         KrylovConvergenceError, SETDError)
+                         KrylovConvergenceError, SETDError, SolverError)
 from setd.grid import build_grid
 from setd.harness import (
     StudyConfig,
@@ -532,6 +533,40 @@ def test_failed_phi_action_flags_its_cell_not_the_study(monkeypatch):
     flagged = {(r.scheme, str(r.dt)): r.flagged_count for r in report.rows}
     assert flagged[("setdm1", "1/8")] == 1
     assert sum(flagged.values()) == 1
+    assert all(np.isfinite(r.rms_error) for r in report.rows)
+
+
+def test_nan_drift_flags_its_cell_with_its_failure_kind(monkeypatch):
+    # a drift that returns NaN in one cell per scheme of realization 1
+    # fails that run with its own kind (InvalidArgumentError from the phi
+    # actions, SolverError from the implicit solve); the study flags just
+    # those cells and finishes
+    cfg = _tiny_linear(realizations=2)
+    real_run = harness.run
+    broken = {Scheme.SETDM0: Fraction(1, 4), Scheme.SETDM1: Fraction(1, 8),
+              Scheme.SEMI_IMPLICIT_EULER: Fraction(1, 16)}
+    raised = {}
+
+    def nan_drift(u):
+        return np.full_like(u, np.nan)
+
+    def run_with_nan_drift(problem, run_cfg, path, coarsening=1, **kwargs):
+        if path.realization == 1 and run_cfg.dt == broken[run_cfg.scheme]:
+            problem = dataclasses.replace(problem, drift=nan_drift)
+            try:
+                return real_run(problem, run_cfg, path, coarsening, **kwargs)
+            except SETDError as exc:
+                raised[run_cfg.scheme] = type(exc)
+                raise
+        return real_run(problem, run_cfg, path, coarsening, **kwargs)
+
+    monkeypatch.setattr(harness, "run", run_with_nan_drift)
+    report = run_study(cfg)
+    assert raised == {Scheme.SETDM0: InvalidArgumentError, Scheme.SETDM1: InvalidArgumentError,
+                      Scheme.SEMI_IMPLICIT_EULER: SolverError}
+    flagged = {(r.scheme, r.dt): r.flagged_count for r in report.rows}
+    assert flagged == {(s.value, dt): int(broken[s] == dt) for s in cfg.schemes
+                       for dt in cfg.dt_list}
     assert all(np.isfinite(r.rms_error) for r in report.rows)
 
 

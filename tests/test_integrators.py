@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from setd.errors import DivergenceError, InvalidArgumentError, SolverError
+from setd.errors import DivergenceError, InvalidArgumentError, SETDError, SolverError
 from setd.grid import BoundaryTag, build_grid
 from setd.integrators import (
     ProblemDef,
@@ -138,6 +138,25 @@ def test_divergence_guard():
     with pytest.raises(DivergenceError) as exc:
         run(problem, cfg, path)
     assert exc.value.step == 1
+
+
+def _nan_drift(u):
+    """-u with one NaN entry, at DOF 5."""
+    return np.where(np.arange(u.size) == 5, np.nan, -u)
+
+
+@pytest.mark.parametrize("scheme, kind", [(Scheme.SETDM0, InvalidArgumentError),
+                                          (Scheme.SETDM1, InvalidArgumentError),
+                                          (Scheme.SEMI_IMPLICIT_EULER, SolverError)])
+def test_nan_drift_keeps_its_failure_kind(scheme, kind):
+    # a drift that returns NaN fails in the first step: the phi action
+    # rejects its operand, the implicit solve its NaN residual; neither is
+    # reported as a divergence
+    problem = _linear_problem(nx=4, drift=_nan_drift)
+    path = make_path(problem.noise, 0, 0, 0.25, 4)
+    with pytest.raises(SETDError) as exc:
+        run(problem, SchemeConfig(scheme, 0.25, 4), path)
+    assert type(exc.value) is kind
 
 
 def test_dirichlet_dofs_pinned_through_run():

@@ -14,7 +14,8 @@ def test_kernel_bench_prints_every_table(capsys):
     bench.main(["--repeats", "1", "--nx", "8"])
     out = capsys.readouterr().out
     assert "SparseOperator.matvec (81 dof" in out
-    assert "setdm1_step" in out
+    assert "setdm0_step (64 cells, multiplicative)" in out
+    assert "setdm1_step (64 cells, multiplicative)" in out
     assert "normal_block 65x65" in out
     assert "fine-step field, nodes 1/32 (33x33 classes)" in out
     assert "fine-step field, cells 1/32 (32x32 classes)" in out

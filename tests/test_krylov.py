@@ -136,21 +136,56 @@ def test_phi_edge_cases():
     Z = SparseOperator(sp.csr_matrix((16, 16)))
     np.testing.assert_array_equal(phi0_action(Z, v, 3.0).vector, v)
     np.testing.assert_array_equal(phi1_action(Z, v, 3.0).vector, v)
+    # no product taken: phi1 returns v bit for bit, not dt*v/dt (which
+    # differs here), in a new array
+    w, Z3 = np.array([0.1, 0.7, 1.0 / 3.0]), SparseOperator(sp.csr_matrix((3, 3)))
+    assert (3.0 * w / 3.0).tobytes() != w.tobytes()
+    for res in (phi1_action(Z3, w, 3.0), phi1_action(_random_operator(3, 1.0, 8), w, 0.0)):
+        assert res.vector.tobytes() == w.tobytes() and res.products == 0
+        assert not np.shares_memory(res.vector, w)
+    # a 0x0 operator gives empty vectors
+    empty = SparseOperator(sp.csr_matrix((0, 0)))
+    for action, args in ((phi0_action, ([],)), (phi1_action, (np.empty(0),)),
+                         (fused_action, (np.empty(0), np.empty(0)))):
+        res = action(empty, *args, 0.5)
+        assert res.vector.shape == (0,) and res.vector.dtype == np.float64
+        assert res.products == 0 and res.est_error == 0.0
     # v = 0: zero comes back
     np.testing.assert_array_equal(phi0_action(A, np.zeros(16), 1.0).vector, np.zeros(16))
 
 
 def test_phi_validation_errors():
+    # one table of broken arguments, each raised by every action on every
+    # route: a normal operator, dt = 0 and an operator with no stored
+    # entries (the last two take no product)
     A = _random_operator(10, 1.0, 7)
-    with pytest.raises(InvalidArgumentError):
-        phi0_action(A, np.zeros(9), 1.0)
-    with pytest.raises(InvalidArgumentError):
-        phi0_action(A, np.full(10, np.nan), 1.0)
-    with pytest.raises(InvalidArgumentError):
-        phi0_action(A, np.zeros(10), -0.5)
-    rect = SparseOperator(sp.csr_matrix(np.ones((3, 4))))
-    with pytest.raises(InvalidArgumentError):
-        phi0_action(rect, np.zeros(4), 1.0)
+    routes = {"normal": (A, 1.0), "dt = 0": (A, 0.0),
+              "no entries": (SparseOperator(sp.csr_matrix((10, 10))), 1.0)}
+    rectangular = {"normal": SparseOperator(sp.csr_matrix(np.ones((10, 11)))),
+                   "no entries": SparseOperator(sp.csr_matrix((10, 11)))}
+    rows = {"short u": {"u": np.ones(9)}, "long f": {"f": np.ones(11)},
+            "NaN u": {"u": np.r_[np.ones(9), np.nan]},
+            "Inf f": {"f": np.r_[-np.inf, np.ones(9)]},
+            "negative dt": {"dt": -0.5}, "NaN dt": {"dt": math.nan},
+            "rectangular A": {"A": None}}
+    actions = {phi0_action: ("u",), phi1_action: ("f",), fused_action: ("u", "f")}
+    missed = []
+    for route, (op, dt) in routes.items():
+        for row, broken in rows.items():
+            (key,) = broken
+            for action, names in actions.items():
+                if key in ("u", "f") and key not in names:
+                    continue  # the row breaks a vector this action does not take
+                args = {"A": op, "u": np.ones(10), "f": np.ones(10), "dt": dt, **broken}
+                if key == "A":
+                    args.update(A=rectangular.get(route, rectangular["normal"]),
+                                u=np.ones(11), f=np.ones(11))
+                try:
+                    action(args["A"], *(args[n] for n in names), args["dt"])
+                except InvalidArgumentError:
+                    continue
+                missed.append((action.__name__, row, route))
+    assert missed == []
 
 
 def test_restart_budget_exhaustion_raises_with_estimate(monkeypatch):

@@ -35,8 +35,11 @@ def _mpmath_rho_v(mu, dt):
         return float(rho), float(v)
 
 
+# negative mu is a growing mode (the (0,0) mode at a negative reaction):
+# a = mu dt from -5 to -1e-7, on both sides of the series seam at |a| = 0.1
 @pytest.mark.parametrize("mu", [0.0, 1e-9, 1e-3, 0.05, 0.0999, 0.1001, 0.5,
-                                1.0, 10.437, 100.0, 5000.0])
+                                1.0, 10.437, 100.0, 5000.0,
+                                -1e-5, -5.0, -9.99, -10.01, -50.0, -100.0, -500.0])
 def test_conditional_params_against_mpmath(mu):
     dt = 0.01
     rho, v = conditional_convolution_params(np.array([mu]), dt)
