@@ -84,7 +84,7 @@ def lines():
                                dispersion=lambda u: u),
                     ProblemDef(fem, spec, np.zeros(fem.ndof), drift=lambda u: -0.3 * u)):
         path = make_path(spec, 1, 0, 0.125, 8)
-        finals += [run(problem, SchemeConfig(scheme, 0.125 * c, 8 // c), path, coarsening=c).final
+        finals += [run(problem, SchemeConfig(scheme, 0.125 * c, 8 // c), path).final
                    for scheme in Scheme for c in (1, 2)]
     yield "run finals", digest(*finals)
 

@@ -38,11 +38,11 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="override study seed")
 
 
-def _study_config(args, extra_overrides=None):
+def _study_config(args):
+    """The file's sections and its study, overridden by the flags given."""
     sections = cfgmod.read_config(args.config)
-    overrides = dict(extra_overrides or {})
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {key: getattr(args, key) for key in ("seed", "realizations", "threads")
+                 if getattr(args, key, None) is not None}
     return sections, cfgmod.study_from_config(sections, overrides)
 
 
@@ -56,12 +56,7 @@ def _write_trajectory_csv(path, xy, values):
 
 
 def cmd_converge(args):
-    overrides = {}
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    _, study = _study_config(args, overrides)
+    _, study = _study_config(args)
 
     t0 = time.perf_counter()
     report = run_study(study)
@@ -99,13 +94,10 @@ def cmd_solve(args):
         print(f"wrote {args.export_operator}")
 
     dt = solve["dt"]
-    coarsening = int(dt / study.finest_dt)
-    steps = int(study.T / dt)
     path = make_path(study.noise, study.seed, solve["realization"],
                      float(study.finest_dt), study.fine_steps)
-    scheme_cfg = SchemeConfig(scheme=solve["scheme"], dt=float(dt), steps=steps)
-    traj = run(problem, scheme_cfg, path, coarsening=coarsening,
-               snapshot_every=solve["snapshot_every"])
+    scheme_cfg = SchemeConfig(scheme=solve["scheme"], dt=float(dt), steps=study.steps_at(dt))
+    traj = run(problem, scheme_cfg, path, snapshot_every=solve["snapshot_every"])
 
     xy = site_xy(problem.discrete.grid, problem.discrete.where)
     _write_trajectory_csv(args.out, xy, traj.final)

@@ -7,16 +7,17 @@ takes its value from the problem's preset (``harness.linear_additive_study``
 or ``harness.advection_study``), from ``harness.PROBLEM_PARAMS`` or from
 the Darcy solver. Times (T, dt values) parse as exact fractions ("1/160",
 "0.25", "1") so divisibility requirements are checked without float
-rounding.
+rounding. A value that StudyConfig or the library rejects is a ConfigError too.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .harness import (DARCY_KEYS, PROBLEM_NAMES, PROBLEM_PARAMS, advection_study,
                       linear_additive_study)
 from .integrators import Scheme
@@ -125,12 +126,27 @@ def darcy_from_config(sections):
     return params
 
 
+def _as_config_error(build):
+    """build, with the InvalidArgumentError of a value the library rejects
+    raised as a ConfigError: the one place where that happens."""
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from exc
+    return checked
+
+
+@_as_config_error
 def study_from_config(sections, overrides=None):
     """Build a StudyConfig from parsed config sections.
 
     The problem's preset gets the keys the file gives and then overrides,
     an optional mapping for seed/realizations/threads used by the CLI
     flags of the same names; the preset supplies every other value.
+    [problem] and [darcy] values become ``problem_params``, which
+    StudyConfig checks against the problem.
     """
     study = sections.get("study", {})
     problem = study.get("problem", "linear_additive").strip().lower()
@@ -144,17 +160,8 @@ def study_from_config(sections, overrides=None):
         given["dt_list"] = tuple(_parse(tok, "study.dt_list", Fraction)
                                  for tok in _csv_list(study["dt_list"]))
     given.update(grid_from_config(sections))
-
-    prob_sec = sections.get("problem", {})
-    allowed = PROBLEM_PARAMS[problem]
-    unknown = set(prob_sec) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"problem keys {sorted(unknown)} do not apply to {problem}; allowed: {sorted(allowed)}"
-        )
-    if sections.get("darcy") and problem != "advection_heterogeneous":
-        raise ConfigError("[darcy] section applies only to advection_heterogeneous")
-    params = {key: _parse(raw, f"problem.{key}", float) for key, raw in prob_sec.items()}
+    params = {key: _parse(raw, f"problem.{key}", float)
+              for key, raw in sections.get("problem", {}).items()}
     params.update(darcy_from_config(sections))
     if params:
         given["problem_params"] = params
@@ -169,17 +176,14 @@ def study_from_config(sections, overrides=None):
     return cfg
 
 
+@_as_config_error
 def solve_from_config(sections, study_cfg):
-    """Extract the single-trajectory solve settings ([solve] section)."""
+    """Extract the single-trajectory solve settings ([solve] section); the
+    dt meets the study's rule for its step sizes (``StudyConfig.steps_at``)."""
     solve_sec = sections.get("solve", {})
     scheme = _scheme(solve_sec.get("scheme", "setdm1").strip().lower())
     dt = _parse(solve_sec.get("dt", str(study_cfg.dt_list[-1])), "solve.dt", Fraction)
-    if (study_cfg.T / dt).denominator != 1:
-        raise ConfigError(f"solve dt {dt} does not divide T={study_cfg.T}")
-    if (dt / study_cfg.finest_dt).denominator != 1:
-        raise ConfigError(
-            f"solve dt {dt} is not a multiple of finest_dt {study_cfg.finest_dt}"
-        )
+    study_cfg.steps_at(dt)
     realization = _parse(solve_sec.get("realization", "0"), "solve.realization", int)
     snapshot_every = solve_sec.get("snapshot_every")
     if snapshot_every is not None:

@@ -7,6 +7,8 @@ Per realization there is exactly one noise path at the finest step; every
 scheme and the reference consume refinements of the same increments, so
 the measured error is the pure strong (pathwise) error.
 
+StudyConfig checks every study input when built; ``steps_at`` is its step-size rule.
+
 References: the linear additive preset has an exact per-mode solution
 (see :mod:`setd.reference`); the nonlinear/multiplicative presets use the
 finest-step SETDM1 run on the shared path as the surrogate truth.
@@ -23,7 +25,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -54,8 +56,11 @@ class StudyConfig:
     """Everything a convergence study needs, exactly reproducible from it.
 
     dt values are Fractions, so divisibility (dt | T, finest_dt | dt) is
-    checked exactly, not through float rounding. ``threads`` worker
-    processes run the realizations; by default, one per usable CPU.
+    checked exactly, not through float rounding. ``problem_params`` holds
+    the problem's PROBLEM_PARAMS keys (finite numbers) and, for
+    advection_heterogeneous only, the DARCY_KEYS, which darcy checks; a
+    key left out takes its default. Schemes must not repeat. ``threads``
+    worker processes run the realizations; by default, one per usable CPU.
     """
 
     problem: str
@@ -86,49 +91,55 @@ class StudyConfig:
         for s in self.schemes:
             if not isinstance(s, Scheme):
                 raise InvalidArgumentError(f"schemes must be Scheme members, got {s!r}")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise InvalidArgumentError(f"schemes must not repeat, got {self.schemes!r}")
         # the seed keys Philox mod 2^64, as in NoisePath
         for name, start, stop in (("realizations", 1, None), ("seed", 0, 2 ** 64),
                                   ("threads", 1, None), ("nx", None, None), ("ny", None, None)):
             object.__setattr__(self, name, check_int(getattr(self, name), name, start, stop))
         for name in ("c0", "expected_order"):
             check_real(getattr(self, name), name)
+        allowed = {*PROBLEM_PARAMS[self.problem],
+                   *(DARCY_KEYS if self.problem == "advection_heterogeneous" else ())}
+        unknown = sorted(set(self.problem_params) - allowed)
+        if unknown:
+            raise InvalidArgumentError(
+                f"problem_params {unknown} do not apply to {self.problem} (allowed: "
+                f"{sorted(allowed)}; the Darcy keys only to advection_heterogeneous)")
+        for key in PROBLEM_PARAMS[self.problem]:
+            check_real(self.problem_params.get(key, 0.0), key)
         dts = tuple(Fraction(d) for d in self.dt_list)
         object.__setattr__(self, "dt_list", dts)
         object.__setattr__(self, "finest_dt", Fraction(self.finest_dt))
         object.__setattr__(self, "T", Fraction(self.T))
         if not dts:
             raise InvalidArgumentError("dt_list must be non-empty")
-        if any(d <= 0 for d in dts) or self.finest_dt <= 0 or self.T <= 0:
+        if self.finest_dt <= 0 or self.T <= 0:
             raise InvalidArgumentError("times must be positive")
         if list(dts) != sorted(dts, reverse=True) or len(set(dts)) != len(dts):
             raise InvalidArgumentError("dt_list must be strictly decreasing")
-        for d in dts:
-            if (self.T / d).denominator != 1:
-                raise InvalidArgumentError(f"dt {d} does not divide T={self.T}")
-            if (d / self.finest_dt).denominator != 1:
-                raise InvalidArgumentError(
-                    f"dt {d} is not an integer multiple of finest_dt {self.finest_dt}"
-                )
-        if (self.T / self.finest_dt).denominator != 1:
-            raise InvalidArgumentError("finest_dt does not divide T")
-        if self.noise is None:
-            object.__setattr__(self, "noise", default_noise(self.problem, self.L1, self.L2))
-        elif (self.noise.L1, self.noise.L2) != (self.L1, self.L2):
-            raise InvalidArgumentError(
-                f"noise is on the domain {self.noise.L1} x {self.noise.L2}, "
-                f"the study on {self.L1} x {self.L2}")
+        for d in dts:   # so finest_dt divides T too
+            self.steps_at(d)
+        if self.noise is None:   # smooth for the linear problem, rough for advection
+            preset = NoiseSpec.exponential if self.problem == "linear_additive" else NoiseSpec.powerlaw
+            object.__setattr__(self, "noise", preset(L1=self.L1, L2=self.L2))
+        self.noise.check_domain(self.L1, self.L2, "the study")
+
+    def steps_at(self, dt):
+        """The number of steps of the Fraction ``dt`` over [0, T], if dt meets
+        the rule for every step size of the study: dt > 0 divides T and is a
+        whole number of finest_dt steps."""
+        if not dt > 0:
+            raise InvalidArgumentError(f"dt must be positive, got {dt}")
+        if (self.T / dt).denominator != 1:
+            raise InvalidArgumentError(f"dt {dt} does not divide T={self.T}")
+        if (dt / self.finest_dt).denominator != 1:
+            raise InvalidArgumentError(f"dt {dt} is not a multiple of finest_dt {self.finest_dt}")
+        return int(self.T / dt)
 
     @property
     def fine_steps(self):
         return int(self.T / self.finest_dt)
-
-
-def default_noise(problem, L1=1.0, L2=1.0):
-    """Preset noise: smooth exponential spectrum for the linear problem,
-    slowly decaying power law for the advection problems."""
-    if problem == "linear_additive":
-        return NoiseSpec.exponential(L1=L1, L2=L2)
-    return NoiseSpec.powerlaw(L1=L1, L2=L2)
 
 
 _DT_LIST = tuple(Fraction(1, n) for n in (10, 20, 40, 80, 160))
@@ -165,13 +176,8 @@ def build_problem(cfg):
     their PROBLEM_PARAMS defaults; Darcy keys go to darcy only when given.
     """
     grid = build_grid(cfg.nx, cfg.ny, cfg.L1, cfg.L2)
-    defaults = PROBLEM_PARAMS[cfg.problem]
-    flow_keys = DARCY_KEYS if cfg.problem == "advection_heterogeneous" else ()
-    unknown = set(cfg.problem_params) - set(defaults) - set(flow_keys)
-    if unknown:
-        raise InvalidArgumentError(f"unknown problem parameters: {sorted(unknown)}")
-    pp = {key: check_real(cfg.problem_params.get(key, value), key)
-          for key, value in defaults.items()}
+    pp = {key: float(cfg.problem_params.get(key, value))
+          for key, value in PROBLEM_PARAMS[cfg.problem].items()}
     c0 = cfg.c0
     if cfg.problem == "linear_additive":
         diffusion, reaction = pp["diffusion"], pp["reaction"]
@@ -185,7 +191,7 @@ def build_problem(cfg):
     if cfg.problem == "advection_homogeneous":
         faces = FaceVelocities.constant(grid, pp["velocity_x"], pp["velocity_y"])
     else:
-        flow = {key: cfg.problem_params[key] for key in flow_keys if key in cfg.problem_params}
+        flow = {key: value for key, value in cfg.problem_params.items() if key in DARCY_KEYS}
         _, faces = darcy.solve_streaks(grid, **flow)
     discrete = assemble_fv(grid, (pp["diffusion_x"], pp["diffusion_y"]), q_faces=faces,
                            dirichlet={BoundaryTag.LEFT: pp["inflow"]}, c0=c0)
@@ -218,8 +224,7 @@ def rms_l2_error(samples, grid):
     """
     if len(samples) == 0:
         raise InvalidArgumentError("rms_l2_error needs at least one sample")
-    a0, r0 = samples[0]
-    w = quadrature_weights(grid, len(a0))
+    w = quadrature_weights(grid, len(samples[0][0]))
     acc = 0.0
     for approx, ref in samples:
         approx = np.asarray(approx, dtype=np.float64)
@@ -277,21 +282,11 @@ class ConvergenceReport:
             fh.write("\n".join(lines) + "\n")
 
     def to_json(self, path):
-        payload = {
-            "rows": [
-                {
-                    "scheme": row.scheme,
-                    "dt": str(row.dt),
-                    "rms_error": row.rms_error if math.isfinite(row.rms_error) else None,
-                    "realizations": row.realizations,
-                    "flagged_count": row.flagged_count,
-                }
-                for row in self.rows
-            ],
-            "fitted_orders": self.fitted_orders,
-            "expected_order": self.expected_order,
-            "metadata": self.metadata,
-        }
+        rows = [{**asdict(row), "dt": str(row.dt),
+                 "rms_error": row.rms_error if math.isfinite(row.rms_error) else None}
+                for row in self.rows]
+        payload = {"rows": rows, "fitted_orders": self.fitted_orders,
+                   "expected_order": self.expected_order, "metadata": self.metadata}
         # a cell flagged in every realization writes null above; any other
         # non-finite value raises here, before the file is opened
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -322,11 +317,9 @@ def _realization_worker(cfg, problem, r):
     fields = {}
     for scheme in cfg.schemes:
         for dt in cfg.dt_list:
-            coarsening = int(dt / cfg.finest_dt)
-            steps = int(cfg.T / dt)
-            run_cfg = SchemeConfig(scheme, float(dt), steps)
+            run_cfg = SchemeConfig(scheme, float(dt), cfg.steps_at(dt))
             try:
-                fields[(scheme, dt)] = run(problem, run_cfg, path, coarsening).final
+                fields[(scheme, dt)] = run(problem, run_cfg, path).final
             except SETDError:
                 fields[(scheme, dt)] = None
     return ref, fields
@@ -356,26 +349,19 @@ def run_study(cfg):
             except BrokenProcessPool as exc:
                 raise SETDError(f"a worker died: realization {len(results)} was lost") from exc
 
-    rows = []
-    per_scheme = {scheme: ([], []) for scheme in cfg.schemes}
+    rows, fitted = [], {}
     for scheme in cfg.schemes:
+        dts, errs = [], []
         for dt in cfg.dt_list:
-            samples = []
-            flagged = 0
-            for ref, fields in results:
-                final = None if ref is None else fields.get((scheme, dt))
-                if ref is None or final is None:
-                    flagged += 1
-                else:
-                    samples.append((final, ref))
+            # a failed reference or run flags its cell
+            samples = [(fields[(scheme, dt)], ref) for ref, fields in results
+                       if ref is not None and fields[(scheme, dt)] is not None]
             rms = rms_l2_error(samples, grid) if samples else float("nan")
-            rows.append(ReportRow(scheme.value, dt, rms, cfg.realizations, flagged))
-            if samples and np.isfinite(rms) and rms > 0:
-                per_scheme[scheme][0].append(dt)
-                per_scheme[scheme][1].append(rms)
-
-    fitted = {}
-    for scheme, (dts, errs) in per_scheme.items():
+            rows.append(ReportRow(scheme.value, dt, rms, cfg.realizations,
+                                  cfg.realizations - len(samples)))
+            if np.isfinite(rms) and rms > 0:
+                dts.append(dt)
+                errs.append(rms)
         try:
             fitted[scheme.value], _ = fit_order(dts, errs)
         except DegenerateFitError:

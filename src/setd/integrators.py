@@ -17,6 +17,7 @@ which zeroes both at those DOFs in arrays it made itself; ``run`` applies
 the boundary values to X0 once (``apply_dirichlet``) and writes them in
 place into the vector each step returns. A state whose largest magnitude
 is not <= 1e12 (NaN and Inf included) stops the run with DivergenceError.
+``run`` sums dt / finest_dt fine increments of its path per step.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ class ProblemDef:
             )
         if not np.all(np.isfinite(self.X0)):
             raise InvalidArgumentError("X0 contains non-finite values")
+        self.noise.check_domain(self.discrete.grid.L1, self.discrete.grid.L2, "the grid")
 
 
 @dataclass
@@ -162,20 +164,23 @@ def make_implicit_solver(discrete, dt):
     return solve
 
 
-def run(problem, config, path, coarsening=1, snapshot_every=None):
+def run(problem, config, path, snapshot_every=None):
     """Integrate the problem along one noise path.
 
-    The path is sampled at the stated coarsening (config.dt must equal
-    coarsening * path.finest_dt), so runs at different step sizes on the
-    same path consume refinements of the same Wiener increments. Snapshots:
-    the initial state and every snapshot_every-th step. Raises DivergenceError
-    (carrying the step index) if the state leaves [-1e12, 1e12] or goes non-finite.
+    Each step of config.dt sums the path's fine increments over dt /
+    path.finest_dt fine steps, which must be a whole number, so runs at
+    different step sizes on the same path consume refinements of the same
+    Wiener increments. Snapshots: the initial state and every
+    snapshot_every-th step. Raises DivergenceError (carrying the step index)
+    if the state leaves [-1e12, 1e12] or goes non-finite.
     """
     if problem.noise != path.spec:
         raise InvalidArgumentError("problem and path disagree on the noise spec")
     if snapshot_every is not None:
         snapshot_every = check_int(snapshot_every, "snapshot_every", 1)
-    coarsening = path.coarse_window(coarsening, config.steps, dt=config.dt)
+    # the nearest whole number of fine steps (capped), which coarse_window checks
+    nearest = round(min(config.dt / path.finest_dt, path.steps + 1))
+    coarsening = path.coarse_window(max(1, nearest), config.steps, dt=config.dt)
 
     discrete = problem.discrete
     grid = discrete.grid

@@ -12,7 +12,8 @@ so A is never inverted (it may be singular, e.g. a Neumann Laplacian) and a
 SETDM1 step costs one action. The core states every argument rule, once: A
 square, dt finite and >= 0, u and f vectors of A's width whose entries are
 finite, read from the max-norms the series takes anyway (each by itself: a
-sum may overflow). dt = 0 or an A with no stored entries gives u + dt f.
+sum may overflow). dt = 0 or an A with no stored entries gives u + dt f,
+checked for overflow as the series result is.
 
 The core is uniformization (Jensen, Skand. Aktuarietidskr. 36, 1953), for
 every square operator. With lam = max(-min_i a_ii, 0) and
@@ -167,7 +168,11 @@ def _action(A, u, f, t):
     if not (u_norm < math.inf and f_norm < math.inf):
         raise InvalidArgumentError("phi action vectors contain NaN/Inf")
     if t == 0.0 or A.nnz == 0:
-        return PhiResult(u.copy() if f is None else u + t * f, 0.0, 0, 0)
+        with np.errstate(over="ignore"):
+            v = u.copy() if f is None else u + t * f
+        if not np.isfinite(v).all():
+            raise KrylovConvergenceError("phi action overflowed", est_error=math.inf)
+        return PhiResult(v, 0.0, 0, 0)
     if f_norm == 0.0:
         f = None
     P, beta, lam = A.uniformized_form

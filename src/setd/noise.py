@@ -99,6 +99,12 @@ class NoiseSpec:
         for name in ("n1", "n2"):
             object.__setattr__(self, name, check_int(getattr(self, name), name, 0))
 
+    def check_domain(self, L1, L2, owner):
+        """Raise unless ``owner`` (named in the message) is on this noise's domain."""
+        if (self.L1, self.L2) != (L1, L2):
+            raise InvalidArgumentError(
+                f"noise is on the domain {self.L1} x {self.L2}, {owner} on {L1} x {L2}")
+
     @classmethod
     def exponential(cls, gamma=1.0, b1=0.2, b2=0.2, n1=64, n2=64, L1=1.0, L2=1.0):
         return cls(SpectrumKind.EXPONENTIAL, L1, L2, n1, n2, gamma=gamma, b1=b1, b2=b2)
@@ -247,6 +253,7 @@ class NoisePath:
                     and self.sites[1] in ("nodes", "cells")):
                 raise InvalidArgumentError(
                     f"sites must be a (Grid, 'nodes' | 'cells') pair, got {self.sites!r}")
+            self.spec.check_domain(self.sites[0].L1, self.sites[0].L2, "the sites")
             if self.steps * site_index(*self.sites).size <= _MAX_CACHED_FLOATS:
                 self._fields = {}
 
@@ -286,7 +293,7 @@ class NoisePath:
         if dt is not None and not np.isclose(
                 check_real(dt, "dt"), coarsening * self.finest_dt, rtol=1e-9, atol=0.0):
             raise InvalidArgumentError(
-                f"dt={dt} is not coarsening {coarsening} x finest_dt {self.finest_dt}")
+                f"dt must be coarsening {coarsening} x finest_dt {self.finest_dt}, got {dt}")
         return coarsening
 
     # -- Brownian mode increments ------------------------------------------

@@ -158,4 +158,4 @@ def finest_reference(problem, path):
     from .integrators import Scheme, SchemeConfig, run
 
     cfg = SchemeConfig(Scheme.SETDM1, path.finest_dt, path.steps)
-    return run(problem, cfg, path, coarsening=1).final
+    return run(problem, cfg, path).final

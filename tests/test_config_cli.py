@@ -176,6 +176,23 @@ def test_study_validation_errors(tmp_path):
             study_from_config(read_config(_write(tmp_path, text, name="bad.ini")))
 
 
+def test_values_the_library_rejects_are_config_errors(tmp_path):
+    # these used to raise InvalidArgumentError, or (a NaN reaction) run
+    # until the study started
+    for old, new, match in (("realizations = 2", "realizations = 0", "realizations"),
+                            ("schemes = setdm0, setdm1", "schemes = setdm0, setdm0",
+                             "schemes must not repeat"),
+                            ("n1 = 10", "n1 = 10\ngamma = -1", "gamma"),
+                            ("seed = 5", "seed = 5\n[problem]\nreaction = nan", "reaction")):
+        text = TINY_STUDY.replace(old, new)
+        with pytest.raises(ConfigError, match=match):
+            study_from_config(read_config(_write(tmp_path, text, name="bad.ini")))
+    study = study_from_config(read_config(_write(tmp_path, TINY_SOLVE)))
+    for dt in ("0", "-1/4"):
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            solve_from_config({"solve": {"dt": dt}}, study)
+
+
 def test_darcy_keys_feed_problem_params(tmp_path):
     text = """\
 [study]

@@ -66,8 +66,9 @@ CASES = [
     ("sample_increment", "coarsening", lambda: sample_increment(_path(), GRID, 0, 2.5)),
     ("brownian_increment_modes", "coarsening",
      lambda: _path().brownian_increment_modes(0, 2.5)),
-    ("run", "coarsening",
-     lambda: run(_problem(), SchemeConfig(Scheme.SETDM1, 2 * FINEST_DT, 1), _path(), 2.5)),
+    # nor does a run whose dt is 2.5 fine steps
+    ("run", "dt",
+     lambda: run(_problem(), SchemeConfig(Scheme.SETDM1, 2.5 * FINEST_DT, 1), _path())),
     # typed errors where the value used to reach float(), a ufunc or a bare check
     ("PermeabilityField-mu='1'", "mu", lambda: _perm(mu="1")),
     ("PermeabilityField-mu=None", "mu", lambda: _perm(mu=None)),

@@ -2,6 +2,7 @@
 worker-count invariance, worker failure, and flagging of failed cells."""
 
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -137,17 +138,44 @@ def test_study_config_validation():
     assert cfg.noise.n1 == 12
 
 
+def test_repeated_schemes_are_rejected():
+    # a repeated scheme wrote one row per copy and fitted its order on
+    # doubled points
+    with pytest.raises(InvalidArgumentError, match="schemes must not repeat"):
+        linear_additive_study(schemes=(Scheme.SETDM0, Scheme.SETDM0))
+
+
+def test_bad_problem_params_fail_when_the_config_is_built():
+    tiny = dict(nx=4, realizations=1, dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4))
+    noise = NoiseSpec.powerlaw(n1=4, n2=4)
+    presets = {"linear_additive": linear_additive_study,
+               "advection_homogeneous": functools.partial(advection_study, noise=noise),
+               "advection_heterogeneous": functools.partial(advection_study, heterogeneous=True,
+                                                            noise=noise)}
+    for problem, make in presets.items():
+        for key in harness.PROBLEM_PARAMS[problem]:
+            for bad in (math.nan, "0.5", None):
+                with pytest.raises(InvalidArgumentError, match=key):
+                    make(problem_params={key: bad}, **tiny)
+        foreign = {"linear_additive": "inflow", "advection_homogeneous": "contrast",
+                   "advection_heterogeneous": "reaction"}[problem]
+        with pytest.raises(InvalidArgumentError, match=foreign):
+            make(problem_params={foreign: 1.0}, **tiny)
+    # Darcy keys apply to the heterogeneous problem alone; darcy checks them
+    cfg = presets["advection_heterogeneous"](problem_params={"contrast": 5.0}, **tiny)
+    assert cfg.problem_params == {"contrast": 5.0}
+
+
 def test_build_problem_shapes_and_rejects_unknown_params():
     cfg = _tiny_linear()
     problem = build_problem(cfg)
     assert problem.discrete.where == "nodes"
     assert problem.linear_reference == (1.0, 0.5)
     assert problem.dispersion is None          # additive noise
-    bad = StudyConfig(problem="linear_additive", schemes=(Scheme.SETDM1,),
-                      dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4),
-                      problem_params={"不明": 1.0})
     with pytest.raises(InvalidArgumentError):
-        build_problem(bad)
+        StudyConfig(problem="linear_additive", schemes=(Scheme.SETDM1,),
+                    dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4),
+                    problem_params={"不明": 1.0})
     adv = advection_study(nx=6, realizations=2,
                           dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 8),
                           noise=NoiseSpec.powerlaw(n1=6, n2=6))
@@ -175,24 +203,21 @@ def test_problems_pickle_and_run_the_same():
         path = make_path(cfg.noise, 1, 0, 1 / 16, 8)
         for scheme in cfg.schemes:
             config = SchemeConfig(scheme, 1 / 8, 4)
-            assert (run(copy, config, path, coarsening=2).final.tobytes()
-                    == run(problem, config, path, coarsening=2).final.tobytes())
+            assert (run(copy, config, path).final.tobytes()
+                    == run(problem, config, path).final.tobytes())
 
 
 def test_non_finite_problem_params_fail_before_the_study():
     # a NaN or Inf [problem] value used to run the whole study and report
-    # NaN rows with every cell flagged
+    # NaN rows with every cell flagged; it now fails when the config is built
     tiny = dict(realizations=1, dt_list=(Fraction(1, 4),), finest_dt=Fraction(1, 4))
+    noise = NoiseSpec.powerlaw(n1=4, n2=4)
     for bad in (math.nan, math.inf, -math.inf):
-        for cfg, key in (
-                (linear_additive_study(nx=4, problem_params={"reaction": bad}, **tiny), "reaction"),
-                (linear_additive_study(nx=4, problem_params={"diffusion": bad}, **tiny), "diffusion"),
-                (advection_study(nx=4, problem_params={"inflow": bad},
-                                 noise=NoiseSpec.powerlaw(n1=4, n2=4), **tiny), "inflow"),
-                (advection_study(nx=4, problem_params={"velocity_y": bad},
-                                 noise=NoiseSpec.powerlaw(n1=4, n2=4), **tiny), "velocity_y")):
+        for make, key in ((linear_additive_study, "reaction"), (linear_additive_study, "diffusion"),
+                          (functools.partial(advection_study, noise=noise), "inflow"),
+                          (functools.partial(advection_study, noise=noise), "velocity_y")):
             with pytest.raises(InvalidArgumentError, match=key):
-                run_study(cfg)
+                make(nx=4, problem_params={key: bad}, **tiny)
 
 
 def test_linear_study_report_structure_and_monotone_errors():
@@ -422,10 +447,10 @@ def test_report_json_writes_null_for_a_cell_flagged_everywhere(tmp_path, monkeyp
     # which report.csv keeps and report.json, being strict JSON, writes null
     real_run = harness.run
 
-    def setdm0_diverges(problem, run_cfg, path, coarsening=1, **kwargs):
+    def setdm0_diverges(problem, run_cfg, path, **kwargs):
         if run_cfg.scheme is Scheme.SETDM0:
             raise DivergenceError("forced", step=1)
-        return real_run(problem, run_cfg, path, coarsening, **kwargs)
+        return real_run(problem, run_cfg, path, **kwargs)
 
     monkeypatch.setattr(harness, "run", setdm0_diverges)
     report = run_study(_tiny_linear(realizations=2))
@@ -522,11 +547,11 @@ def test_failed_phi_action_flags_its_cell_not_the_study(monkeypatch):
     cfg = _tiny_multiplicative()
     real_run = harness.run
 
-    def failing_run(problem, run_cfg, path, coarsening=1, **kwargs):
+    def failing_run(problem, run_cfg, path, **kwargs):
         if (path.realization == 1 and run_cfg.scheme is Scheme.SETDM1
                 and run_cfg.dt == 1 / 8):
             raise KrylovConvergenceError("phi action over its step cap", est_error=1.0)
-        return real_run(problem, run_cfg, path, coarsening, **kwargs)
+        return real_run(problem, run_cfg, path, **kwargs)
 
     monkeypatch.setattr(harness, "run", failing_run)
     report = run_study(cfg)
@@ -550,15 +575,15 @@ def test_nan_drift_flags_its_cell_with_its_failure_kind(monkeypatch):
     def nan_drift(u):
         return np.full_like(u, np.nan)
 
-    def run_with_nan_drift(problem, run_cfg, path, coarsening=1, **kwargs):
+    def run_with_nan_drift(problem, run_cfg, path, **kwargs):
         if path.realization == 1 and run_cfg.dt == broken[run_cfg.scheme]:
             problem = dataclasses.replace(problem, drift=nan_drift)
             try:
-                return real_run(problem, run_cfg, path, coarsening, **kwargs)
+                return real_run(problem, run_cfg, path, **kwargs)
             except SETDError as exc:
                 raised[run_cfg.scheme] = type(exc)
                 raise
-        return real_run(problem, run_cfg, path, coarsening, **kwargs)
+        return real_run(problem, run_cfg, path, **kwargs)
 
     monkeypatch.setattr(harness, "run", run_with_nan_drift)
     report = run_study(cfg)

@@ -216,7 +216,7 @@ def test_run_validation_and_bookkeeping():
         run(problem, SchemeConfig(Scheme.SETDM1, 0.2, 5), path)
     # horizon overrun
     with pytest.raises(InvalidArgumentError):
-        run(problem, SchemeConfig(Scheme.SETDM1, 0.25, 5), path, coarsening=2)
+        run(problem, SchemeConfig(Scheme.SETDM1, 0.25, 5), path)
     # steps = 0 returns the Dirichlet-applied initial state
     out = run(problem, SchemeConfig(Scheme.SETDM1, 0.125, 0), path)
     assert isinstance(out, Trajectory)
@@ -232,13 +232,44 @@ def test_run_validation_and_bookkeeping():
             run(problem, SchemeConfig(Scheme.SETDM1, 0.125, 4), path, snapshot_every=bad)
 
 
+def test_noise_domain_must_be_the_grids():
+    # the unit-square spectrum on a 2 x 2 grid used to run silently
+    discrete = assemble_fem(build_grid(4, 4, 2.0, 2.0), 1.0)
+    with pytest.raises(InvalidArgumentError, match="domain"):
+        ProblemDef(discrete=discrete, noise=NoiseSpec.exponential(n1=4, n2=4),
+                   X0=np.zeros(discrete.ndof))
+    ProblemDef(discrete=discrete, noise=NoiseSpec.exponential(n1=4, n2=4, L1=2.0, L2=2.0),
+               X0=np.zeros(discrete.ndof))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_run_derives_its_coarsening_from_dt(scheme):
+    # a step of dt = c finest_dt sums c fine increments: run gives the same
+    # bytes as stepping by hand on sample_increment at coarsening c
+    problem = _linear_problem(nx=4, drift=lambda u: -0.3 * u)
+    path = make_path(problem.noise, 4, 0, 0.0625, 8)
+    grid, where = problem.discrete.grid, problem.discrete.where
+    step = {Scheme.SETDM0: setdm0_step, Scheme.SETDM1: setdm1_step,
+            Scheme.SEMI_IMPLICIT_EULER: semi_implicit_step}[scheme]
+    for c in (1, 2, 4):
+        cfg = SchemeConfig(scheme, 0.0625 * c, 8 // c)
+        x = problem.X0.copy()
+        for m in range(cfg.steps):
+            x = step(problem, cfg, x, sample_increment(path, grid, m, c, where))
+        assert run(problem, cfg, path).final.tobytes() == x.tobytes()
+    # a dt that is not a whole number of fine steps does not run as one
+    for ratio in (0.5, 1.5):
+        with pytest.raises(InvalidArgumentError, match="dt must be"):
+            run(problem, SchemeConfig(scheme, 0.0625 * ratio, 1), path)
+
+
 def test_coarsened_run_consumes_same_path():
     # one SETDM0 step at dt equals the dense formula applied to the summed
     # fine increments — the coupling the convergence studies rely on
     problem = _linear_problem(nx=4, c0=0.5)
     path = make_path(problem.noise, 9, 0, 0.0625, 16)
     cfg = SchemeConfig(Scheme.SETDM0, dt=0.25, steps=1)
-    got = run(problem, cfg, path, coarsening=4).final
+    got = run(problem, cfg, path).final
     grid = problem.discrete.grid
     dW = sum(sample_increment(path, grid, s) for s in range(4))
     A = problem.discrete.A.to_scipy().toarray()

@@ -601,6 +601,23 @@ def test_overflowing_action_raises_typed_error():
             assert exc.value.est_error == math.inf
 
 
+def test_identity_shortcut_raises_on_overflow():
+    # dt = 0 or an operator with no stored entries takes no product and
+    # gives u + dt f, which may overflow like the series result
+    empty = SparseOperator(sp.csr_matrix((2, 2)))
+    big = np.full(2, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KrylovConvergenceError, match="overflowed") as exc:
+            fused_action(empty, big, big, 1e10)
+        assert exc.value.est_error == math.inf
+        with pytest.raises(KrylovConvergenceError, match="overflowed"):
+            phi1_action(empty, big, 1e10)
+        np.testing.assert_array_equal(fused_action(empty, big, -big, 1.0).vector, [0.0, 0.0])
+        np.testing.assert_array_equal(fused_action(empty, big, big, 0.0).vector, big)
+        np.testing.assert_array_equal(phi0_action(empty, big, 1e10).vector, big)
+
+
 def test_horner_coefficients_sum_the_forcing_terms():
     # d_m = sum_{k > m} c_k r^(k - m - 1): the weight of P^m g in the
     # forward series y_k = P y_{k-1} + r^(k-1) g, out = sum c_k y_k

@@ -331,6 +331,10 @@ def test_path_validation():
     grid = build_grid(4, 4, 1.0, 1.0)
     with pytest.raises(InvalidArgumentError):
         sample_increment(path, grid, 0, where="edges")
+    # the unit-square spectrum on a 2 x 2 grid's sites would put one
+    # domain's spectrum on another's eigenfunctions
+    with pytest.raises(InvalidArgumentError, match="domain"):
+        make_path(spec, 0, 0, 0.5, 2, sites=(build_grid(4, 4, 2.0, 2.0), "nodes"))
     with pytest.raises(InvalidArgumentError):
         NoiseSpec.exponential(gamma=-1.0)
     with pytest.raises(InvalidArgumentError):

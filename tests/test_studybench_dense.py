@@ -94,8 +94,7 @@ def test_setdm1_cell_matches_dense_propagators(checks, heterogeneous):
     dt = cfg.dt_list[2]
     coarsening, steps = int(dt / cfg.finest_dt), int(cfg.T / dt)
     path = make_path(cfg.noise, cfg.seed, 0, float(cfg.finest_dt), cfg.fine_steps)
-    got = run(build_problem(cfg), SchemeConfig(Scheme.SETDM1, float(dt), steps), path,
-              coarsening).final
+    got = run(build_problem(cfg), SchemeConfig(Scheme.SETDM1, float(dt), steps), path).final
     increments = [sample_increment(path, grid, m, coarsening, where="cells")
                   for m in range(steps)]
     E, P = checks.dense_propagators(A, float(dt))

@@ -90,7 +90,7 @@ def test_benchmark_wrappers_leave_studies_alone(bench, make_cfg):
     # the capture holds the cell that a replay through the public API gives
     path = make_path(cfg.noise, cfg.seed, 0, float(cfg.finest_dt), cfg.fine_steps)
     steps_cfg = SchemeConfig(Scheme.SETDM1, float(dt), int(cfg.T / dt))
-    want = run(build_problem(cfg), steps_cfg, path, int(dt / cfg.finest_dt)).final
+    want = run(build_problem(cfg), steps_cfg, path).final
     assert capture.final is not None
     assert capture.final.tobytes() == want.tobytes()
 
